@@ -27,14 +27,10 @@ from .diagnostics import check_no_percolation, slacks
 from .graph import NodeSet, volume
 from .objective import ProblemParams
 from .solver import SolverConfig, solve
-from .sweep import SweepSpec, load_edgelist, run_sweep, write_rows_csv
+from .sweep import SweepSpec, _fmt, load_edgelist, run_sweep, write_rows_csv
 from .synth import SynthParams, generate, path_instance, star_instance
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _fail(msg: str, code: int = 2) -> int:
@@ -127,9 +123,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
             for rec in tr.records:
+                spur = "" if rec.spurious_vol is None else rec.spurious_vol
                 fh.write(
                     f"{rec.k},{rec.vol_supp_y},{rec.vol_supp_x_next},{rec.work},"
-                    f"{_fmt(rec.residual)},{rec.spurious_vol}\n"
+                    f"{_fmt(rec.residual)},{spur}\n"
                 )
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as fh:

@@ -175,11 +175,20 @@ def build_from_edges(
     return g, present
 
 
-def parse_snap_edgelist(text_stream: TextIO | Iterable[str]) -> tuple[Graph, np.ndarray]:
+_MAX_ID = np.iinfo(np.int64).max
+
+
+def parse_snap_edgelist(
+    text_stream: TextIO | Iterable[str], max_nodes: int | None = None
+) -> tuple[Graph, np.ndarray]:
     """Parse a whitespace-separated edge list ('#' lines are comments).
 
     Returns the compacted graph together with the compact-to-original id map,
     so results can be reported in the file's own node numbering.
+
+    With ``max_nodes`` set, only the first ``max_nodes`` distinct node ids in
+    file order (``u`` before ``v`` within a line) are kept, and edges touching
+    any other id are dropped. Every line is still checked.
     """
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(text_stream, start=1):
@@ -193,10 +202,18 @@ def parse_snap_edgelist(text_stream: TextIO | Iterable[str]) -> tuple[Graph, np.
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer node id in {stripped!r}") from None
+        if not (0 <= u <= _MAX_ID and 0 <= v <= _MAX_ID):
+            raise ValueError(f"line {lineno}: node id outside [0, {_MAX_ID}] in {stripped!r}")
         pairs.append((u, v))
     if not pairs:
         raise ValueError("empty graph")
-    return build_from_edges(pairs)
+    edges = np.array(pairs, dtype=np.int64)
+    del pairs  # the tuples take several times the array's memory
+    if max_nodes is not None:
+        ids, first = np.unique(edges.ravel(), return_index=True)
+        kept = ids[np.argsort(first)[: max(max_nodes, 0)]]
+        edges = edges[np.isin(edges, kept).all(axis=1)]
+    return build_from_edges(edges)
 
 
 def _check_in_range(g: Graph, s: NodeSet) -> None:

@@ -19,7 +19,6 @@ the two paths agree bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -135,11 +134,6 @@ class ProblemParams:
     def reg_level(self) -> float:
         """c * alpha * rho; the per-node threshold is this times sqrt(d_i)."""
         return float(self.reg_factor) * (self.alpha * self.rho)
-
-    def momentum(self) -> float:
-        """Default heavy-ball coefficient (1 - sqrt(alpha)) / (1 + sqrt(alpha))."""
-        r = math.sqrt(self.alpha)
-        return (1.0 - r) / (1.0 + r)
 
 
 def _check_seed(g: Graph, p: ProblemParams) -> None:

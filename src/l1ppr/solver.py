@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import Graph, NodeSet
 from .kernels import prox_grad_step
-from .objective import ProblemParams, SparseVector, objective_value
+from .objective import ProblemParams, SparseVector, _check_seed, objective_value
 
 __all__ = [
     "SolverConfig",
@@ -124,8 +124,7 @@ def solve(
     the per-iteration degree volume of supp(x_{k+1}) outside that set, which
     lets sweeps report spurious volumes without keeping full traces.
     """
-    if p.seed >= g.n:
-        raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
+    _check_seed(g, p)
     beta = cfg.resolved_momentum(p.alpha)
     eta = cfg.eta
     full = cfg.trace_level == "full"

@@ -73,32 +73,10 @@ def derive_rng_seed(base_rng_seed: int, point_index: int) -> int:
 
 
 def load_edgelist(path: str, max_nodes: int | None = None):
-    """Parse a whitespace edge list, optionally truncated for smoke tests.
-
-    With ``max_nodes`` set, only the first ``max_nodes`` distinct node ids in
-    file order are kept, and edges touching any later id are dropped.
-    """
-    if max_nodes is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_snap_edgelist(fh)
-    kept: dict[int, None] = {}
-    lines: list[str] = []
+    """Parse a whitespace edge list file, optionally truncated for smoke tests
+    (see :func:`l1ppr.graph.parse_snap_edgelist` for ``max_nodes``)."""
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                lines.append(line)  # let the parser produce its usual error
-                continue
-            u, v = int(parts[0]), int(parts[1])
-            for node in (u, v):
-                if node not in kept and len(kept) < max_nodes:
-                    kept[node] = None
-            if u in kept and v in kept:
-                lines.append(line)
-    return parse_snap_edgelist(iter(lines))
+        return parse_snap_edgelist(fh, max_nodes)
 
 
 def sample_seeds(g: Graph, k: int, rng_seed: int) -> NodeSet:
@@ -158,7 +136,7 @@ class SweepRow:
     converged: bool
     residual: float
     vol_supp: int
-    spurious_vol: int
+    spurious_vol: int | None  # None without a baseline (edge-list graphs)
     work_per_iter: float
 
 
@@ -220,10 +198,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for method in METHODS:
             for seed in seeds:
                 try:
-                    if not (0 <= seed < g.n):
-                        raise ValueError(
-                            f"seed node {seed} out of range for graph with {g.n} nodes"
-                        )
                     p = ProblemParams(alpha=alpha, rho=rho, seed=seed, reg_factor=spec.reg_factor)
                     cfg = SolverConfig(method=method, eps=eps, max_iter=spec.max_iter)
                     sol = solve(g, p, cfg, spurious_baseline=baseline)
@@ -373,7 +347,7 @@ def write_rows_csv(rows: Iterable[SweepRow], out: IO[str]) -> None:
                     "true" if r.converged else "false",
                     _fmt(r.residual),
                     str(r.vol_supp),
-                    str(r.spurious_vol),
+                    "" if r.spurious_vol is None else str(r.spurious_vol),
                     _fmt(r.work_per_iter),
                 ]
             )

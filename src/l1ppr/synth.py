@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -149,50 +150,24 @@ def _core_edges(params: SynthParams) -> list[tuple[int, int]]:
     return tree + [pool[t] for t in sorted(picks.tolist())]
 
 
-def generate(params: SynthParams) -> tuple[Graph, RegionPartition]:
-    """Build the block instance; bit-identical for identical params."""
-    s, b, e = params.core_size, params.boundary_size, params.exterior_size
+def _block_graph(
+    params: SynthParams, ext_size: int, ext_edges: Iterable[tuple[int, int]], n_attach: int
+) -> tuple[Graph, RegionPartition]:
+    """Core, fan-out and boundary circulant from ``params``, plus the given
+    exterior edges (global ids) and one boundary attachment for each of the
+    first ``n_attach`` exterior nodes."""
+    s, b = params.core_size, params.boundary_size
     b0, e0 = s, s + b
+    total = e0 + ext_size
     edges = _core_edges(params)
     for u in range(s):
         for j in range(params.c_bnd):
             edges.append((u, b0 + (u * params.c_bnd + j) % b))
     edges.extend(_circulant_edges(b0, b, params.deg_b))
-    edges.extend(_circulant_edges(e0, e, params.deg_ext))
-    for t in range(e):
+    edges.extend(ext_edges)
+    for t in range(n_attach):
         edges.append((e0 + t, b0 + (t % b)))
     g, remap = build_from_edges(edges)
-    if g.n != params.total_nodes:
-        missing = sorted(set(range(params.total_nodes)) - set(remap.tolist()))
-        raise ValueError(
-            f"construction left {len(missing)} isolated node(s), first few: {missing[:5]}"
-        )
-    part = RegionPartition(
-        core=NodeSet(np.arange(s)),
-        boundary=NodeSet(np.arange(b0, e0)),
-        exterior=NodeSet(np.arange(e0, params.total_nodes)),
-    )
-    return g, part
-
-
-def _alpha_sweep_candidate(
-    base: SynthParams, m_ext_edges: int, ext_size: int
-) -> tuple[Graph, RegionPartition]:
-    """Variant instance: exterior clique, only m exterior-boundary edges."""
-    s, b = base.core_size, base.boundary_size
-    b0, e0 = s, s + b
-    edges = _core_edges(base)
-    for u in range(s):
-        for j in range(base.c_bnd):
-            edges.append((u, b0 + (u * base.c_bnd + j) % b))
-    edges.extend(_circulant_edges(b0, b, base.deg_b))
-    edges.extend(
-        (e0 + i, e0 + j) for i in range(ext_size) for j in range(i + 1, ext_size)
-    )
-    for t in range(m_ext_edges):
-        edges.append((e0 + t, b0 + (t % b)))
-    g, remap = build_from_edges(edges)
-    total = s + b + ext_size
     if g.n != total:
         missing = sorted(set(range(total)) - set(remap.tolist()))
         raise ValueError(
@@ -204,6 +179,22 @@ def _alpha_sweep_candidate(
         exterior=NodeSet(np.arange(e0, total)),
     )
     return g, part
+
+
+def generate(params: SynthParams) -> tuple[Graph, RegionPartition]:
+    """Build the block instance; bit-identical for identical params."""
+    e = params.exterior_size
+    e0 = params.core_size + params.boundary_size
+    return _block_graph(params, e, _circulant_edges(e0, e, params.deg_ext), e)
+
+
+def _alpha_sweep_candidate(
+    base: SynthParams, m_ext_edges: int, ext_size: int
+) -> tuple[Graph, RegionPartition]:
+    """Variant instance: exterior clique, only m exterior-boundary edges."""
+    e0 = base.core_size + base.boundary_size
+    clique = ((e0 + i, e0 + j) for i in range(ext_size) for j in range(i + 1, ext_size))
+    return _block_graph(base, ext_size, clique, m_ext_edges)
 
 
 def generate_alpha_sweep_instance(

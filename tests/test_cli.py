@@ -96,6 +96,7 @@ def test_solve_trace_csv(tmp_path, capsys):
     assert len(lines) >= 2
     first = lines[1].split(",")
     assert len(first) == 6 and first[0] == "0"
+    assert all(line.split(",")[5] == "" for line in lines[1:])  # no baseline
     out = capsys.readouterr().out
     n_iters = int(out.split("iterations=")[1].split()[0])
     assert len(lines) - 1 == n_iters

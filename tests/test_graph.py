@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1ppr.graph import (
@@ -111,6 +111,49 @@ def test_parse_snap_comments_and_errors():
         parse_snap_edgelist(io.StringIO("0 1\n# fine\n0 x\n"))
     with pytest.raises(ValueError, match="empty graph"):
         parse_snap_edgelist(io.StringIO("# nothing\n"))
+
+
+_INT64_MAX = 2**63 - 1
+_IDS = st.integers(0, 12) | st.just(_INT64_MAX)
+_EDGE_LINE = st.tuples(_IDS, _IDS, st.sampled_from([" ", "\t", "  "])).map(
+    lambda t: (f"{t[0]}{t[2]}{t[1]}", (t[0], t[1]))
+)
+_SKIP_LINE = st.sampled_from(["", "   ", "# comment", "  # 1 2"]).map(lambda s: (s, None))
+_BAD_LINE = st.one_of(
+    st.sampled_from(["x 1", "1 2.5", "0x1 2", "5", "1 2 3", "1 2 # note"]),
+    st.tuples(_IDS, st.integers(max_value=-1)).map(lambda t: f"{t[0]} {t[1]}"),
+    st.tuples(st.integers(min_value=_INT64_MAX + 1), _IDS).map(lambda t: f"{t[0]} {t[1]}"),
+)
+
+
+@settings(max_examples=300)
+@given(
+    lines=st.lists(_EDGE_LINE | _SKIP_LINE, max_size=12),
+    bad=st.none() | _BAD_LINE,
+    where=st.integers(0, 12),
+    max_nodes=st.none() | st.integers(0, 6),
+)
+def test_parse_snap_fuzz_against_reference(lines, bad, where, max_nodes):
+    if bad is not None:
+        lines.insert(min(where, len(lines)), (bad, "bad"))
+    text = "".join(line + "\n" for line, _ in lines)
+    bad_at = [i for i, (_, pair) in enumerate(lines, start=1) if pair == "bad"]
+    if bad_at:
+        with pytest.raises(ValueError, match=rf"^line {bad_at[0]}: "):
+            parse_snap_edgelist(io.StringIO(text), max_nodes)
+        return
+    # reference truncation: the first max_nodes distinct ids in file order
+    pairs = [pair for _, pair in lines if pair is not None]
+    order = list(dict.fromkeys(node for pair in pairs for node in pair))
+    kept = set(order if max_nodes is None else order[:max_nodes])
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and u in kept and v in kept}
+    if not edges:
+        with pytest.raises(ValueError, match="^empty graph$"):
+            parse_snap_edgelist(io.StringIO(text), max_nodes)
+        return
+    g, remap = parse_snap_edgelist(io.StringIO(text), max_nodes)
+    assert remap.tolist() == sorted({node for edge in edges for node in edge})
+    assert {(int(remap[u]), int(remap[v])) for u, v in g.iter_edges()} == edges
 
 
 def test_volume_and_boundary_on_path():

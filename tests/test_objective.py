@@ -58,7 +58,6 @@ def test_params_derived_quantities():
     p = ProblemParams(0.5, 0.1, 0, 2)
     assert p.hp == 0.75 and p.hm == 0.25
     assert p.reg_level == 2.0 * (0.5 * 0.1)
-    assert p.momentum() == (1 - math.sqrt(0.5)) / (1 + math.sqrt(0.5))
 
 
 def test_gradient_at_zero_is_seed_term_only():

@@ -132,6 +132,10 @@ def test_rho_axis_trivial_region(tmp_path):
     for r in res.rows:
         assert r.converged and r.iters == 0 and r.total_work == 0
         assert r.vol_supp == 0 and r.work_per_iter == 0.0
+    buf = io.StringIO()
+    write_rows_csv(res.rows, buf)
+    # an edge-list graph has no core, so spurious_vol is an empty field
+    assert all(line.split(",")[9] == "" for line in buf.getvalue().splitlines()[1:])
 
 
 def test_fresh_graphs_change_between_points():
