@@ -27,7 +27,7 @@ from .diagnostics import check_no_percolation, slacks
 from .graph import NodeSet, volume
 from .objective import ProblemParams
 from .solver import SolverConfig, solve
-from .sweep import SweepSpec, _fmt, load_edgelist, run_sweep, write_rows_csv
+from .sweep import SweepSpec, _fmt, load_edgelist, log_grid, run_sweep, write_rows_csv
 from .synth import SynthParams, generate, path_instance, star_instance
 
 __all__ = ["main"]
@@ -147,13 +147,13 @@ def _read_core_set(path: str) -> list[int]:
             line = raw.strip()
             if not line or line.startswith("#") or line == "node,region":
                 continue
+            node_s = line
             if "," in line:
                 node_s, region = line.split(",", 1)
-                if region.strip() == "core":
-                    nodes.append(int(node_s))
-                continue
+                if region.strip() != "core":
+                    continue
             try:
-                nodes.append(int(line))
+                nodes.append(int(node_s))
             except ValueError as exc:
                 raise ValueError(f"core-set file line {lineno}: not a node id: {line!r}") from exc
     return nodes
@@ -208,8 +208,9 @@ _SPEC_KEYS = {
 }
 
 
-def _parse_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse_config(path: str) -> dict[str, tuple[int, str]]:
+    """``key -> (line number, value)`` from a key = value spec file."""
+    out: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -222,7 +223,7 @@ def _parse_config(path: str) -> dict[str, str]:
             value = value.strip()
             if key in out:
                 raise ValueError(f"spec line {lineno}: duplicate key {key!r}")
-            out[key] = value
+            out[key] = (lineno, value)
     return out
 
 
@@ -235,7 +236,18 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _spec_from_config(raw: dict[str, str]) -> SweepSpec:
+def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
+    def value(key: str, conv):
+        lineno, text = raw[key]
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise ValueError(f"spec line {lineno}: bad {key} value {text!r}: {exc}") from None
+
+    def grid_log(text: str) -> tuple[float, ...]:
+        lo_s, hi_s, count_s = (s.strip() for s in text.split(","))
+        return log_grid(float(lo_s), float(hi_s), int(count_s))
+
     unknown = set(raw) - set(_SPEC_KEYS) - set(_SYNTH_KEYS)
     if unknown:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
@@ -244,29 +256,26 @@ def _spec_from_config(raw: dict[str, str]) -> SweepSpec:
     if ("grid" in raw) == ("grid_log" in raw):
         raise ValueError("spec must set exactly one of grid, grid_log")
     if "grid" in raw:
-        grid = tuple(float(v) for v in raw["grid"].split(","))
+        grid = value("grid", lambda text: tuple(float(v) for v in text.split(",")))
     else:
-        from .sweep import log_grid
-
-        lo_s, hi_s, count_s = (s.strip() for s in raw["grid_log"].split(","))
-        grid = log_grid(float(lo_s), float(hi_s), int(count_s))
-    kwargs = {"sweep_axis": raw["axis"], "grid": grid}
+        grid = value("grid_log", grid_log)
+    kwargs = {"sweep_axis": value("axis", str), "grid": grid}
     for key in ("alpha", "rho", "eps"):
         if key in raw:
-            kwargs[key] = float(raw[key])
+            kwargs[key] = value(key, float)
     for key in ("reg_factor", "max_nodes", "seed_count", "base_rng_seed", "max_iter"):
         if key in raw:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = value(key, int)
     if "per_point_fresh_graph" in raw:
-        kwargs["per_point_fresh_graph"] = _parse_bool(raw["per_point_fresh_graph"])
+        kwargs["per_point_fresh_graph"] = value("per_point_fresh_graph", _parse_bool)
     if "seeds" in raw:
-        kwargs["seeds"] = tuple(int(v) for v in raw["seeds"].split(","))
+        kwargs["seeds"] = value("seeds", lambda text: tuple(int(v) for v in text.split(",")))
     elif "seed_count" in raw:
         kwargs["seeds"] = None
     if "edgelist_path" in raw:
-        kwargs["edgelist_path"] = raw["edgelist_path"]
+        kwargs["edgelist_path"] = value("edgelist_path", str)
     else:
-        synth_kwargs = {k: conv(raw[k]) for k, conv in _SYNTH_KEYS.items() if k in raw}
+        synth_kwargs = {k: value(k, conv) for k, conv in _SYNTH_KEYS.items() if k in raw}
         kwargs["synth"] = SynthParams(**synth_kwargs)
     return SweepSpec(**kwargs)
 

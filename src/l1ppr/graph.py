@@ -128,19 +128,7 @@ class Graph:
                     yield u, int(v)
 
 
-def _graph_from_unique_pairs(pairs: np.ndarray, n: int) -> Graph:
-    """Assemble CSR from deduplicated directed pairs covering both directions."""
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    degrees = np.bincount(pairs[:, 0], minlength=n).astype(np.int64)
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=row_offsets[1:])
-    neighbors = np.ascontiguousarray(pairs[:, 1])
-    sqrt_degrees = np.sqrt(degrees.astype(np.float64))
-    inv_sqrt_degrees = 1.0 / sqrt_degrees
-    for arr in (row_offsets, neighbors, degrees, sqrt_degrees, inv_sqrt_degrees):
-        arr.setflags(write=False)
-    return Graph(n, row_offsets, neighbors, degrees, sqrt_degrees, inv_sqrt_degrees)
+_MAX_ID = np.iinfo(np.int64).max
 
 
 def build_from_edges(
@@ -166,16 +154,29 @@ def build_from_edges(
     arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.size == 0:
         raise ValueError("empty graph")
-    both = np.concatenate([arr, arr[:, ::-1]])
-    both = np.unique(both, axis=0)
-    present = np.unique(both[:, 0])
-    compact = np.searchsorted(present, both)
-    g = _graph_from_unique_pairs(compact, int(present.size))
-    present.setflags(write=False)
-    return g, present
+    present, compact = np.unique(arr.ravel(), return_inverse=True)
+    n = int(present.size)
+    if n > _MAX_ID // n:
+        raise ValueError(f"{n} distinct nodes overflow the int64 edge key")
+    cu, cv = compact.reshape(-1, 2).T
+    # One int64 key per directed pair, sorted: rows in order, each row's
+    # neighbors ascending. A plain sort beats np.unique on this key.
+    key = np.concatenate((cu * n + cv, cv * n + cu))
+    del cu, cv, compact
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    neighbors = key % n
+    key //= n  # now the source of each pair
+    degrees = np.bincount(key, minlength=n).astype(np.int64)
+    del key
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=row_offsets[1:])
+    sqrt_degrees = np.sqrt(degrees.astype(np.float64))
+    inv_sqrt_degrees = 1.0 / sqrt_degrees
+    for a in (row_offsets, neighbors, degrees, sqrt_degrees, inv_sqrt_degrees, present):
+        a.setflags(write=False)
+    return Graph(n, row_offsets, neighbors, degrees, sqrt_degrees, inv_sqrt_degrees), present
 
-
-_MAX_ID = np.iinfo(np.int64).max
 
 
 def parse_snap_edgelist(

@@ -12,6 +12,16 @@ The kernel computes one fused step from a point z:
     x_i = soft_threshold(u_i, eta * c * alpha * rho * sqrt(d_i))
 
 reading adjacency rows only for nodes in supp(z), i.e. cost O(vol(supp(z))).
+
+The numpy backend keeps that bound in wall clock too: it never touches an
+n-length array except at candidate positions. Candidates are deduplicated
+through a caller-owned int64 position scratch of length n (write each
+candidate's position, keep the positions that survive, sort only the distinct
+nodes), and the same scratch maps each edge's target to a compact id for a
+``bincount`` over the candidates alone. The scratch is always written before
+it is read, so it may hold anything on entry. The numba backend does not use
+the scratch; it still allocates n-length marker and accumulator arrays per
+call.
 """
 
 from __future__ import annotations
@@ -51,23 +61,26 @@ def active_backend() -> str:
 
 
 def _step_numpy(row_offsets, neighbors, sqrt_deg, inv_sqrt_deg,
-                z, act, v, seed_term, hp, hm, eta, tau, acc, out):
-    n = sqrt_deg.shape[0]
-    if act.size:
-        lens = row_offsets[act + 1] - row_offsets[act]
-        total = int(lens.sum())
-        shift = np.repeat(row_offsets[act] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-        nbrs = neighbors[np.arange(total, dtype=np.int64) + shift]
-        push = z[act] * inv_sqrt_deg[act]
-        weights = np.repeat(push, lens) * inv_sqrt_deg[nbrs]
-        sums = np.bincount(nbrs, weights=weights, minlength=n)
-        cand = np.unique(np.concatenate((act, nbrs, np.array([v], dtype=np.int64))))
-    else:
-        sums = np.zeros(n)
-        cand = np.array([v], dtype=np.int64)
+                z, act, v, seed_term, hp, hm, eta, tau, pos, out):
+    lens = row_offsets[act + 1] - row_offsets[act]
+    total = int(lens.sum())
+    shift = np.repeat(row_offsets[act] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
+    nbrs = neighbors[np.arange(total, dtype=np.int64) + shift]
+    push = z[act] * inv_sqrt_deg[act]
+    weights = np.repeat(push, lens) * inv_sqrt_deg[nbrs]
+    idx = np.concatenate((act, nbrs, np.array([v], dtype=np.int64)))
+    # Dedup through the position scratch: exactly one position per distinct
+    # node survives the scatter, whichever write lands last. Every entry read
+    # back was written first, so the scratch needs no reset.
+    at = np.arange(idx.size, dtype=np.int64)
+    pos[idx] = at
+    cand = np.sort(idx[pos[idx] == at])
+    pos[cand] = np.arange(cand.size, dtype=np.int64)
+    # bincount adds in edge order, the order of the reference accumulation
+    sums = np.bincount(pos[nbrs], weights=weights, minlength=cand.size)
     zc = z[cand]
-    gvals = hp * zc - hm * sums[cand]
-    gvals[np.searchsorted(cand, v)] -= seed_term
+    gvals = hp * zc - hm * sums
+    gvals[pos[v]] -= seed_term
     u = zc - eta * gvals
     thresholds = tau * sqrt_deg[cand]
     mag = np.abs(u)
@@ -81,10 +94,12 @@ if HAS_NUMBA:
 
     @njit(cache=True)
     def _step_numba(row_offsets, neighbors, sqrt_deg, inv_sqrt_deg,
-                    z, act, v, seed_term, hp, hm, eta, tau, acc, out):
+                    z, act, v, seed_term, hp, hm, eta, tau, pos, out):
         # candidates are bounded by n, so dedup with a marker array and sort
-        # only the distinct nodes instead of the vol-sized edge buffer
+        # only the distinct nodes instead of the vol-sized edge buffer.
+        # ``pos`` (the numpy backend's scratch) is unused here.
         n = sqrt_deg.shape[0]
+        acc = np.zeros(n)
         seen = np.zeros(n, dtype=np.uint8)
         cand = np.empty(n, dtype=np.int64)
         m = 0
@@ -122,8 +137,6 @@ if HAS_NUMBA:
                 out[i] = sgn * (mag - thr)
                 out_act[n_out] = i
                 n_out += 1
-        for t in range(u_count):
-            acc[uniq[t]] = 0.0
         return out_act[:n_out]
 
 
@@ -134,14 +147,14 @@ def prox_grad_step(
     z_act: np.ndarray,
     eta: float,
     out_dense: np.ndarray,
-    acc_scratch: np.ndarray,
+    pos_scratch: np.ndarray,
 ) -> np.ndarray:
     """One fused prox-gradient step from the point held in (z_dense, z_act).
 
     ``out_dense`` must be all zeros on entry; on return its entries at the
     returned (sorted) index array hold the new point and everything else is
-    still zero. ``acc_scratch`` must be all zeros on entry and is restored to
-    zeros before returning (the numpy backend does not use it).
+    still zero. ``pos_scratch`` is an int64 array of length ``g.n`` whose
+    contents are ignored on entry and left undefined on return.
     """
     seed_term = p.alpha * g.inv_sqrt_degrees[p.seed]
     tau = eta * p.reg_level
@@ -149,5 +162,5 @@ def prox_grad_step(
     return impl(
         g.row_offsets, g.neighbors, g.sqrt_degrees, g.inv_sqrt_degrees,
         z_dense, z_act, p.seed, seed_term, p.hp, p.hm, eta, tau,
-        acc_scratch, out_dense,
+        pos_scratch, out_dense,
     )

@@ -9,13 +9,26 @@ which also covers the per-iteration stopping diagnostic (the fixed-point
 residual is evaluated at x_{k+1}, whose support volume is already counted).
 Iterations start from x_{-1} = x_0 = 0 and stop as soon as the residual drops
 to eps, checked every iteration, or at the global iteration cap.
+
+The ledger is the modeled cost; the kernel calls are the actual one. FISTA
+makes two per iteration (the step from y_k, then the residual step from
+x_{k+1}). Without momentum y_k == x_k, so the step T(x_k) that the previous
+residual check computed is exactly x_{k+1}, and ISTA makes one.
+
+Dense n-length buffers come from a workspace kept per graph (weakly, so it
+goes with the graph) and are reset only at the indices a solve touched, so
+a solve's wall clock follows the volume of its iterates, not n. The reset
+runs in a ``finally`` block: a solve that raises leaves the buffers clean.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -96,13 +109,36 @@ class IterationRecord:
 
 @dataclass
 class SolveTrace:
-    records: list[IterationRecord] = field(default_factory=list)
+    """Per-iteration ledger of one solve.
+
+    The per-iteration numbers are kept in compact array columns, one entry
+    per iteration (``spurious_vol`` only when the solve had a baseline), and
+    ``snapshots`` holds ``(y_nodes, y_vals, x_nodes, x_vals)`` per iteration
+    at the full level. ``records`` assembles them into
+    :class:`IterationRecord` objects on each access.
+    """
+
     iterations: int = 0
     total_work: int = 0
     final_residual: float = float("inf")
     converged: bool = False
     level: str = "summary"
     spurious_total: int | None = None
+    vol_supp_y: array = field(default_factory=partial(array, "q"))
+    vol_supp_x_next: array = field(default_factory=partial(array, "q"))
+    residual: array = field(default_factory=partial(array, "d"))
+    spurious_vol: array = field(default_factory=partial(array, "q"))
+    snapshots: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        spur = self.spurious_vol if self.spurious_total is not None else repeat(None)
+        snaps = self.snapshots if self.level == "full" else repeat((None,) * 4)
+        return [
+            IterationRecord(k, vy, vx, vy + vx, r, s, *snap)
+            for k, (vy, vx, r, s, snap) in enumerate(
+                zip(self.vol_supp_y, self.vol_supp_x_next, self.residual, spur, snaps))
+        ]
 
 
 @dataclass
@@ -110,6 +146,18 @@ class Solution:
     x: SparseVector
     trace: SolveTrace
     support: NodeSet
+
+
+# Per-graph dense buffers: four float64 arrays (two iterates, the
+# extrapolated point, the residual step), all zero between solves, and the
+# kernel's int64 position scratch. A solve takes its graph's workspace out of
+# the table and puts it back when done, so a solve that overlaps another on
+# the same graph allocates its own.
+_WORKSPACES: weakref.WeakKeyDictionary[Graph, tuple[np.ndarray, ...]] = weakref.WeakKeyDictionary()
+
+
+def _new_workspace(n: int) -> tuple[np.ndarray, ...]:
+    return (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
 
 
 def solve(
@@ -126,89 +174,93 @@ def solve(
     """
     _check_seed(g, p)
     beta = cfg.resolved_momentum(p.alpha)
+    reuse = beta == 0.0
     eta = cfg.eta
     full = cfg.trace_level == "full"
     degrees = g.degrees
-
-    base_mask = None
-    if spurious_baseline is not None:
-        base_mask = np.zeros(g.n, dtype=bool)
-        base_mask[spurious_baseline.ids] = True
-
-    empty = np.empty(0, dtype=np.int64)
-    x_cur = np.zeros(g.n)
-    x_prev = np.zeros(g.n)
-    y_buf = np.zeros(g.n)
-    t_buf = np.zeros(g.n)
-    acc = np.zeros(g.n)
-    act_cur = empty
-    act_prev = empty
+    base = None if spurious_baseline is None else spurious_baseline.ids
 
     trace = SolveTrace(level=cfg.trace_level)
-    if base_mask is not None:
+    if base is not None:
         trace.spurious_total = 0
 
-    # Residual of the zero start: if it already meets eps the solution is 0
-    # and no iteration is charged.
-    t_act = prox_grad_step(g, p, y_buf, empty, eta, t_buf, acc)
-    r = float(np.max(np.abs(t_buf[t_act]))) if t_act.size else 0.0
-    t_buf[t_act] = 0.0
-    if r <= cfg.eps:
-        trace.converged = True
-        trace.final_residual = r
-        return Solution(SparseVector(), trace, NodeSet())
-
-    for k in range(cfg.max_iter):
-        union = np.union1d(act_cur, act_prev)
-        merged = x_cur[union] + beta * (x_cur[union] - x_prev[union])
-        if not np.isfinite(merged).all():
-            raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-        nz = merged != 0.0
-        y_act = union[nz]
-        y_vals = merged[nz]
-        y_buf[y_act] = y_vals
-        vol_y = int(degrees[y_act].sum())
-
-        # x_prev is only needed to extrapolate y; recycle its buffer as the
-        # target for x_{k+1}.
-        x_next = x_prev
-        x_next[act_prev] = 0.0
-        xn_act = prox_grad_step(g, p, y_buf, y_act, eta, x_next, acc)
-        xn_vals = x_next[xn_act]
-        if not np.isfinite(xn_vals).all():
-            raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-        y_buf[y_act] = 0.0
-        vol_xn = int(degrees[xn_act].sum())
-        work_k = vol_y + vol_xn
-
-        t_act = prox_grad_step(g, p, x_next, xn_act, eta, t_buf, acc)
-        check = np.union1d(xn_act, t_act)
-        r = float(np.max(np.abs(x_next[check] - t_buf[check]))) if check.size else 0.0
-        t_buf[t_act] = 0.0
-
-        spur = None
-        if base_mask is not None:
-            outside = xn_act[~base_mask[xn_act]]
-            spur = int(degrees[outside].sum())
-            trace.spurious_total += spur
-
-        rec = IterationRecord(k, vol_y, vol_xn, work_k, r, spur)
-        if full:
-            rec.y_nodes, rec.y_vals = y_act, y_vals
-            rec.x_nodes, rec.x_vals = xn_act, xn_vals
-        trace.records.append(rec)
-        trace.total_work += work_k
-        trace.iterations += 1
-
-        x_prev, act_prev = x_cur, act_cur
-        x_cur, act_cur = x_next, xn_act
+    ws = _WORKSPACES.pop(g, None) or _new_workspace(g.n)
+    x_cur, x_prev, y_buf, t_buf, pos = ws
+    empty = np.empty(0, dtype=np.int64)
+    # Every nonzero of the four buffers lies at an index in one of these.
+    act_cur = act_prev = y_act = xn_act = t_act = empty
+    try:
+        # Residual of the zero start: if it already meets eps the solution
+        # is 0 and no iteration is charged.
+        t_act = prox_grad_step(g, p, y_buf, empty, eta, t_buf, pos)
+        r = float(np.max(np.abs(t_buf[t_act]))) if t_act.size else 0.0
         if r <= cfg.eps:
             trace.converged = True
-            break
+            trace.final_residual = r
+            return Solution(SparseVector(), trace, NodeSet())
 
-    trace.final_residual = r
-    x = SparseVector(zip(act_cur.tolist(), x_cur[act_cur].tolist()))
-    return Solution(x, trace, NodeSet(act_cur))
+        for k in range(cfg.max_iter):
+            union = np.union1d(act_cur, act_prev)
+            merged = x_cur[union] + beta * (x_cur[union] - x_prev[union])
+            if not np.isfinite(merged).all():
+                raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
+            nz = merged != 0.0
+            y_vals = merged[nz]
+            y_act = union[nz]
+            vol_y = int(degrees[y_act].sum())
+
+            # x_prev is only needed to extrapolate y; recycle its buffer.
+            x_prev[act_prev] = 0.0
+            if reuse:
+                # Without momentum y_k == x_k, so x_{k+1} = T(x_k) is the
+                # step the last residual check computed.
+                x_next, xn_act = t_buf, t_act
+                t_buf, t_act = x_prev, empty
+            else:
+                t_buf[t_act] = 0.0
+                y_buf[y_act] = y_vals
+                x_next = x_prev
+                xn_act = prox_grad_step(g, p, y_buf, y_act, eta, x_next, pos)
+                y_buf[y_act] = 0.0
+            xn_vals = x_next[xn_act]
+            if not np.isfinite(xn_vals).all():
+                raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
+            vol_xn = int(degrees[xn_act].sum())
+
+            t_act = prox_grad_step(g, p, x_next, xn_act, eta, t_buf, pos)
+            check = np.union1d(xn_act, t_act)
+            r = float(np.max(np.abs(x_next[check] - t_buf[check]))) if check.size else 0.0
+
+            if base is not None:
+                j = np.searchsorted(base, xn_act)
+                inside = j < base.size
+                inside[inside] = base[j[inside]] == xn_act[inside]
+                spur = int(degrees[xn_act[~inside]].sum())
+                trace.spurious_vol.append(spur)
+                trace.spurious_total += spur
+
+            trace.vol_supp_y.append(vol_y)
+            trace.vol_supp_x_next.append(vol_xn)
+            trace.residual.append(r)
+            if full:
+                trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
+            trace.total_work += vol_y + vol_xn
+            trace.iterations += 1
+
+            x_prev, act_prev = x_cur, act_cur
+            x_cur, act_cur = x_next, xn_act
+            if r <= cfg.eps:
+                trace.converged = True
+                break
+
+        trace.final_residual = r
+        x = SparseVector(zip(act_cur.tolist(), x_cur[act_cur].tolist()))
+        return Solution(x, trace, NodeSet(act_cur))
+    finally:
+        live = np.concatenate((act_cur, act_prev, y_act, xn_act, t_act))
+        for buf in ws[:4]:
+            buf[live] = 0.0
+        _WORKSPACES[g] = ws
 
 
 @dataclass(frozen=True)

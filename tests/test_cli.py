@@ -167,6 +167,16 @@ def test_check_bad_core_file(tmp_path, capsys):
     assert "core-set file line 2" in capsys.readouterr().err
 
 
+def test_check_bad_core_partition_row(tmp_path, capsys):
+    graph = write_six_path(tmp_path)
+    core = tmp_path / "regions.csv"
+    core.write_text("node,region\n2,core\nx,core\n")
+    rc = main(["check", graph, "--core-set", str(core),
+               "--alpha", "0.5", "--rho", "1.0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: core-set file line 3: not a node id: 'x,core'\n"
+
+
 SPEC_TEXT = """\
 # comment line
 axis = rho
@@ -219,6 +229,8 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
         ("grid = 1e-3\n", "must set axis"),
         ("axis = rho\ngrid = 1e-3\nalpha 0.3\n", "expected key = value"),
         ("axis = rho\ngrid = 1e-3\nalpha = 0.3\nalpha = 0.4\n", "duplicate key"),
+        ("axis = rho\n# grid below\ngrid = 1e-3,x\n",
+         "spec line 3: bad grid value '1e-3,x': could not convert string to float: 'x'"),
     ]
     for text, msg in cases:
         spec_path = tmp_path / "bad.cfg"

@@ -194,3 +194,38 @@ def test_build_from_random_edges_is_symmetric(n, extra, rng_seed):
     assert fwd == {(v, u) for u, v in fwd}
     assert not any(u == v for u, v in fwd)
     assert int(g.degrees.min()) >= 1
+
+
+_SPARSE_IDS = st.integers(0, 6) | st.integers(2**40, 2**40 + 3) | st.just(_INT64_MAX)
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(_SPARSE_IDS, _SPARSE_IDS), max_size=30))
+def test_build_from_edges_against_set_reference(pairs):
+    """Repeats, both orientations, self-loops and sparse large ids give the
+    CSR of the plain undirected edge set over the ids that keep an edge."""
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    if not edges:
+        with pytest.raises(ValueError, match="^empty graph$"):
+            build_from_edges(pairs)
+        return
+    g, remap = build_from_edges(pairs)
+    nodes = sorted({node for edge in edges for node in edge})
+    rows = [sorted({b for a, b in edges if a == u} | {a for a, b in edges if b == u}) for u in nodes]
+    compact = {node: i for i, node in enumerate(nodes)}
+    assert remap.tolist() == nodes
+    assert g.n == len(nodes)
+    assert g.row_offsets.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+    assert g.neighbors.tolist() == [compact[v] for r in rows for v in r]
+    assert g.degrees.tolist() == [len(r) for r in rows]
+    assert np.array_equal(g.sqrt_degrees, np.sqrt(g.degrees.astype(np.float64)))
+
+
+def test_build_from_edges_rejects_key_overflow(monkeypatch):
+    import l1ppr.graph as graph
+
+    # with 4 distinct nodes, a key bound of 15 cannot hold 4 * 4 keys
+    monkeypatch.setattr(graph, "_MAX_ID", 15)
+    with pytest.raises(ValueError, match="overflow"):
+        build_from_edges([(0, 1), (2, 3)])
+    build_from_edges([(0, 1), (1, 2)])

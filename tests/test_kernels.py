@@ -36,9 +36,9 @@ def _run_step(g, p, x: SparseVector, eta: float, backend: str, monkeypatch):
     act = x.support()
     z[act] = [x.get(int(i)) for i in act]
     out = np.zeros(g.n)
-    acc = np.zeros(g.n)
-    out_act = prox_grad_step(g, p, z, act, eta, out, acc)
-    assert np.all(acc == 0.0), "scratch not restored"
+    # the position scratch is written before it is read, so garbage must not matter
+    pos = np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)
+    out_act = prox_grad_step(g, p, z, act, eta, out, pos)
     vals = out[out_act].copy()
     assert np.all(vals != 0.0)
     # everything off the returned index set must be untouched zeros
@@ -87,8 +87,8 @@ def test_step_from_zero_activates_seed_region():
     g, _ = build_from_edges([(0, 1), (1, 2)])
     p = ProblemParams(0.9, 0.01, 0, 1)
     out = np.zeros(3)
-    acc = np.zeros(3)
-    act = prox_grad_step(g, p, np.zeros(3), np.array([], dtype=np.int64), 1.0, out, acc)
+    pos = np.zeros(3, dtype=np.int64)
+    act = prox_grad_step(g, p, np.zeros(3), np.array([], dtype=np.int64), 1.0, out, pos)
     # u = eta * alpha / sqrt(d_0) at the seed, zero elsewhere
     assert act.tolist() == [0]
     tau0 = p.reg_level * g.sqrt_degrees[0]
@@ -101,7 +101,7 @@ def test_exact_tie_dropped_by_kernel():
     # u_0 = alpha*1; tau_0 = reg*1 -> tie when rho = 1/reg_factor... pick c=1, rho=1
     p = ProblemParams(1.0, 1.0, 0, 1)
     out = np.zeros(2)
-    acc = np.zeros(2)
-    act = prox_grad_step(g, p, np.zeros(2), np.array([], dtype=np.int64), 1.0, out, acc)
+    pos = np.zeros(2, dtype=np.int64)
+    act = prox_grad_step(g, p, np.zeros(2), np.array([], dtype=np.int64), 1.0, out, pos)
     assert act.size == 0
     assert np.all(out == 0.0)

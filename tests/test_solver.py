@@ -199,3 +199,111 @@ def test_ista_iterates_monotone_from_zero():
         supp = set(rec.x_nodes.tolist())
         assert prev_supp <= supp
         prev, prev_supp = cur, supp
+
+
+def clique_ring(ring_nodes, clique=20):
+    iu, ju = np.triu_indices(clique, 1)
+    ring = np.arange(clique, clique + ring_nodes, dtype=np.int64)
+    return build_from_edges(np.concatenate([
+        np.stack([iu, ju], axis=1),
+        np.stack([ring, np.roll(ring, -1)], axis=1),
+        [[clique - 1, clique]],
+    ]))[0]
+
+
+def _same_solution(a, b):
+    assert a.x == b.x and a.support == b.support
+    ta, tb = a.trace, b.trace
+    assert (ta.iterations, ta.total_work, ta.final_residual, ta.converged) == \
+        (tb.iterations, tb.total_work, tb.final_residual, tb.converged)
+    assert (ta.vol_supp_y, ta.vol_supp_x_next, ta.residual) == (tb.vol_supp_y, tb.vol_supp_x_next, tb.residual)
+    assert len(ta.snapshots) == len(tb.snapshots)
+    for sa, sb in zip(ta.snapshots, tb.snapshots):
+        assert all(np.array_equal(u, v) for u, v in zip(sa, sb))
+
+
+@pytest.mark.parametrize("method", ["fista", "ista"])
+def test_solve_allocation_independent_of_n(method):
+    """The same local problem on a 10^3- and a 10^5-node ring allocates the
+    same at its peak: nothing in a solve scales with n once the graph's
+    workspace exists."""
+    import tracemalloc
+
+    p = ProblemParams(0.2, 1e-4, 3)
+    cfg = SolverConfig(method=method, eps=1e-8)
+    peaks = []
+    for ring_nodes in (10**3, 10**5):
+        g = clique_ring(ring_nodes)
+        solve(g, p, cfg)  # creates the workspace
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solve(g, p, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 4096, peaks
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("method", ["fista", "ista"])
+def test_workspace_clean_after_divergence(method):
+    import l1ppr.solver as solver
+
+    # the support still grows along the ring when the iterates overflow
+    g = clique_ring(1000)
+    p = ProblemParams(0.2, 1e-4, 3)
+    with pytest.raises(NumericalDivergenceError):
+        solve(g, p, SolverConfig(method=method, eps=1e-10, eta=1e3))
+    cfg = SolverConfig(method=method, eps=1e-8, trace_level="full")
+    _same_solution(solve(g, p, cfg), solve(clique_ring(1000), p, cfg))
+    # the float buffers; the kernel's position scratch may hold anything
+    for buf in solver._WORKSPACES[g][:4]:
+        assert not buf.any()
+
+
+@pytest.mark.parametrize("method, passes", [("ista", 1), ("fista", 2)])
+def test_kernel_calls_per_iteration(method, passes, monkeypatch):
+    """One residual step from zero, then one kernel pass per ISTA iteration
+    (the residual step is the next iterate) and two per FISTA iteration."""
+    import l1ppr.solver as solver
+
+    calls = []
+    step = solver.prox_grad_step
+    monkeypatch.setattr(solver, "prox_grad_step", lambda *a: calls.append(1) or step(*a))
+    g = clique_ring(100)
+    sol = solve(g, ProblemParams(0.2, 1e-4, 3), SolverConfig(method=method, eps=1e-8))
+    assert sol.trace.iterations > 5
+    assert len(calls) == passes * sol.trace.iterations + 1
+
+
+def test_concurrent_solves_on_one_graph():
+    """Solves overlapping on one graph from several threads give the serial
+    results: only one of them at a time holds the graph's workspace."""
+    import sys
+    import threading
+
+    g = clique_ring(1000)
+    jobs = [(ProblemParams(0.2, 1e-4, s), SolverConfig(method=m, eps=1e-8, trace_level="full"))
+            for s in range(8) for m in ("fista", "ista")]
+    want = [solve(g, p, cfg) for p, cfg in jobs]
+    got = [None] * len(jobs)
+
+    def worker(first):
+        for i in range(first, len(jobs), 4):
+            got[i] = solve(g, *jobs[i])
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, want):
+        _same_solution(a, b)
