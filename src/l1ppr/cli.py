@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .diagnostics import check_no_percolation, slacks
-from .graph import NodeSet, volume
+from .graph import _MAX_ID, NodeSet, volume
 from .objective import ProblemParams
 from .solver import SolverConfig, solve
 from .sweep import SweepSpec, _fmt, load_edgelist, log_grid, run_sweep, write_rows_csv
@@ -46,14 +46,19 @@ def _load_graph(path: str, max_nodes: int | None = None):
 
 
 def _map_original_ids(remap: np.ndarray, nodes: list[int], what: str) -> list[int]:
-    """Translate original edge-list ids to compact graph ids."""
-    lookup = {int(orig): new for new, orig in enumerate(remap.tolist())}
-    out = []
-    for node in nodes:
-        if node not in lookup:
-            raise ValueError(f"{what} {node} not present in the graph")
-        out.append(lookup[node])
-    return out
+    """Translate original edge-list ids to compact graph ids (``remap`` is
+    sorted and nonempty)."""
+    # an id outside int64 becomes -1, which no graph holds
+    query = np.array([node if 0 <= node <= _MAX_ID else -1 for node in nodes], dtype=np.int64)
+    at = np.minimum(np.searchsorted(remap, query), remap.size - 1)
+    found = remap[at] == query
+    if not found.all():
+        raise ValueError(f"{what} {nodes[int(np.argmin(found))]} not present in the graph")
+    return at.tolist()
+
+
+# rows per formatted block of an edge-list write
+_WRITE_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------- gen
@@ -81,8 +86,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 f"# core={params.core_size} boundary={params.boundary_size} "
                 f"exterior={params.exterior_size}\n"
             )
-            for u, v in g.iter_edges():
-                fh.write(f"{u}\t{v}\n")
+            edges = g.edge_array()
+            for start in range(0, len(edges), _WRITE_ROWS):
+                block = edges[start:start + _WRITE_ROWS]
+                fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
         with open(partition_path, "w", encoding="utf-8") as fh:
             fh.write("node,region\n")
             for name, ns in (("core", part.core), ("boundary", part.boundary), ("exterior", part.exterior)):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph, NodeSet, exterior, vertex_boundary
-from .objective import ProblemParams, SparseVector, forward_map, gradient
+from .objective import ProblemParams, SparseVector, _gradient_at, forward_map
 from .solver import SolveTrace, SolverConfig, solve
 
 __all__ = [
@@ -81,38 +81,36 @@ def slacks(g: Graph, p: ProblemParams, x_star: SparseVector, kkt_tol: float = 1e
     [-lambda_i - kkt_tol, kkt_tol]; the one-sided upper bound reflects that
     minimizers here are nonnegative.
     """
-    grad = gradient(g, p, x_star)
-    sd = g.sqrt_degrees
-    isd = g.inv_sqrt_degrees
+    cand, xc, grad = _gradient_at(g, p, x_star)
     lvl = p.reg_level
-    for i, xi in x_star.items():
-        lam = lvl * float(sd[i])
-        viol = abs(grad.get(i) + (lam if xi > 0.0 else -lam))
-        if viol > kkt_tol:
-            raise ValueError(
-                f"not a minimizer: active node {i} violates stationarity by {viol:.3e}"
-            )
-    active_nodes = x_star.support()
-    active = NodeSet(active_nodes)
-    gamma: dict[int, float] = {}
-    for i, gi in grad.items():
-        if i in active:
-            continue
-        lam = lvl * float(sd[i])
-        if gi > kkt_tol or gi < -lam - kkt_tol:
-            raise ValueError(
-                f"not a minimizer: inactive node {i} has gradient {gi:.3e} "
-                f"outside [-{lam:.3e} - tol, tol]"
-            )
-        gamma[i] = lvl - abs(gi) * float(isd[i])
+    lam = lvl * g.sqrt_degrees[cand]
+    on = xc != 0.0
+    viol = np.abs(grad[on] + np.where(xc[on] > 0.0, lam[on], -lam[on]))
+    bad = np.flatnonzero(viol > kkt_tol)
+    if bad.size:
+        i, v = int(cand[on][bad[0]]), float(viol[bad[0]])
+        raise ValueError(f"not a minimizer: active node {i} violates stationarity by {v:.3e}")
+    active = NodeSet(cand[on])
+    near = ~on & (grad != 0.0)
+    ids, gi, lam = cand[near], grad[near], lam[near]
+    bad = np.flatnonzero((gi > kkt_tol) | (gi < -lam - kkt_tol))
+    if bad.size:
+        i, gb, lb = int(ids[bad[0]]), float(gi[bad[0]]), float(lam[bad[0]])
+        raise ValueError(
+            f"not a minimizer: inactive node {i} has gradient {gb:.3e} "
+            f"outside [-{lb:.3e} - tol, tol]"
+        )
+    gam = lvl - np.abs(gi) * g.inv_sqrt_degrees[ids]
+    gamma = dict(zip(ids.tolist(), gam.tolist()))
     far_count = g.n - len(active) - len(gamma)
+    # the builtin min, in node order: with a NaN slack the result depends on it
     candidates = list(gamma.values())
     if far_count > 0:
         candidates.append(lvl)
     min_slack = min(candidates) if candidates else math.inf
     thr = p.alpha * p.rho
-    i_small = NodeSet([i for i, ga in gamma.items() if ga < thr])
-    i_large_near = NodeSet([i for i, ga in gamma.items() if ga >= thr])
+    i_small = NodeSet(ids[gam < thr])
+    i_large_near = NodeSet(ids[gam >= thr])
     return SlackReport(
         active=active,
         gamma=gamma,
@@ -291,14 +289,22 @@ def jump_audit(
     sd = g.sqrt_degrees
     violations: list[JumpViolation] = []
     for rec in trace.records:
-        spurious = [i for i in rec.x_nodes.tolist() if i not in report.active]
-        if not spurious:
+        nodes = rec.x_nodes
+        spurious = nodes[~report.active.contains(nodes)]
+        if not spurious.size:
             continue
-        y = SparseVector(dict(zip(rec.y_nodes.tolist(), rec.y_vals.tolist())))
-        u_y = forward_map(g, p, y, eta)
-        for i in spurious:
-            lhs = abs(u_y.get(i) - u_star.get(i))
-            rhs = eta * report.slack_at(i) * float(sd[i])
-            if not lhs > rhs:
-                violations.append(JumpViolation(rec.k, i, lhs, rhs))
+        u_y = forward_map(g, p, SparseVector.from_arrays(rec.y_nodes, rec.y_vals), eta)
+        sp = spurious.tolist()
+        lhs = np.abs(_values_at(u_y, sp) - _values_at(u_star, sp))
+        slack = np.array([report.gamma.get(i, report.far_slack) for i in sp])
+        rhs = eta * slack * sd[spurious]
+        bad = ~(lhs > rhs)
+        violations.extend(
+            JumpViolation(rec.k, i, a, b)
+            for i, a, b in zip(spurious[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist())
+        )
     return violations
+
+
+def _values_at(vec: SparseVector, nodes: list[int]) -> np.ndarray:
+    return np.array([vec.get(i) for i in nodes], dtype=np.float64)

@@ -8,6 +8,9 @@ to the degree volume of the sets involved.
 
 from __future__ import annotations
 
+import io
+import os
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -56,6 +59,13 @@ class NodeSet:
     def __contains__(self, node: int) -> bool:
         i = int(np.searchsorted(self._ids, node))
         return i < self._ids.size and int(self._ids[i]) == int(node)
+
+    def contains(self, nodes: np.ndarray) -> np.ndarray:
+        """Boolean array: which entries of the int array ``nodes`` are members."""
+        j = np.searchsorted(self._ids, nodes)
+        inside = j < self._ids.size
+        inside[inside] = self._ids[j[inside]] == nodes[inside]
+        return inside
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NodeSet) and np.array_equal(self._ids, other._ids)
@@ -120,12 +130,16 @@ class Graph:
             and np.array_equal(self.neighbors, other.neighbors)
         )
 
+    def edge_array(self) -> np.ndarray:
+        """Each undirected edge once, as the row (u, v) with u < v of an int64
+        (m, 2) array, in sorted order."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets))
+        keep = src < self.neighbors
+        return np.stack((src[keep], self.neighbors[keep]), axis=1)
+
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self.neighbors_of(u):
-                if u < v:
-                    yield u, int(v)
+        return map(tuple, self.edge_array().tolist())
 
 
 _MAX_ID = np.iinfo(np.int64).max
@@ -178,21 +192,80 @@ def build_from_edges(
     return Graph(n, row_offsets, neighbors, degrees, sqrt_degrees, inv_sqrt_degrees), present
 
 
-
 def parse_snap_edgelist(
-    text_stream: TextIO | Iterable[str], max_nodes: int | None = None
+    source: os.PathLike | TextIO | Iterable[str], max_nodes: int | None = None
 ) -> tuple[Graph, np.ndarray]:
     """Parse a whitespace-separated edge list ('#' lines are comments).
 
-    Returns the compacted graph together with the compact-to-original id map,
-    so results can be reported in the file's own node numbering.
+    ``source`` is the path of a UTF-8 file (an ``os.PathLike``), a text
+    stream, or any other iterable of lines. Returns the compacted graph
+    together with the compact-to-original id map, so results can be reported
+    in the file's own node numbering.
 
     With ``max_nodes`` set, only the first ``max_nodes`` distinct node ids in
     file order (``u`` before ``v`` within a line) are kept, and edges touching
     any other id are dropped. Every line is still checked.
+
+    A path or a stream (anything with ``read``) is read whole and parsed by
+    ``np.loadtxt``; given a path, numpy reads the file in blocks, about twice
+    as fast as line by line from a stream. The line scan decides instead,
+    with its errors and line numbers, whenever the two could disagree: a
+    ``#`` inside a line that is not a comment, a ``loadtxt`` error or
+    warning, or a result that is not a nonempty two-column array of
+    non-negative ids. Other iterables of lines go straight to the line scan.
     """
+    if isinstance(source, os.PathLike):
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+        edges = _loadtxt_edges(text, source)
+    elif hasattr(source, "read"):
+        text = source.read()
+        edges = _loadtxt_edges(text, io.StringIO(text))
+    else:
+        text, edges = None, None
+    if edges is None:
+        edges = _scan_edges(source if text is None else io.StringIO(text))
+    if max_nodes is not None:
+        ids, first = np.unique(edges.ravel(), return_index=True)
+        kept = ids[np.argsort(first)[: max(max_nodes, 0)]]
+        edges = edges[np.isin(edges, kept).all(axis=1)]
+    return build_from_edges(edges)
+
+
+def _loadtxt_edges(text: str, fname: os.PathLike | TextIO) -> np.ndarray | None:
+    """The (u, v) rows of ``text``, read by ``np.loadtxt`` from ``fname``
+    (which holds the same text), or None where the line scan has to decide."""
+    if _has_inline_comment(text):
+        return None  # loadtxt would keep the part of the line before the '#'
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.2x only warns on a token such as 1.0, and truncates it
+            warnings.simplefilter("error")
+            edges = np.loadtxt(fname, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except (ValueError, OverflowError, Warning):
+        return None
+    if edges.shape[1] != 2 or edges.size == 0 or int(edges.min()) < 0:
+        return None
+    return edges
+
+
+def _has_inline_comment(text: str) -> bool:
+    """Whether a line of ``text`` has a '#' that does not start it."""
+    i = text.find("#")
+    while i != -1:
+        if i and text[i - 1] != "\n":
+            return True
+        end = text.find("\n", i)
+        if end == -1:
+            return False
+        i = text.find("#", end)
+    return False
+
+
+def _scan_edges(lines: Iterable[str]) -> np.ndarray:
+    """The (u, v) rows, one line at a time; raises on the first bad line."""
     pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(text_stream, start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -208,13 +281,7 @@ def parse_snap_edgelist(
         pairs.append((u, v))
     if not pairs:
         raise ValueError("empty graph")
-    edges = np.array(pairs, dtype=np.int64)
-    del pairs  # the tuples take several times the array's memory
-    if max_nodes is not None:
-        ids, first = np.unique(edges.ravel(), return_index=True)
-        kept = ids[np.argsort(first)[: max(max_nodes, 0)]]
-        edges = edges[np.isin(edges, kept).all(axis=1)]
-    return build_from_edges(edges)
+    return np.array(pairs, dtype=np.int64)
 
 
 def _check_in_range(g: Graph, s: NodeSet) -> None:

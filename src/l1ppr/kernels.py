@@ -13,15 +13,14 @@ The kernel computes one fused step from a point z:
 
 reading adjacency rows only for nodes in supp(z), i.e. cost O(vol(supp(z))).
 
-The numpy backend keeps that bound in wall clock too: it never touches an
-n-length array except at candidate positions. Candidates are deduplicated
-through a caller-owned int64 position scratch of length n (write each
-candidate's position, keep the positions that survive, sort only the distinct
-nodes), and the same scratch maps each edge's target to a compact id for a
-``bincount`` over the candidates alone. The scratch is always written before
-it is read, so it may hold anything on entry. The numba backend does not use
-the scratch; it still allocates n-length marker and accumulator arrays per
-call.
+The numpy backend is the gather core shared with the objective functions
+(:func:`l1ppr.objective._gather`, which finds the candidates and
+accumulates (Qz) at them) followed by the soft threshold. It keeps the
+O(vol) bound in wall clock too: it never touches an n-length array except
+at candidate positions, using a caller-owned int64 position scratch of
+length n that may hold anything on entry. The numba backend does not use the
+scratch; it still allocates n-length marker and accumulator arrays per call.
+Both are checked against the dict-based reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import os
 import numpy as np
 
 from .graph import Graph
-from .objective import ProblemParams
+from .objective import ProblemParams, _gather
 
 try:
     from numba import njit
@@ -62,24 +61,7 @@ def active_backend() -> str:
 
 def _step_numpy(row_offsets, neighbors, sqrt_deg, inv_sqrt_deg,
                 z, act, v, seed_term, hp, hm, eta, tau, pos, out):
-    lens = row_offsets[act + 1] - row_offsets[act]
-    total = int(lens.sum())
-    shift = np.repeat(row_offsets[act] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    nbrs = neighbors[np.arange(total, dtype=np.int64) + shift]
-    push = z[act] * inv_sqrt_deg[act]
-    weights = np.repeat(push, lens) * inv_sqrt_deg[nbrs]
-    idx = np.concatenate((act, nbrs, np.array([v], dtype=np.int64)))
-    # Dedup through the position scratch: exactly one position per distinct
-    # node survives the scatter, whichever write lands last. Every entry read
-    # back was written first, so the scratch needs no reset.
-    at = np.arange(idx.size, dtype=np.int64)
-    pos[idx] = at
-    cand = np.sort(idx[pos[idx] == at])
-    pos[cand] = np.arange(cand.size, dtype=np.int64)
-    # bincount adds in edge order, the order of the reference accumulation
-    sums = np.bincount(pos[nbrs], weights=weights, minlength=cand.size)
-    zc = z[cand]
-    gvals = hp * zc - hm * sums
+    cand, zc, gvals = _gather(row_offsets, neighbors, inv_sqrt_deg, z, act, v, hp, hm, pos)
     gvals[pos[v]] -= seed_term
     u = zc - eta * gvals
     thresholds = tau * sqrt_deg[cand]

@@ -10,15 +10,24 @@ with seed node v and regularization factor c in {1, 2} (c=2 doubles every
 soft threshold; nothing else changes). Q has its spectrum inside
 [alpha, 1], so f is alpha-strongly convex and 1-smooth.
 
-All operations here touch adjacency rows only for nodes in the support of
-their input, so their cost is proportional to vol(supp(x)). Accumulation
-order is fixed (sources in ascending node order, CSR row order within a
-source) and the hot kernels in :mod:`l1ppr.kernels` replicate it exactly, so
-the two paths agree bit for bit.
+``gradient``, ``forward_map``, ``objective_value`` and the numpy step kernel
+in :mod:`l1ppr.kernels` share one gather core, ``_gather``: it reads the
+adjacency rows of supp(x) only and returns the candidates supp(x) + N(supp(x))
++ {v} with (Qx) at each of them, so every one of these costs O(vol(supp(x))).
+Its accumulation order is fixed (sources in ascending node order, CSR row
+order within a source); the numba kernel replicates it exactly. The
+dict-based implementations these functions replaced live on in
+``tests/reference.py``, and the tests check the two bit for bit.
+
+The dense n-length buffers the core works in come from a workspace kept per
+graph (weakly, so it goes with the graph), shared with
+:func:`l1ppr.solver.solve`, and zeroed after each use at the indices that
+use wrote.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -60,11 +69,25 @@ class SparseVector:
     @classmethod
     def from_dense(cls, arr: np.ndarray) -> "SparseVector":
         nz = np.flatnonzero(arr)
-        return cls(zip(nz.tolist(), arr[nz].tolist()))
+        return cls.from_arrays(nz, arr[nz])
+
+    @classmethod
+    def from_arrays(cls, nodes: np.ndarray, values: np.ndarray) -> "SparseVector":
+        """Vector with ``values[t]`` at ``nodes[t]`` (distinct nodes); exact
+        zeros are dropped."""
+        keep = values != 0.0
+        out = cls.__new__(cls)
+        out._d = dict(zip(nodes[keep].tolist(), values[keep].tolist()))
+        return out
 
     def support(self) -> np.ndarray:
         """Sorted int64 array of nodes with nonzero value."""
         return np.array(sorted(self._d), dtype=np.int64)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support and the values on it, in ascending node order."""
+        nodes = sorted(self._d)
+        return np.array(nodes, dtype=np.int64), np.array([self._d[k] for k in nodes], dtype=np.float64)
 
     def get(self, node: int, default: float = 0.0) -> float:
         return self._d.get(node, default)
@@ -141,38 +164,77 @@ def _check_seed(g: Graph, p: ProblemParams) -> None:
         raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
 
 
-def _neighbor_sums(g: Graph, x: SparseVector) -> dict[int, float]:
-    """acc[i] = sum over supported j ~ i of x_j / sqrt(d_i d_j).
+# Per-graph dense buffers: four float64 arrays (the solver's two iterates,
+# extrapolated point and residual step; the functions below load their point
+# into the first), all zero between uses, and the gather core's int64
+# position scratch. A caller takes its graph's workspace out of the table and
+# puts it back when done, so a call that overlaps another on the same graph
+# allocates its own.
+_WORKSPACES: weakref.WeakKeyDictionary[Graph, tuple[np.ndarray, ...]] = weakref.WeakKeyDictionary()
 
-    Sources are scanned in ascending node order and each row in CSR order,
-    which fixes the floating-point accumulation order.
+
+def _new_workspace(n: int) -> tuple[np.ndarray, ...]:
+    return (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
+
+
+def _gather(row_offsets, neighbors, inv_sqrt_deg, z, act, v, hp, hm, pos):
+    """Gather core: the candidates, z at them and (Qz) at them.
+
+    The candidates are ``act`` (sorted, distinct, covering the nonzeros of
+    the dense point ``z``), its neighbors and the seed ``v``, in ascending
+    order; only the rows of ``act`` are read. ``pos`` is an int64 array of
+    length n whose contents are ignored on entry (every entry read is written
+    first); on return ``pos[i]`` is the position of candidate ``i``.
     """
-    isd = g.inv_sqrt_degrees
-    acc: dict[int, float] = {}
-    for j, xj in x.items():
-        push = xj * isd[j]
-        for i in map(int, g.neighbors_of(j)):
-            acc[i] = acc.get(i, 0.0) + push * isd[i]
-    return acc
+    lens = row_offsets[act + 1] - row_offsets[act]
+    total = int(lens.sum())
+    shift = np.repeat(row_offsets[act] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
+    nbrs = neighbors[np.arange(total, dtype=np.int64) + shift]
+    push = z[act] * inv_sqrt_deg[act]
+    weights = np.repeat(push, lens) * inv_sqrt_deg[nbrs]
+    idx = np.concatenate((act, nbrs, np.array([v], dtype=np.int64)))
+    # Dedup through the position scratch: exactly one position per distinct
+    # node survives the scatter, whichever write lands last.
+    at = np.arange(idx.size, dtype=np.int64)
+    pos[idx] = at
+    cand = np.sort(idx[pos[idx] == at])
+    pos[cand] = np.arange(cand.size, dtype=np.int64)
+    # bincount adds in edge order: sources ascending, CSR order within a row
+    sums = np.bincount(pos[nbrs], weights=weights, minlength=cand.size)
+    zc = z[cand]
+    return cand, zc, hp * zc - hm * sums
+
+
+def _gather_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple:
+    """The gather core at x, run in the graph's workspace: the candidates,
+    x and (Qx) at them, the positions of supp(x) and of the seed among them."""
+    _check_seed(g, p)
+    act, vals = x.arrays()
+    ws = _WORKSPACES.pop(g, None) or _new_workspace(g.n)
+    z, pos = ws[0], ws[4]
+    try:
+        z[act] = vals
+        cand, xc, qx = _gather(
+            g.row_offsets, g.neighbors, g.inv_sqrt_degrees, z, act, p.seed, p.hp, p.hm, pos
+        )
+        return cand, xc, qx, pos[act], int(pos[p.seed])
+    finally:
+        z[act] = 0.0
+        _WORKSPACES[g] = ws
+
+
+def _gradient_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple[np.ndarray, ...]:
+    """The candidates of x, x at them and grad f(x) = Qx - alpha D^{-1/2} e_v
+    at them."""
+    cand, xc, grad, _, at_seed = _gather_at(g, p, x)
+    grad[at_seed] -= p.alpha * g.inv_sqrt_degrees[p.seed]
+    return cand, xc, grad
 
 
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     """grad f at x; support is contained in supp(x), its neighbors, and {v}."""
-    _check_seed(g, p)
-    acc = _neighbor_sums(g, x)
-    hp, hm = p.hp, p.hm
-    seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
-    touched = set(acc)
-    touched.update(int(i) for i in x.support())
-    touched.add(p.seed)
-    out: dict[int, float] = {}
-    for i in touched:
-        gval = hp * x[i] - hm * acc.get(i, 0.0)
-        if i == p.seed:
-            gval = gval - seed_term
-        if gval != 0.0:
-            out[i] = gval
-    return SparseVector(out)
+    cand, _, grad = _gradient_at(g, p, x)
+    return SparseVector.from_arrays(cand, grad)
 
 
 def prox(g: Graph, p: ProblemParams, w: SparseVector, eta: float = 1.0) -> SparseVector:
@@ -197,28 +259,26 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector, eta: float = 1.0) -> Spars
 
 def forward_map(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -> SparseVector:
     """u(x) = x - eta * grad f(x)."""
-    gr = gradient(g, p, x)
-    out: dict[int, float] = {}
-    keys = {int(i) for i in x.support()} | {int(i) for i in gr.support()}
-    for i in keys:
-        ui = x[i] - eta * gr[i]
-        if ui != 0.0:
-            out[i] = ui
-    return SparseVector(out)
+    cand, xc, grad = _gradient_at(g, p, x)
+    return SparseVector.from_arrays(cand, xc - eta * grad)
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right; np.sum and the
+    builtin sum group the additions differently."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
-    """Composite value F(x); F(0) is exactly 0."""
-    _check_seed(g, p)
-    acc = _neighbor_sums(g, x)
-    hp, hm = p.hp, p.hm
-    sd = g.sqrt_degrees
-    quad = 0.0
-    l1 = 0.0
-    for i, xi in x.items():
-        qx_i = hp * xi - hm * acc.get(i, 0.0)
-        quad += xi * (0.5 * qx_i)
-        l1 += float(sd[i]) * abs(xi)
+    """Composite value F(x); F(0) is exactly 0.
+
+    The quadratic and l1 terms are each summed over supp(x) in ascending node
+    order.
+    """
+    cand, xc, qx, at, _ = _gather_at(g, p, x)
+    xs = xc[at]
+    quad = _sum_in_order(xs * (0.5 * qx[at]))
+    l1 = _sum_in_order(g.sqrt_degrees[cand[at]] * np.abs(xs))
     seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
     return quad - seed_term * x[p.seed] + p.reg_level * l1
 

@@ -15,16 +15,16 @@ makes two per iteration (the step from y_k, then the residual step from
 x_{k+1}). Without momentum y_k == x_k, so the step T(x_k) that the previous
 residual check computed is exactly x_{k+1}, and ISTA makes one.
 
-Dense n-length buffers come from a workspace kept per graph (weakly, so it
-goes with the graph) and are reset only at the indices a solve touched, so
-a solve's wall clock follows the volume of its iterates, not n. The reset
-runs in a ``finally`` block: a solve that raises leaves the buffers clean.
+Dense n-length buffers come from the workspace kept per graph in
+:mod:`l1ppr.objective` (weakly, so it goes with the graph) and are reset only
+at the indices a solve touched, so a solve's wall clock follows the volume of
+its iterates, not n. The reset runs in a ``finally`` block: a solve that
+raises leaves the buffers clean.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,7 +34,14 @@ import numpy as np
 
 from .graph import Graph, NodeSet
 from .kernels import prox_grad_step
-from .objective import ProblemParams, SparseVector, _check_seed, objective_value
+from .objective import (
+    _WORKSPACES,
+    ProblemParams,
+    SparseVector,
+    _check_seed,
+    _new_workspace,
+    objective_value,
+)
 
 __all__ = [
     "SolverConfig",
@@ -148,18 +155,6 @@ class Solution:
     support: NodeSet
 
 
-# Per-graph dense buffers: four float64 arrays (two iterates, the
-# extrapolated point, the residual step), all zero between solves, and the
-# kernel's int64 position scratch. A solve takes its graph's workspace out of
-# the table and puts it back when done, so a solve that overlaps another on
-# the same graph allocates its own.
-_WORKSPACES: weakref.WeakKeyDictionary[Graph, tuple[np.ndarray, ...]] = weakref.WeakKeyDictionary()
-
-
-def _new_workspace(n: int) -> tuple[np.ndarray, ...]:
-    return (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
-
-
 def solve(
     g: Graph,
     p: ProblemParams,
@@ -178,10 +173,9 @@ def solve(
     eta = cfg.eta
     full = cfg.trace_level == "full"
     degrees = g.degrees
-    base = None if spurious_baseline is None else spurious_baseline.ids
 
     trace = SolveTrace(level=cfg.trace_level)
-    if base is not None:
+    if spurious_baseline is not None:
         trace.spurious_total = 0
 
     ws = _WORKSPACES.pop(g, None) or _new_workspace(g.n)
@@ -231,11 +225,8 @@ def solve(
             check = np.union1d(xn_act, t_act)
             r = float(np.max(np.abs(x_next[check] - t_buf[check]))) if check.size else 0.0
 
-            if base is not None:
-                j = np.searchsorted(base, xn_act)
-                inside = j < base.size
-                inside[inside] = base[j[inside]] == xn_act[inside]
-                spur = int(degrees[xn_act[~inside]].sum())
+            if spurious_baseline is not None:
+                spur = int(degrees[xn_act[~spurious_baseline.contains(xn_act)]].sum())
                 trace.spurious_vol.append(spur)
                 trace.spurious_total += spur
 
@@ -254,7 +245,7 @@ def solve(
                 break
 
         trace.final_residual = r
-        x = SparseVector(zip(act_cur.tolist(), x_cur[act_cur].tolist()))
+        x = SparseVector.from_arrays(act_cur, x_cur[act_cur])
         return Solution(x, trace, NodeSet(act_cur))
     finally:
         live = np.concatenate((act_cur, act_prev, y_act, xn_act, t_act))
@@ -292,7 +283,6 @@ def rate_envelope(
     decay = 1.0 - math.sqrt(p.alpha)
     points = [EnvelopePoint(0, delta0, 2.0 * delta0)]
     for rec in trace.records:
-        x = SparseVector(zip(rec.x_nodes.tolist(), rec.x_vals.tolist()))
-        gap = objective_value(g, p, x) - f_star
+        gap = objective_value(g, p, SparseVector.from_arrays(rec.x_nodes, rec.x_vals)) - f_star
         points.append(EnvelopePoint(rec.k + 1, gap, 2.0 * delta0 * decay ** (rec.k + 1)))
     return points

@@ -18,6 +18,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -75,8 +76,7 @@ def derive_rng_seed(base_rng_seed: int, point_index: int) -> int:
 def load_edgelist(path: str, max_nodes: int | None = None):
     """Parse a whitespace edge list file, optionally truncated for smoke tests
     (see :func:`l1ppr.graph.parse_snap_edgelist` for ``max_nodes``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_snap_edgelist(fh, max_nodes)
+    return parse_snap_edgelist(Path(path), max_nodes)
 
 
 def sample_seeds(g: Graph, k: int, rng_seed: int) -> NodeSet:

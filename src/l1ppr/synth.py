@@ -21,8 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .graph import Graph, NodeSet, build_from_edges
@@ -100,13 +98,13 @@ def _even_circulant_degree(deg: int, size: int) -> int:
     return max(k - (k % 2), 0)
 
 
-def _circulant_edges(first: int, size: int, deg: int) -> list[tuple[int, int]]:
+def _circulant_edges(first: int, size: int, deg: int) -> np.ndarray:
+    """(u, v) rows of the circulant: offset by offset, node by node."""
     k = _even_circulant_degree(deg, size)
-    edges = []
-    for off in range(1, k // 2 + 1):
-        for i in range(size):
-            edges.append((first + i, first + (i + off) % size))
-    return edges
+    i = np.arange(size, dtype=np.int64)
+    off = np.arange(1, k // 2 + 1, dtype=np.int64)[:, None]
+    u, v = np.broadcast_arrays(first + i, first + (i + off) % size)
+    return np.stack((u.ravel(), v.ravel()), axis=1)
 
 
 def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -134,42 +132,46 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, i
     return edges
 
 
-def _core_edges(params: SynthParams) -> list[tuple[int, int]]:
+def _core_edges(params: SynthParams) -> np.ndarray:
     s = params.core_size
     if params.core_density == 1.0:
-        return [(i, j) for i in range(s) for j in range(i + 1, s)]
+        return np.stack(np.triu_indices(s, 1), axis=1).astype(np.int64)
     rng = np.random.default_rng(params.rng_seed)
     tree = _random_spanning_tree(s, rng)
     target = int(round(params.core_density * params._core_pairs()))
     extra = target - len(tree)
-    if extra <= 0:
-        return tree
-    tree_set = set(tree)
-    pool = [(i, j) for i in range(s) for j in range(i + 1, s) if (i, j) not in tree_set]
-    picks = rng.choice(len(pool), size=extra, replace=False)
-    return tree + [pool[t] for t in sorted(picks.tolist())]
+    if extra > 0:
+        tree_set = set(tree)
+        pool = [(i, j) for i in range(s) for j in range(i + 1, s) if (i, j) not in tree_set]
+        picks = rng.choice(len(pool), size=extra, replace=False)
+        tree = tree + [pool[t] for t in sorted(picks.tolist())]
+    return np.array(tree, dtype=np.int64).reshape(-1, 2)
 
 
 def _block_graph(
-    params: SynthParams, ext_size: int, ext_edges: Iterable[tuple[int, int]], n_attach: int
+    params: SynthParams, ext_size: int, ext_edges: np.ndarray, n_attach: int
 ) -> tuple[Graph, RegionPartition]:
     """Core, fan-out and boundary circulant from ``params``, plus the given
-    exterior edges (global ids) and one boundary attachment for each of the
-    first ``n_attach`` exterior nodes."""
-    s, b = params.core_size, params.boundary_size
+    exterior edges (an int64 (k, 2) array of global ids) and one boundary
+    attachment for each of the first ``n_attach`` exterior nodes."""
+    s, b, c = params.core_size, params.boundary_size, params.c_bnd
     b0, e0 = s, s + b
     total = e0 + ext_size
-    edges = _core_edges(params)
-    for u in range(s):
-        for j in range(params.c_bnd):
-            edges.append((u, b0 + (u * params.c_bnd + j) % b))
-    edges.extend(_circulant_edges(b0, b, params.deg_b))
-    edges.extend(ext_edges)
-    for t in range(n_attach):
-        edges.append((e0 + t, b0 + (t % b)))
+    if n_attach and not b:
+        raise ValueError("exterior nodes need a boundary to attach to")
+    # with b == 0 both ranges are empty (c is then 0), so % b never divides
+    fan = np.arange(s * c, dtype=np.int64)  # core node u's j-th edge is u*c + j
+    attach = np.arange(n_attach, dtype=np.int64)
+    edges = np.concatenate((
+        _core_edges(params),
+        np.stack((np.repeat(np.arange(s, dtype=np.int64), c), b0 + fan % b), axis=1),
+        _circulant_edges(b0, b, params.deg_b),
+        ext_edges,
+        np.stack((e0 + attach, b0 + attach % b), axis=1),
+    ))
     g, remap = build_from_edges(edges)
     if g.n != total:
-        missing = sorted(set(range(total)) - set(remap.tolist()))
+        missing = np.setdiff1d(np.arange(total), remap).tolist()
         raise ValueError(
             f"construction left {len(missing)} isolated node(s), first few: {missing[:5]}"
         )
@@ -193,7 +195,7 @@ def _alpha_sweep_candidate(
 ) -> tuple[Graph, RegionPartition]:
     """Variant instance: exterior clique, only m exterior-boundary edges."""
     e0 = base.core_size + base.boundary_size
-    clique = ((e0 + i, e0 + j) for i in range(ext_size) for j in range(i + 1, ext_size))
+    clique = e0 + np.stack(np.triu_indices(ext_size, 1), axis=1).astype(np.int64)
     return _block_graph(base, ext_size, clique, m_ext_edges)
 
 

@@ -1,9 +1,10 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from l1ppr.cli import main
+from l1ppr.cli import _map_original_ids, main
 from l1ppr.sweep import SweepSpec, load_edgelist, run_sweep, write_rows_csv
 from l1ppr.synth import SynthParams, generate
 
@@ -118,6 +119,15 @@ def test_solve_input_errors(tmp_path, capsys):
                "--seed-node", "999"])
     assert rc == 2
     assert "seed node 999 not present" in capsys.readouterr().err
+
+
+def test_map_original_ids_between_and_beyond_present_ids():
+    remap = np.array([2, 5, 9], dtype=np.int64)
+    assert _map_original_ids(remap, [5, 9, 2, 5], "node") == [1, 2, 0, 1]
+    assert _map_original_ids(remap, [], "node") == []
+    for missing in (0, 3, 6, 10, -1, 2**70):
+        with pytest.raises(ValueError, match=f"^core node {missing} not present in the graph$"):
+            _map_original_ids(remap, [2, missing], "core node")
 
 
 def test_check_pass_and_fail(tmp_path, capsys):

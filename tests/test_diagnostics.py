@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from l1ppr.diagnostics import (
     check_no_percolation,
@@ -17,6 +20,7 @@ from l1ppr.objective import ProblemParams, SparseVector
 from l1ppr.solver import SolverConfig, solve
 from l1ppr.synth import path_instance, star_instance
 
+import reference
 from oracle import build_dense, dense_gradient, random_connected_graph
 
 
@@ -240,3 +244,23 @@ def test_jump_audit_errors():
                                              trace_level="full"))
     with pytest.raises(ValueError, match="not a minimizer"):
         jump_audit(inst.graph, p, full.trace, SparseVector({0: 0.7}))
+
+
+@given(case_seed=st.integers(0, 2**32 - 1), eta=st.sampled_from([1.0, 0.7, 3.0]))
+def test_jump_audit_matches_loop_reference(case_seed, eta):
+    """The array version gives the per-node loop's violations exactly. The
+    trace comes from a lighter penalty, so its iterates activate nodes
+    outside supp(x_star), and some of those jumps fail."""
+    rng = np.random.default_rng(case_seed)
+    n = int(rng.integers(4, 40))
+    g = random_connected_graph(rng, n)
+    p = ProblemParams(
+        alpha=float(rng.uniform(0.05, 0.9)),
+        rho=float(rng.uniform(1e-3, 0.1)),
+        seed=int(rng.integers(0, n)),
+        reg_factor=int(rng.integers(1, 3)),
+    )
+    x_star = solve(g, p, SolverConfig(method="fista", eps=1e-12)).x
+    lighter = replace(p, rho=p.rho * float(rng.uniform(0.2, 0.9)))
+    trace = solve(g, lighter, SolverConfig(method="ista", eps=1e-8, trace_level="full")).trace
+    assert jump_audit(g, p, trace, x_star, eta) == reference.jump_audit(g, p, trace, x_star, eta)

@@ -114,16 +114,41 @@ def test_parse_snap_comments_and_errors():
 
 
 _INT64_MAX = 2**63 - 1
-_IDS = st.integers(0, 12) | st.just(_INT64_MAX)
-_EDGE_LINE = st.tuples(_IDS, _IDS, st.sampled_from([" ", "\t", "  "])).map(
-    lambda t: (f"{t[0]}{t[2]}{t[1]}", (t[0], t[1]))
+# (token, the id int() reads from it): tokens where np.loadtxt and int() may
+# disagree sit next to plain ones
+_ID_TOKENS = st.integers(0, 12).map(lambda i: (str(i), i)) | st.sampled_from([
+    (str(_INT64_MAX), _INT64_MAX), ("+5", 5), ("07", 7), ("-0", 0), ("1_000", 1000), ("\u0663", 3),
+])
+_EDGE_LINE = st.tuples(_ID_TOKENS, _ID_TOKENS, st.sampled_from([" ", "\t", "  ", "\x0b", "\x0c"])).map(
+    lambda t: (f"{t[0][0]}{t[2]}{t[1][0]}", (t[0][1], t[1][1]))
 )
-_SKIP_LINE = st.sampled_from(["", "   ", "# comment", "  # 1 2"]).map(lambda s: (s, None))
+_SKIP_LINE = st.sampled_from(["", "   ", "# comment", "  # 1 2", "# 3 4 # note"]).map(lambda s: (s, None))
 _BAD_LINE = st.one_of(
-    st.sampled_from(["x 1", "1 2.5", "0x1 2", "5", "1 2 3", "1 2 # note"]),
-    st.tuples(_IDS, st.integers(max_value=-1)).map(lambda t: f"{t[0]} {t[1]}"),
-    st.tuples(st.integers(min_value=_INT64_MAX + 1), _IDS).map(lambda t: f"{t[0]} {t[1]}"),
+    st.sampled_from(["x 1", "1 2.5", "1.0 2", "0x1 2", "5", "1 2 3", "1 2 # note", f"{2**63} 1"]),
+    st.tuples(_ID_TOKENS, st.integers(max_value=-1)).map(lambda t: f"{t[0][0]} {t[1]}"),
+    st.tuples(st.integers(min_value=_INT64_MAX + 1), _ID_TOKENS).map(lambda t: f"{t[0]} {t[1][0]}"),
 )
+
+
+def _parse(text, max_nodes, tmp_path):
+    """(graph, remap) or the error message: by np.loadtxt from a stream and
+    from a file path, and by the line scan from a list of lines. The first
+    two must agree with the third."""
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode())
+    out = []
+    for source in (io.StringIO(text), path, io.StringIO(text).readlines()):
+        try:
+            out.append(parse_snap_edgelist(source, max_nodes))
+        except ValueError as exc:
+            out.append(str(exc))
+    fast, from_file, scan = out
+    if isinstance(scan, str):
+        assert fast == from_file == scan
+    else:
+        for g, remap in (fast, from_file):
+            assert g.equals(scan[0]) and np.array_equal(remap, scan[1])
+    return fast
 
 
 @settings(max_examples=300)
@@ -132,15 +157,17 @@ _BAD_LINE = st.one_of(
     bad=st.none() | _BAD_LINE,
     where=st.integers(0, 12),
     max_nodes=st.none() | st.integers(0, 6),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    last_eol=st.booleans(),
 )
-def test_parse_snap_fuzz_against_reference(lines, bad, where, max_nodes):
+def test_parse_snap_fuzz_against_reference(lines, bad, where, max_nodes, eol, last_eol, tmp_path):
     if bad is not None:
         lines.insert(min(where, len(lines)), (bad, "bad"))
-    text = "".join(line + "\n" for line, _ in lines)
+    text = eol.join(line for line, _ in lines) + (eol if last_eol and lines else "")
+    got = _parse(text, max_nodes, tmp_path)
     bad_at = [i for i, (_, pair) in enumerate(lines, start=1) if pair == "bad"]
     if bad_at:
-        with pytest.raises(ValueError, match=rf"^line {bad_at[0]}: "):
-            parse_snap_edgelist(io.StringIO(text), max_nodes)
+        assert got.startswith(f"line {bad_at[0]}: ")
         return
     # reference truncation: the first max_nodes distinct ids in file order
     pairs = [pair for _, pair in lines if pair is not None]
@@ -148,12 +175,29 @@ def test_parse_snap_fuzz_against_reference(lines, bad, where, max_nodes):
     kept = set(order if max_nodes is None else order[:max_nodes])
     edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and u in kept and v in kept}
     if not edges:
-        with pytest.raises(ValueError, match="^empty graph$"):
-            parse_snap_edgelist(io.StringIO(text), max_nodes)
+        assert got == "empty graph"
         return
-    g, remap = parse_snap_edgelist(io.StringIO(text), max_nodes)
+    g, remap = got
     assert remap.tolist() == sorted({node for edge in edges for node in edge})
     assert {(int(remap[u]), int(remap[v])) for u, v in g.iter_edges()} == edges
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0 1\n1 2 # note\n", "line 2: expected two node ids, got '1 2 # note'"),
+    ("# a\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),
+    ("0 1\n1 2", [(0, 1), (1, 2)]),
+    ("# a\n# b\n", "empty graph"),
+    ("0 1\n1.0 2\n", "line 2: non-integer node id in '1.0 2'"),
+    ("0 1\n+2 07\n", [(0, 1), (2, 7)]),
+    ("0 1\n1 -2\n", "line 2: node id outside [0, 9223372036854775807] in '1 -2'"),
+])
+def test_parse_snap_fast_path_edge_cases(text, want, tmp_path):
+    got = _parse(text, None, tmp_path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        g, remap = got
+        assert [(int(remap[u]), int(remap[v])) for u, v in g.iter_edges()] == want
 
 
 def test_volume_and_boundary_on_path():

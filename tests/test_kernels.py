@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 import l1ppr.kernels as kernels
 from l1ppr.graph import build_from_edges
 from l1ppr.kernels import BACKEND_ENV_VAR, HAS_NUMBA, active_backend, prox_grad_step
-from l1ppr.objective import ProblemParams, SparseVector, forward_map, prox
+from l1ppr.objective import ProblemParams, SparseVector, prox
 
 from oracle import random_connected_graph
+from reference import forward_map
 
 
 def test_backend_dispatch(monkeypatch):
@@ -64,8 +65,8 @@ def random_problem(case_seed):
 
 @given(case_seed=st.integers(0, 2**32 - 1), eta=st.sampled_from([1.0, 0.7]))
 def test_step_matches_reference_ops_bitwise(case_seed, eta, monkeypatch):
-    """The fused kernel must equal prox(forward_map(x)) from the reference
-    path bit for bit, not merely to rounding."""
+    """The fused kernel must equal prox(forward_map(x)) from the dict-based
+    reference bit for bit, not merely to rounding."""
     g, p, x = random_problem(case_seed)
     want = prox(g, p, forward_map(g, p, x, eta), eta)
     act, vals = _run_step(g, p, x, eta, "numpy", monkeypatch)

@@ -16,6 +16,7 @@ from l1ppr.objective import (
     prox,
 )
 
+import reference
 from oracle import build_dense, dense_gradient, dense_objective, random_connected_graph
 
 
@@ -150,3 +151,89 @@ def test_kkt_residual_zero_at_closed_form_minimizer():
     x = SparseVector({0: 0.2})
     assert kkt_residual(g, p, x) <= 1e-15
     assert kkt_residual(g, p, SparseVector({0: 0.25})) > 1e-3
+
+
+def _reference_case(case_seed, reg_factor, density, seed_in_support):
+    rng = np.random.default_rng(case_seed)
+    n = int(rng.integers(4, 120))
+    g = random_connected_graph(rng, n)
+    p = ProblemParams(
+        alpha=float(rng.uniform(0.05, 1.0)),
+        rho=float(rng.uniform(1e-4, 0.3)),
+        seed=int(rng.integers(0, n)),
+        reg_factor=reg_factor,
+    )
+    dense = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n) * (rng.random(n) < density)
+    dense[p.seed] = rng.standard_normal() if seed_in_support else 0.0
+    return g, p, SparseVector.from_dense(dense)
+
+
+@given(
+    case_seed=st.integers(0, 2**32 - 1),
+    reg_factor=st.sampled_from([1, 2]),
+    density=st.sampled_from([0.0, 0.2, 0.9]),
+    seed_in_support=st.booleans(),
+)
+def test_objective_functions_match_dict_reference_bitwise(case_seed, reg_factor, density, seed_in_support):
+    """gradient, forward_map and objective_value equal the dict-based
+    reference exactly: SparseVector == compares values with ==."""
+    g, p, x = _reference_case(case_seed, reg_factor, density, seed_in_support)
+    assert gradient(g, p, x) == reference.gradient(g, p, x)
+    for eta in (1.0, 0.7):
+        assert forward_map(g, p, x, eta) == reference.forward_map(g, p, x, eta)
+    assert objective_value(g, p, x) == reference.objective_value(g, p, x)
+
+
+@pytest.mark.parametrize("reg_factor", [1, 2])
+def test_objective_functions_at_zero_and_off_seed(reg_factor):
+    g = star(5)
+    for x in (SparseVector(), SparseVector({2: 0.4, 4: -1e-3})):
+        p = ProblemParams(0.3, 0.05, 0, reg_factor)
+        assert gradient(g, p, x) == reference.gradient(g, p, x)
+        assert forward_map(g, p, x, 0.7) == reference.forward_map(g, p, x, 0.7)
+        assert objective_value(g, p, x) == reference.objective_value(g, p, x)
+    assert objective_value(g, p, SparseVector()) == 0.0
+
+
+def test_objective_functions_leave_workspace_clean():
+    import l1ppr.objective as objective
+
+    g = star(6)
+    p = ProblemParams(0.3, 0.05, 0, 1)
+    x = SparseVector({0: 0.5, 3: -0.25})
+    objective_value(g, p, x)
+    with pytest.raises(ValueError, match="out of range"):
+        gradient(g, ProblemParams(0.3, 0.05, 99, 1), x)
+    forward_map(g, p, x)
+    for buf in objective._WORKSPACES[g][:4]:
+        assert not buf.any()
+
+
+def test_objective_allocation_independent_of_n():
+    """One objective_value and one forward_map call at the same local point
+    on a 10^3- and a 10^5-node ring allocate the same at their peak: they
+    work in the graph's workspace and touch only candidate positions."""
+    import tracemalloc
+
+    p = ProblemParams(0.2, 1e-4, 3)
+    x = SparseVector({i: 1.0 / (i + 1) for i in range(25)})
+    peaks = []
+    for ring_nodes in (10**3, 10**5):
+        iu, ju = np.triu_indices(20, 1)
+        ring = np.arange(20, 20 + ring_nodes, dtype=np.int64)
+        g, _ = build_from_edges(np.concatenate([
+            np.stack([iu, ju], axis=1),
+            np.stack([ring, np.roll(ring, -1)], axis=1),
+            [[19, 20]],
+        ]))
+        objective_value(g, p, x)  # creates the workspace
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            objective_value(g, p, x)
+            forward_map(g, p, x)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 4096, peaks

@@ -307,3 +307,38 @@ def test_concurrent_solves_on_one_graph():
     assert not any(t.is_alive() for t in threads)
     for a, b in zip(got, want):
         _same_solution(a, b)
+
+
+def test_concurrent_solves_and_objective_calls_on_one_graph():
+    """Solves and objective evaluations overlapping on one graph from several
+    threads share its workspace and give the serial results."""
+    import sys
+    import threading
+
+    from l1ppr.objective import forward_map
+
+    g = clique_ring(1000)
+    cfg = SolverConfig(method="fista", eps=1e-8, trace_level="full")
+    probs = [ProblemParams(0.2, 1e-4, s) for s in range(8)]
+    sols = [solve(g, p, cfg) for p in probs]
+    want = [(objective_value(g, p, sol.x), forward_map(g, p, sol.x)) for p, sol in zip(probs, sols)]
+    got = [None] * len(probs)
+
+    def worker(first):
+        for i in range(first, len(probs), 4):
+            sol = solve(g, probs[i], cfg)
+            _same_solution(sol, sols[i])
+            got[i] = (objective_value(g, probs[i], sol.x), forward_map(g, probs[i], sol.x))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
