@@ -126,20 +126,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"converged={'true' if tr.converged else 'false'} iterations={tr.iterations} total_work={tr.total_work}")
     print(f"residual={_fmt(tr.final_residual)}")
     print(f"support_size={len(sol.support)} support_volume={volume(g, sol.support)}")
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
-            for rec in tr.records:
-                spur = "" if rec.spurious_vol is None else rec.spurious_vol
-                fh.write(
-                    f"{rec.k},{rec.vol_supp_y},{rec.vol_supp_x_next},{rec.work},"
-                    f"{_fmt(rec.residual)},{spur}\n"
-                )
-    if args.solution_out:
-        with open(args.solution_out, "w", encoding="utf-8") as fh:
-            fh.write("node,value\n")
-            for i, xi in sol.x.items():
-                fh.write(f"{remap[i]},{_fmt(xi)}\n")
+    try:
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
+                for rec in tr.records:
+                    spur = "" if rec.spurious_vol is None else rec.spurious_vol
+                    fh.write(
+                        f"{rec.k},{rec.vol_supp_y},{rec.vol_supp_x_next},{rec.work},"
+                        f"{_fmt(rec.residual)},{spur}\n"
+                    )
+        if args.solution_out:
+            with open(args.solution_out, "w", encoding="utf-8") as fh:
+                fh.write("node,value\n")
+                for i, xi in sol.x.items():
+                    fh.write(f"{remap[i]},{_fmt(xi)}\n")
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
     return 0 if tr.converged else 3
 
 
@@ -320,13 +323,13 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         inst = star_instance(args.m) if args.family == "star" else path_instance(args.m)
         x_formula = inst.solution_formula(args.alpha, args.rho)
         gamma_formula = inst.slack_formula(args.alpha, args.rho)
+        p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=inst.seed, reg_factor=1)
+        # plain iteration identifies the support exactly even at the
+        # breakpoint, where momentum leaves dust on the zero-slack nodes
+        cfg = SolverConfig(method="ista", eps=args.eps, max_iter=200000)
     except ValueError as exc:
         return _fail(str(exc))
     g = inst.graph
-    p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=inst.seed, reg_factor=1)
-    # plain iteration identifies the support exactly even at the breakpoint,
-    # where momentum leaves dust on the zero-slack nodes
-    cfg = SolverConfig(method="ista", eps=args.eps, max_iter=200000)
     sol = solve(g, p, cfg)
     report = slacks(g, p, sol.x)
     lo, hi = inst.valid_interval(args.alpha)

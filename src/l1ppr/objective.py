@@ -10,14 +10,15 @@ with seed node v and regularization factor c in {1, 2} (c=2 doubles every
 soft threshold; nothing else changes). Q has its spectrum inside
 [alpha, 1], so f is alpha-strongly convex and 1-smooth.
 
-``gradient``, ``forward_map``, ``objective_value`` and the numpy step kernel
-in :mod:`l1ppr.kernels` share one gather core, ``_gather``: it reads the
-adjacency rows of supp(x) only and returns the candidates supp(x) + N(supp(x))
-+ {v} with (Qx) at each of them, so every one of these costs O(vol(supp(x))).
-Its accumulation order is fixed (sources in ascending node order, CSR row
-order within a source); the numba kernel replicates it exactly. The
-dict-based implementations these functions replaced live on in
-``tests/reference.py``, and the tests check the two bit for bit.
+``gradient``, ``forward_map``, ``objective_value``, ``kkt_residual`` and the
+step kernel in :mod:`l1ppr.kernels` share one gather core, ``_gather``: it
+reads the adjacency rows of supp(x) only and returns the candidates supp(x) +
+N(supp(x)) + {v} with (Qx) at each of them, so every one of these costs
+O(vol(supp(x))). Its accumulation order is fixed (sources in ascending node
+order, CSR row order within a source). ``prox``, ``kkt_residual`` and the
+kernel share one weighted soft threshold, ``_soft_threshold``. The dict-based
+implementations these functions replaced live on in ``tests/reference.py``,
+and the tests check the two bit for bit.
 
 The dense n-length buffers the core works in come from a workspace kept per
 graph (weakly, so it goes with the graph), shared with
@@ -164,6 +165,11 @@ def _check_seed(g: Graph, p: ProblemParams) -> None:
         raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
 
 
+def _check_eta(eta: float) -> None:
+    if not eta > 0.0:
+        raise ValueError(f"step size eta must be positive, got {eta}")
+
+
 # Per-graph dense buffers: four float64 arrays (the solver's two iterates,
 # extrapolated point and residual step; the functions below load their point
 # into the first), all zero between uses, and the gather core's int64
@@ -177,22 +183,23 @@ def _new_workspace(n: int) -> tuple[np.ndarray, ...]:
     return (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
 
 
-def _gather(row_offsets, neighbors, inv_sqrt_deg, z, act, v, hp, hm, pos):
+def _gather(g: Graph, p: ProblemParams, z: np.ndarray, act: np.ndarray, pos: np.ndarray) -> tuple:
     """Gather core: the candidates, z at them and (Qz) at them.
 
     The candidates are ``act`` (sorted, distinct, covering the nonzeros of
-    the dense point ``z``), its neighbors and the seed ``v``, in ascending
-    order; only the rows of ``act`` are read. ``pos`` is an int64 array of
-    length n whose contents are ignored on entry (every entry read is written
-    first); on return ``pos[i]`` is the position of candidate ``i``.
+    the dense point ``z``), its neighbors and the seed, in ascending order;
+    only the rows of ``act`` are read. ``pos`` is an int64 array of length n
+    whose contents are ignored on entry (every entry read is written first);
+    on return ``pos[i]`` is the position of candidate ``i``.
     """
+    row_offsets, isd = g.row_offsets, g.inv_sqrt_degrees
     lens = row_offsets[act + 1] - row_offsets[act]
     total = int(lens.sum())
     shift = np.repeat(row_offsets[act] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    nbrs = neighbors[np.arange(total, dtype=np.int64) + shift]
-    push = z[act] * inv_sqrt_deg[act]
-    weights = np.repeat(push, lens) * inv_sqrt_deg[nbrs]
-    idx = np.concatenate((act, nbrs, np.array([v], dtype=np.int64)))
+    nbrs = g.neighbors[np.arange(total, dtype=np.int64) + shift]
+    push = z[act] * isd[act]
+    weights = np.repeat(push, lens) * isd[nbrs]
+    idx = np.concatenate((act, nbrs, np.array([p.seed], dtype=np.int64)))
     # Dedup through the position scratch: exactly one position per distinct
     # node survives the scatter, whichever write lands last.
     at = np.arange(idx.size, dtype=np.int64)
@@ -202,7 +209,17 @@ def _gather(row_offsets, neighbors, inv_sqrt_deg, z, act, v, hp, hm, pos):
     # bincount adds in edge order: sources ascending, CSR order within a row
     sums = np.bincount(pos[nbrs], weights=weights, minlength=cand.size)
     zc = z[cand]
-    return cand, zc, hp * zc - hm * sums
+    return cand, zc, p.hp * zc - p.hm * sums
+
+
+def _soft_threshold(g: Graph, p: ProblemParams, nodes: np.ndarray, u: np.ndarray, eta: float) -> tuple:
+    """Weighted soft threshold of the values ``u`` at ``nodes``: shrink each
+    by eta*c*alpha*rho*sqrt(d_i). Returns the mask of entries that survive
+    (an entry exactly on its threshold does not) and their shrunk values."""
+    thresholds = (eta * p.reg_level) * g.sqrt_degrees[nodes]
+    mag = np.abs(u)
+    keep = mag > thresholds
+    return keep, np.sign(u[keep]) * (mag[keep] - thresholds[keep])
 
 
 def _gather_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple:
@@ -214,9 +231,7 @@ def _gather_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple:
     z, pos = ws[0], ws[4]
     try:
         z[act] = vals
-        cand, xc, qx = _gather(
-            g.row_offsets, g.neighbors, g.inv_sqrt_degrees, z, act, p.seed, p.hp, p.hm, pos
-        )
+        cand, xc, qx = _gather(g, p, z, act, pos)
         return cand, xc, qx, pos[act], int(pos[p.seed])
     finally:
         z[act] = 0.0
@@ -243,18 +258,10 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector, eta: float = 1.0) -> Spars
     Entries that land exactly on the threshold map to zero and leave the
     support.
     """
-    if not eta > 0.0:
-        raise ValueError(f"step size eta must be positive, got {eta}")
-    sd = g.sqrt_degrees
-    tau = eta * p.reg_level
-    out: dict[int, float] = {}
-    for i, wi in w.items():
-        t = tau * float(sd[i])
-        a = abs(wi)
-        if a > t:
-            s = 1.0 if wi > 0.0 else -1.0
-            out[i] = s * (a - t)
-    return SparseVector(out)
+    _check_eta(eta)
+    nodes, vals = w.arrays()
+    keep, shrunk = _soft_threshold(g, p, nodes, vals, eta)
+    return SparseVector.from_arrays(nodes[keep], shrunk)
 
 
 def forward_map(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -> SparseVector:
@@ -288,8 +295,10 @@ def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) 
 
     Zero exactly at the minimizer; used as the stopping criterion.
     """
-    t = prox(g, p, forward_map(g, p, x, eta), eta)
-    r = 0.0
-    for i in {int(i) for i in x.support()} | {int(i) for i in t.support()}:
-        r = max(r, abs(x[i] - t[i]))
-    return r
+    cand, xc, grad = _gradient_at(g, p, x)
+    _check_eta(eta)
+    keep, shrunk = _soft_threshold(g, p, cand, xc - eta * grad, eta)
+    # the candidates cover supp(x) and supp(T(x)); both are 0 elsewhere
+    t = np.zeros(cand.size)
+    t[keep] = shrunk
+    return float(np.max(np.abs(xc - t)))

@@ -13,7 +13,11 @@ to eps, checked every iteration, or at the global iteration cap.
 The ledger is the modeled cost; the kernel calls are the actual one. FISTA
 makes two per iteration (the step from y_k, then the residual step from
 x_{k+1}). Without momentum y_k == x_k, so the step T(x_k) that the previous
-residual check computed is exactly x_{k+1}, and ISTA makes one.
+residual check computed is exactly x_{k+1}, and ISTA makes one. Every step
+is :func:`l1ppr.kernels.prox_grad_step`, the one kernel, built from the
+gather core and soft threshold that :func:`l1ppr.objective.kkt_residual`
+uses, so ``trace.final_residual`` equals ``kkt_residual`` of the returned
+iterate exactly.
 
 Dense n-length buffers come from the workspace kept per graph in
 :mod:`l1ppr.objective` (weakly, so it goes with the graph) and are reset only

@@ -1,6 +1,5 @@
 import re
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -10,27 +9,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 settings.load_profile("default")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_compiled_kernel():
-    """Trigger JIT compilation once so timed tests measure steady-state work."""
-    from l1ppr import HAS_NUMBA, ProblemParams, SolverConfig, solve, star_instance
-
-    if HAS_NUMBA:
-        import os
-
-        saved = os.environ.get("L1PPR_BACKEND")
-        os.environ["L1PPR_BACKEND"] = "numba"
-        try:
-            inst = star_instance(2)
-            solve(inst.graph, ProblemParams(0.5, 0.1, 0, 1), SolverConfig("fista", 1e-8))
-        finally:
-            if saved is None:
-                os.environ.pop("L1PPR_BACKEND", None)
-            else:
-                os.environ["L1PPR_BACKEND"] = saved
-    yield
 
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_c(\d{2})_(\w+)")

@@ -2,10 +2,11 @@
 
 These walk the support one node and one edge at a time in the fixed
 accumulation order (sources in ascending node order, CSR row order within a
-source). ``l1ppr.objective`` and the numpy step kernel compute the same
-quantities through one vectorised gather core; the tests check the two
-against each other bit for bit. ``jump_audit`` is the per-node loop that
-``l1ppr.diagnostics.jump_audit`` replaced.
+source). ``l1ppr.objective`` and the step kernel compute the same
+quantities through one vectorised gather core and one vectorised soft
+threshold; the tests check the two against each other bit for bit.
+``jump_audit`` is the per-node loop that ``l1ppr.diagnostics.jump_audit``
+replaced.
 """
 
 from __future__ import annotations
@@ -56,6 +57,32 @@ def forward_map(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -
         if ui != 0.0:
             out[i] = ui
     return SparseVector(out)
+
+
+def prox(g: Graph, p: ProblemParams, w: SparseVector, eta: float = 1.0) -> SparseVector:
+    """Weighted soft threshold: shrink each entry by eta*c*alpha*rho*sqrt(d_i);
+    entries exactly on the threshold map to zero."""
+    if not eta > 0.0:
+        raise ValueError(f"step size eta must be positive, got {eta}")
+    sd = g.sqrt_degrees
+    tau = eta * p.reg_level
+    out: dict[int, float] = {}
+    for i, wi in w.items():
+        t = tau * float(sd[i])
+        a = abs(wi)
+        if a > t:
+            s = 1.0 if wi > 0.0 else -1.0
+            out[i] = s * (a - t)
+    return SparseVector(out)
+
+
+def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -> float:
+    """Fixed-point residual ||x - prox(x - eta grad f(x))||_inf."""
+    t = prox(g, p, forward_map(g, p, x, eta), eta)
+    r = 0.0
+    for i in {int(i) for i in x.support()} | {int(i) for i in t.support()}:
+        r = max(r, abs(x[i] - t[i]))
+    return r
 
 
 def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:

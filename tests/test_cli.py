@@ -119,6 +119,12 @@ def test_solve_input_errors(tmp_path, capsys):
                "--seed-node", "999"])
     assert rc == 2
     assert "seed node 999 not present" in capsys.readouterr().err
+    for flag in ("--trace", "--solution-out"):
+        rc = main(["solve", write_star(tmp_path), "--alpha", "0.5", "--rho", "0.1",
+                   "--seed-node", "100", flag, str(tmp_path / "no" / "such" / "out.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "out.csv" in err
 
 
 def test_map_original_ids_between_and_beyond_present_ids():
@@ -289,6 +295,14 @@ def test_analytic_outside_interval(capsys):
                "--alpha", "0.5", "--rho", "0.05"])
     assert rc == 2
     assert "outside validity interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["0", "-1e-9"])
+def test_analytic_bad_eps(capsys, eps):
+    rc = main(["analytic", "--family", "star", "--m", "3",
+               "--alpha", "0.5", "--rho", "0.2", f"--eps={eps}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: eps must be positive, got {float(eps)}\n"
 
 
 def test_argparse_usage_error():

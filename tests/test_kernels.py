@@ -1,38 +1,16 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import l1ppr.kernels as kernels
 from l1ppr.graph import build_from_edges
-from l1ppr.kernels import BACKEND_ENV_VAR, HAS_NUMBA, active_backend, prox_grad_step
-from l1ppr.objective import ProblemParams, SparseVector, prox
+from l1ppr.kernels import prox_grad_step
+from l1ppr.objective import ProblemParams, SparseVector
 
 from oracle import random_connected_graph
-from reference import forward_map
+from reference import forward_map, prox
 
 
-def test_backend_dispatch(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert active_backend() == ("numba" if HAS_NUMBA else "numpy")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "AUTO")
-    assert active_backend() in ("numba", "numpy")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-    with pytest.raises(ValueError, match="unknown"):
-        active_backend()
-
-
-def test_backend_numba_requested_but_missing(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-    with pytest.raises(RuntimeError, match="not installed"):
-        active_backend()
-
-
-def _run_step(g, p, x: SparseVector, eta: float, backend: str, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+def _run_step(g, p, x: SparseVector, eta: float):
     z = np.zeros(g.n)
     act = x.support()
     z[act] = [x.get(int(i)) for i in act]
@@ -64,24 +42,14 @@ def random_problem(case_seed):
 
 
 @given(case_seed=st.integers(0, 2**32 - 1), eta=st.sampled_from([1.0, 0.7]))
-def test_step_matches_reference_ops_bitwise(case_seed, eta, monkeypatch):
+def test_step_matches_reference_ops_bitwise(case_seed, eta):
     """The fused kernel must equal prox(forward_map(x)) from the dict-based
     reference bit for bit, not merely to rounding."""
     g, p, x = random_problem(case_seed)
     want = prox(g, p, forward_map(g, p, x, eta), eta)
-    act, vals = _run_step(g, p, x, eta, "numpy", monkeypatch)
+    act, vals = _run_step(g, p, x, eta)
     got = SparseVector(dict(zip(act.tolist(), vals.tolist())))
     assert got == want  # SparseVector equality is exact
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-@given(case_seed=st.integers(0, 2**32 - 1))
-def test_numba_and_numpy_backends_bit_identical(case_seed, monkeypatch):
-    g, p, x = random_problem(case_seed)
-    act_np, vals_np = _run_step(g, p, x, 1.0, "numpy", monkeypatch)
-    act_nb, vals_nb = _run_step(g, p, x, 1.0, "numba", monkeypatch)
-    assert np.array_equal(act_np, act_nb)
-    assert np.array_equal(vals_np, vals_nb)  # exact, no tolerance
 
 
 def test_step_from_zero_activates_seed_region():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from l1ppr.graph import build_from_edges
@@ -151,6 +151,13 @@ def test_kkt_residual_zero_at_closed_form_minimizer():
     x = SparseVector({0: 0.2})
     assert kkt_residual(g, p, x) <= 1e-15
     assert kkt_residual(g, p, SparseVector({0: 0.25})) > 1e-3
+    # on one edge at alpha = rho = 1, x_0 = 0 and x_0 = 0.5 both step to
+    # u_0 = 1, exactly on the seed's threshold, so T(x) = 0
+    g, _ = build_from_edges([(0, 1)])
+    p = ProblemParams(1.0, 1.0, 0, 1)
+    for fn in (kkt_residual, reference.kkt_residual):
+        assert fn(g, p, SparseVector()) == 0.0
+        assert fn(g, p, SparseVector({0: 0.5})) == 0.5
 
 
 def _reference_case(case_seed, reg_factor, density, seed_in_support):
@@ -168,19 +175,36 @@ def _reference_case(case_seed, reg_factor, density, seed_in_support):
     return g, p, SparseVector.from_dense(dense)
 
 
+def _with_ties(g, p, x, etas=(1.0, 0.7)):
+    """x with every third supported node moved exactly onto its soft
+    threshold at one of ``etas``, in turn, keeping the sign."""
+    vals = dict(x.items())
+    for k, i in enumerate(sorted(vals)[::3]):
+        tau = etas[k % len(etas)] * p.reg_level
+        vals[i] = math.copysign(tau * float(g.sqrt_degrees[i]), vals[i])
+    return SparseVector(vals)
+
+
 @given(
     case_seed=st.integers(0, 2**32 - 1),
     reg_factor=st.sampled_from([1, 2]),
     density=st.sampled_from([0.0, 0.2, 0.9]),
     seed_in_support=st.booleans(),
 )
+@example(case_seed=0, reg_factor=1, density=0.0, seed_in_support=False)
 def test_objective_functions_match_dict_reference_bitwise(case_seed, reg_factor, density, seed_in_support):
-    """gradient, forward_map and objective_value equal the dict-based
-    reference exactly: SparseVector == compares values with ==."""
+    """gradient, forward_map, objective_value, prox and kkt_residual equal
+    the dict-based reference exactly: SparseVector == compares values with
+    ==. density 0 without the seed gives the empty vector; prox also runs on
+    a copy of x with entries exactly on their thresholds."""
     g, p, x = _reference_case(case_seed, reg_factor, density, seed_in_support)
+    tied = _with_ties(g, p, x)
     assert gradient(g, p, x) == reference.gradient(g, p, x)
     for eta in (1.0, 0.7):
         assert forward_map(g, p, x, eta) == reference.forward_map(g, p, x, eta)
+        for w in (x, tied):
+            assert prox(g, p, w, eta) == reference.prox(g, p, w, eta)
+        assert kkt_residual(g, p, x, eta) == reference.kkt_residual(g, p, x, eta)
     assert objective_value(g, p, x) == reference.objective_value(g, p, x)
 
 
