@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .diagnostics import check_no_percolation, slacks
-from .graph import _MAX_ID, NodeSet, volume
+from .graph import _MAX_ID, NodeSet, _find, volume
 from .objective import ProblemParams
 from .solver import SolverConfig, solve
 from .sweep import SweepSpec, _fmt, load_edgelist, log_grid, run_sweep, write_rows_csv
@@ -47,11 +47,10 @@ def _load_graph(path: str, max_nodes: int | None = None):
 
 def _map_original_ids(remap: np.ndarray, nodes: list[int], what: str) -> list[int]:
     """Translate original edge-list ids to compact graph ids (``remap`` is
-    sorted and nonempty)."""
+    strictly increasing)."""
     # an id outside int64 becomes -1, which no graph holds
     query = np.array([node if 0 <= node <= _MAX_ID else -1 for node in nodes], dtype=np.int64)
-    at = np.minimum(np.searchsorted(remap, query), remap.size - 1)
-    found = remap[at] == query
+    found, at = _find(remap, query)
     if not found.all():
         raise ValueError(f"{what} {nodes[int(np.argmin(found))]} not present in the graph")
     return at.tolist()
@@ -260,7 +259,8 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
 
     unknown = set(raw) - set(_SPEC_KEYS) - set(_SYNTH_KEYS)
     if unknown:
-        raise ValueError(f"unknown spec keys: {sorted(unknown)}")
+        first = min(raw[key][0] for key in unknown)
+        raise ValueError(f"spec line {first}: unknown spec keys: {sorted(unknown)}")
     if "axis" not in raw:
         raise ValueError("spec must set axis")
     if ("grid" in raw) == ("grid_log" in raw):
@@ -331,18 +331,17 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     g = inst.graph
     sol = solve(g, p, cfg)
-    report = slacks(g, p, sol.x)
+    try:
+        report = slacks(g, p, sol.x)
+    except ValueError as exc:  # eps too loose for the KKT check
+        return _fail(f"solver result at eps={_fmt(args.eps)} fails the slack check: {exc}")
     lo, hi = inst.valid_interval(args.alpha)
     print(f"family={inst.family} m={inst.m} alpha={_fmt(args.alpha)} rho={_fmt(args.rho)}")
     print(f"validity_interval=[{_fmt(lo)}, {_fmt(hi)})")
     print("node,x_closed_form,x_solver")
-    x_dev = 0.0
-    for node in sorted(set(x_formula.support()) | set(sol.x.support())):
-        a = x_formula.get(node)
-        b = sol.x.get(node)
-        x_dev = max(x_dev, abs(a - b))
-        print(f"{node},{_fmt(a)},{_fmt(b)}")
-    print(f"max_x_deviation={_fmt(x_dev)}")
+    for node in np.union1d(x_formula.support(), sol.x.support()).tolist():
+        print(f"{node},{_fmt(x_formula.get(node))},{_fmt(sol.x.get(node))}")
+    print(f"max_x_deviation={_fmt(x_formula.max_abs_diff(sol.x))}")
     print("node,gamma_closed_form,gamma_solver")
     g_dev = 0.0
     for node in sorted(gamma_formula):

@@ -217,21 +217,15 @@ def verify_confinement(
 ) -> ConfinementReport:
     if trace.level != "full":
         raise ValueError("full trace required")
-    allowed = np.zeros(g.n, dtype=bool)
-    allowed[s.ids] = True
-    bnd = vertex_boundary(g, s)
-    allowed[bnd.ids] = True
-    s_mask = np.zeros(g.n, dtype=bool)
-    s_mask[s.ids] = True
+    allowed = s.union(vertex_boundary(g, s))
     violations: dict[int, NodeSet] = {}
     max_sp = 0
     cum_sp = 0
-    for rec in trace.records:
-        nodes = rec.x_nodes
-        escaped = nodes[~allowed[nodes]]
+    for k, (_, _, nodes, _) in enumerate(trace.snapshots):
+        escaped = nodes[~allowed.contains(nodes)]
         if escaped.size:
-            violations[rec.k] = NodeSet(escaped)
-        spurious = nodes[~s_mask[nodes]]
+            violations[k] = NodeSet(escaped)
+        spurious = nodes[~s.contains(nodes)]
         vol = int(g.degrees[spurious].sum())
         cum_sp += vol
         max_sp = max(max_sp, vol)
@@ -288,23 +282,17 @@ def jump_audit(
     u_star = forward_map(g, p, x_star, eta)
     sd = g.sqrt_degrees
     violations: list[JumpViolation] = []
-    for rec in trace.records:
-        nodes = rec.x_nodes
-        spurious = nodes[~report.active.contains(nodes)]
+    for k, (y_nodes, y_vals, x_nodes, _) in enumerate(trace.snapshots):
+        spurious = x_nodes[~report.active.contains(x_nodes)]
         if not spurious.size:
             continue
-        u_y = forward_map(g, p, SparseVector.from_arrays(rec.y_nodes, rec.y_vals), eta)
-        sp = spurious.tolist()
-        lhs = np.abs(_values_at(u_y, sp) - _values_at(u_star, sp))
-        slack = np.array([report.gamma.get(i, report.far_slack) for i in sp])
+        u_y = forward_map(g, p, SparseVector.from_arrays(y_nodes, y_vals), eta)
+        lhs = np.abs(u_y.values_at(spurious) - u_star.values_at(spurious))
+        slack = np.array([report.gamma.get(i, report.far_slack) for i in spurious.tolist()])
         rhs = eta * slack * sd[spurious]
         bad = ~(lhs > rhs)
         violations.extend(
-            JumpViolation(rec.k, i, a, b)
+            JumpViolation(k, i, a, b)
             for i, a, b in zip(spurious[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist())
         )
     return violations
-
-
-def _values_at(vec: SparseVector, nodes: list[int]) -> np.ndarray:
-    return np.array([vec.get(i) for i in nodes], dtype=np.float64)

@@ -57,15 +57,11 @@ class NodeSet:
         return iter(self._ids.tolist())
 
     def __contains__(self, node: int) -> bool:
-        i = int(np.searchsorted(self._ids, node))
-        return i < self._ids.size and int(self._ids[i]) == int(node)
+        return bool(_find(self._ids, np.array([node]))[0][0])
 
     def contains(self, nodes: np.ndarray) -> np.ndarray:
         """Boolean array: which entries of the int array ``nodes`` are members."""
-        j = np.searchsorted(self._ids, nodes)
-        inside = j < self._ids.size
-        inside[inside] = self._ids[j[inside]] == nodes[inside]
-        return inside
+        return _find(self._ids, nodes)[0]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NodeSet) and np.array_equal(self._ids, other._ids)
@@ -89,6 +85,16 @@ class NodeSet:
         if not len(self):
             return True
         return bool(np.isin(self._ids, other._ids, assume_unique=True).all())
+
+
+def _find(ids: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Look up the array ``nodes`` in the strictly increasing array ``ids``:
+    a mask of the nodes found, and positions ``j`` with ``ids[j] == nodes``
+    where the mask holds."""
+    j = np.searchsorted(ids, nodes)
+    found = j < ids.size
+    found[found] = ids[j[found]] == nodes[found]
+    return found, j
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,20 +301,22 @@ def volume(g: Graph, s: NodeSet) -> int:
     return int(g.degrees[s.ids].sum())
 
 
+def _rows(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency rows of the int array ``nodes``, concatenated in order,
+    and the length of each."""
+    row_offsets = g.row_offsets
+    lens = row_offsets[nodes + 1] - row_offsets[nodes]
+    shift = np.repeat(row_offsets[nodes] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
+    return g.neighbors[np.arange(int(lens.sum()), dtype=np.int64) + shift], lens
+
+
 def vertex_boundary(g: Graph, s: NodeSet) -> NodeSet:
     """Nodes outside ``s`` with at least one neighbor inside it."""
     _check_in_range(g, s)
-    if not len(s):
-        return NodeSet()
-    member = np.zeros(g.n, dtype=bool)
-    member[s.ids] = True
-    touched = np.unique(np.concatenate([g.neighbors_of(i) for i in s.ids]))
-    return NodeSet(touched[~member[touched]])
+    touched = np.unique(_rows(g, s.ids)[0])
+    return NodeSet(touched[~s.contains(touched)])
 
 
 def exterior(g: Graph, s: NodeSet) -> NodeSet:
     """Complement of ``s`` and its vertex boundary."""
-    closed = np.zeros(g.n, dtype=bool)
-    closed[s.ids] = True
-    closed[vertex_boundary(g, s).ids] = True
-    return NodeSet(np.flatnonzero(~closed))
+    return NodeSet(np.arange(g.n)).difference(s.union(vertex_boundary(g, s)))

@@ -11,12 +11,12 @@ soft threshold; nothing else changes). Q has its spectrum inside
 [alpha, 1], so f is alpha-strongly convex and 1-smooth.
 
 ``gradient``, ``forward_map``, ``objective_value``, ``kkt_residual`` and the
-step kernel in :mod:`l1ppr.kernels` share one gather core, ``_gather``: it
+prox-gradient step ``prox_grad_step`` share one gather core, ``_gather``: it
 reads the adjacency rows of supp(x) only and returns the candidates supp(x) +
 N(supp(x)) + {v} with (Qx) at each of them, so every one of these costs
 O(vol(supp(x))). Its accumulation order is fixed (sources in ascending node
 order, CSR row order within a source). ``prox``, ``kkt_residual`` and the
-kernel share one weighted soft threshold, ``_soft_threshold``. The dict-based
+step share one weighted soft threshold, ``_soft_threshold``. The dict-based
 implementations these functions replaced live on in ``tests/reference.py``,
 and the tests check the two bit for bit.
 
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _find, _rows
 
 __all__ = [
     "SparseVector",
@@ -44,20 +44,24 @@ __all__ = [
     "forward_map",
     "objective_value",
     "kkt_residual",
+    "prox_grad_step",
 ]
 
 
 class SparseVector:
     """Sparse node -> value map. Entries are never exactly zero.
 
+    Held as two read-only arrays, as :class:`l1ppr.graph.NodeSet` holds its
+    ids: strictly increasing int64 nodes and the float64 values at them.
     Values that round to exact 0.0 are purged at construction; there is no
     epsilon pruning anywhere (dropping small-but-nonzero entries would
     silently change support volumes, and those are the measured quantity).
     """
 
-    __slots__ = ("_d",)
+    __slots__ = ("_nodes", "_values")
 
     def __init__(self, data: Mapping[int, float] | Iterable[tuple[int, float]] | None = None):
+        # a later value for a node replaces an earlier one, unless it is zero
         d: dict[int, float] = {}
         if data is not None:
             items = data.items() if isinstance(data, Mapping) else data
@@ -65,64 +69,79 @@ class SparseVector:
                 val = float(val)
                 if val != 0.0:
                     d[int(k)] = val
-        self._d = d
+        self._set(np.fromiter(d, np.int64, len(d)), np.fromiter(d.values(), np.float64, len(d)))
+
+    def _set(self, nodes: np.ndarray, values: np.ndarray) -> None:
+        keep = np.flatnonzero(values != 0.0)
+        keep = keep[np.argsort(nodes[keep])]
+        nodes, values = nodes[keep], values[keep]  # copies: the caller keeps its arrays
+        nodes.setflags(write=False)
+        values.setflags(write=False)
+        self._nodes, self._values = nodes, values
 
     @classmethod
     def from_dense(cls, arr: np.ndarray) -> "SparseVector":
-        nz = np.flatnonzero(arr)
-        return cls.from_arrays(nz, arr[nz])
+        return cls.from_arrays(np.arange(len(arr)), arr)
 
     @classmethod
     def from_arrays(cls, nodes: np.ndarray, values: np.ndarray) -> "SparseVector":
-        """Vector with ``values[t]`` at ``nodes[t]`` (distinct nodes); exact
-        zeros are dropped."""
-        keep = values != 0.0
+        """Vector with ``values[t]`` at ``nodes[t]`` (distinct nodes, in any
+        order); exact zeros are dropped."""
         out = cls.__new__(cls)
-        out._d = dict(zip(nodes[keep].tolist(), values[keep].tolist()))
+        out._set(np.asarray(nodes, dtype=np.int64), np.asarray(values, dtype=np.float64))
         return out
 
     def support(self) -> np.ndarray:
-        """Sorted int64 array of nodes with nonzero value."""
-        return np.array(sorted(self._d), dtype=np.int64)
+        """Sorted int64 array of nodes with nonzero value (read-only)."""
+        return self._nodes
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support and the values on it, in ascending node order."""
-        nodes = sorted(self._d)
-        return np.array(nodes, dtype=np.int64), np.array([self._d[k] for k in nodes], dtype=np.float64)
+        """The support and the values on it, in ascending node order
+        (read-only)."""
+        return self._nodes, self._values
+
+    def values_at(self, nodes: np.ndarray) -> np.ndarray:
+        """float64 array of the values at the int array ``nodes`` (0.0 off
+        the support)."""
+        found, j = _find(self._nodes, nodes)
+        out = np.zeros(found.size)
+        out[found] = self._values[j[found]]
+        return out
 
     def get(self, node: int, default: float = 0.0) -> float:
-        return self._d.get(node, default)
+        found, j = _find(self._nodes, np.array([node]))
+        return float(self._values[j[0]]) if found[0] else default
 
-    def __getitem__(self, node: int) -> float:
-        return self._d.get(node, 0.0)
+    __getitem__ = get
 
     def __contains__(self, node: int) -> bool:
-        return node in self._d
+        return bool(_find(self._nodes, np.array([node]))[0][0])
 
     def __len__(self) -> int:
-        return len(self._d)
+        return int(self._nodes.size)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SparseVector) and self._d == other._d
+        return (
+            isinstance(other, SparseVector)
+            and np.array_equal(self._nodes, other._nodes)
+            and np.array_equal(self._values, other._values)
+        )
 
     def __repr__(self) -> str:
-        return f"SparseVector({dict(sorted(self._d.items()))!r})"
+        return f"SparseVector({dict(self.items())!r})"
 
     def items(self) -> Iterator[tuple[int, float]]:
         """(node, value) pairs in ascending node order."""
-        return iter(sorted(self._d.items()))
+        return zip(self._nodes.tolist(), self._values.tolist())
 
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros(n)
-        for k, val in self._d.items():
-            out[k] = val
+        out[self._nodes] = self._values
         return out
 
     def max_abs_diff(self, other: "SparseVector") -> float:
-        r = 0.0
-        for k in self._d.keys() | other._d.keys():
-            r = max(r, abs(self._d.get(k, 0.0) - other._d.get(k, 0.0)))
-        return r
+        nodes = np.union1d(self._nodes, other._nodes)
+        return float(np.max(np.abs(self.values_at(nodes) - other.values_at(nodes)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -192,11 +211,8 @@ def _gather(g: Graph, p: ProblemParams, z: np.ndarray, act: np.ndarray, pos: np.
     whose contents are ignored on entry (every entry read is written first);
     on return ``pos[i]`` is the position of candidate ``i``.
     """
-    row_offsets, isd = g.row_offsets, g.inv_sqrt_degrees
-    lens = row_offsets[act + 1] - row_offsets[act]
-    total = int(lens.sum())
-    shift = np.repeat(row_offsets[act] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    nbrs = g.neighbors[np.arange(total, dtype=np.int64) + shift]
+    isd = g.inv_sqrt_degrees
+    nbrs, lens = _rows(g, act)
     push = z[act] * isd[act]
     weights = np.repeat(push, lens) * isd[nbrs]
     idx = np.concatenate((act, nbrs, np.array([p.seed], dtype=np.int64)))
@@ -220,6 +236,33 @@ def _soft_threshold(g: Graph, p: ProblemParams, nodes: np.ndarray, u: np.ndarray
     mag = np.abs(u)
     keep = mag > thresholds
     return keep, np.sign(u[keep]) * (mag[keep] - thresholds[keep])
+
+
+def prox_grad_step(
+    g: Graph,
+    p: ProblemParams,
+    z_dense: np.ndarray,
+    z_act: np.ndarray,
+    eta: float,
+    out_dense: np.ndarray,
+    pos_scratch: np.ndarray,
+) -> np.ndarray:
+    """One fused prox-gradient step from the point held in (z_dense, z_act):
+    x = prox(z - eta * grad f(z)), equal to ``prox(forward_map(z))`` bit for
+    bit.
+
+    ``z_act`` is sorted, distinct and covers the nonzeros of ``z_dense``.
+    ``out_dense`` must be all zeros on entry; on return its entries at the
+    returned (sorted) index array hold the new point and everything else is
+    still zero. ``pos_scratch`` is an int64 array of length ``g.n`` whose
+    contents are ignored on entry and left undefined on return.
+    """
+    cand, zc, grad = _gather(g, p, z_dense, z_act, pos_scratch)
+    grad[pos_scratch[p.seed]] -= p.alpha * g.inv_sqrt_degrees[p.seed]
+    keep, vals = _soft_threshold(g, p, cand, zc - eta * grad, eta)
+    out_act = cand[keep]
+    out_dense[out_act] = vals
+    return out_act
 
 
 def _gather_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple:

@@ -14,10 +14,10 @@ The ledger is the modeled cost; the kernel calls are the actual one. FISTA
 makes two per iteration (the step from y_k, then the residual step from
 x_{k+1}). Without momentum y_k == x_k, so the step T(x_k) that the previous
 residual check computed is exactly x_{k+1}, and ISTA makes one. Every step
-is :func:`l1ppr.kernels.prox_grad_step`, the one kernel, built from the
-gather core and soft threshold that :func:`l1ppr.objective.kkt_residual`
-uses, so ``trace.final_residual`` equals ``kkt_residual`` of the returned
-iterate exactly.
+is :func:`l1ppr.objective.prox_grad_step`, built from the gather core and
+soft threshold that :func:`l1ppr.objective.kkt_residual` uses, so
+``trace.final_residual`` equals ``kkt_residual`` of the returned iterate
+exactly.
 
 Dense n-length buffers come from the workspace kept per graph in
 :mod:`l1ppr.objective` (weakly, so it goes with the graph) and are reset only
@@ -37,7 +37,6 @@ from itertools import repeat
 import numpy as np
 
 from .graph import Graph, NodeSet
-from .kernels import prox_grad_step
 from .objective import (
     _WORKSPACES,
     ProblemParams,
@@ -45,6 +44,7 @@ from .objective import (
     _check_seed,
     _new_workspace,
     objective_value,
+    prox_grad_step,
 )
 
 __all__ = [
@@ -286,7 +286,7 @@ def rate_envelope(
     delta0 = 0.0 - f_star
     decay = 1.0 - math.sqrt(p.alpha)
     points = [EnvelopePoint(0, delta0, 2.0 * delta0)]
-    for rec in trace.records:
-        gap = objective_value(g, p, SparseVector.from_arrays(rec.x_nodes, rec.x_vals)) - f_star
-        points.append(EnvelopePoint(rec.k + 1, gap, 2.0 * delta0 * decay ** (rec.k + 1)))
+    for k, (_, _, x_nodes, x_vals) in enumerate(trace.snapshots, start=1):
+        gap = objective_value(g, p, SparseVector.from_arrays(x_nodes, x_vals)) - f_star
+        points.append(EnvelopePoint(k, gap, 2.0 * delta0 * decay**k))
     return points

@@ -3,9 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import l1ppr.cli as cli
 from l1ppr.cli import _map_original_ids, main
-from l1ppr.sweep import SweepSpec, load_edgelist, run_sweep, write_rows_csv
+from l1ppr.sweep import SweepResult, SweepSpec, load_edgelist, run_sweep, write_rows_csv
 from l1ppr.synth import SynthParams, generate
 
 GEN_FLAGS = ["--core-size", "5", "--boundary-size", "10", "--exterior-size", "12",
@@ -256,6 +259,188 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
         assert msg in capsys.readouterr().err
 
 
+# Text of one line of a spec or core-set file: anything but a line break.
+_LINE = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=12)
+_PAD = st.text(" \t", max_size=2)
+_FILLER = st.one_of(
+    st.text(" \t\x0b\x0c", max_size=3),
+    st.builds(lambda pad, text: f"{pad}#{text}", _PAD, _LINE),
+)
+
+
+def _rejects(conv, text):
+    try:
+        conv(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _float_list(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+def _int_list(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _bool(text):
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(text)
+
+
+# spec keys with one accepted value each; any subset of them is a valid spec
+_GOOD_SPEC = {"axis": "rho", "grid": "1e-3", "alpha": "0.3", "eps": "1e-8", "seeds": "0,2",
+              "core_size": "5", "per_point_fresh_graph": "no", "max_iter": "100"}
+# spec keys with the conversion a value must pass
+_SPEC_CONV = {"alpha": float, "rho": float, "eps": float, "core_density": float,
+              "reg_factor": int, "max_nodes": int, "seed_count": int, "base_rng_seed": int,
+              "max_iter": int, "core_size": int, "boundary_size": int, "rng_seed": int,
+              "grid": _float_list, "seeds": _int_list, "per_point_fresh_graph": _bool}
+_BAD_GRID_LOG = ["1e-3, 1e-1", "0, 1, 3", "1e-3, 1e-1, 0", "a, b, c", "1e-3,1e-1,3,4", ""]
+
+
+@st.composite
+def _spec_with_bad_line(draw):
+    """Lines of a spec file with one malformed line, and that line's number."""
+    kind = draw(st.sampled_from(["no_equals", "duplicate", "unknown_key", "bad_value"]))
+    good = {k: v for k, v in _GOOD_SPEC.items() if k in ("axis", "grid") or draw(st.booleans())}
+    if kind == "no_equals":
+        bad = draw(_LINE.filter(
+            lambda t: "=" not in t and t.strip() != "" and not t.strip().startswith("#")))
+    elif kind == "duplicate":
+        bad = f"{draw(st.sampled_from(sorted(good)))} = {draw(_LINE)}"
+    elif kind == "unknown_key":
+        key = draw(_LINE.filter(lambda t: "=" not in t and not t.strip().startswith("#")
+                                and t.strip() not in cli._SPEC_KEYS
+                                and t.strip() not in cli._SYNTH_KEYS))
+        bad = f"{key}={draw(_LINE)}"
+    else:
+        key = draw(st.sampled_from(sorted(_SPEC_CONV) + ["grid_log"]))
+        if key == "grid_log":
+            del good["grid"]
+            value = draw(st.sampled_from(_BAD_GRID_LOG))
+        else:
+            good.pop(key, None)
+            value = draw(_LINE.filter(lambda t: _rejects(_SPEC_CONV[key], t.strip())))
+        bad = f"{draw(_PAD)}{key}{draw(_PAD)}={draw(_PAD)}{value}"
+    lines = [f"{k}{draw(_PAD)}={draw(_PAD)}{v}" for k, v in good.items()]
+    lines += draw(st.lists(_FILLER, max_size=3))
+    lines = draw(st.permutations(lines))
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    if kind == "duplicate":
+        # the second of the two lines that set the key is the one reported
+        key = bad.partition("=")[0].strip()
+        at = [i for i, line in enumerate(lines) if line.partition("=")[0].strip() == key][1]
+    return lines, at + 1
+
+
+def _stub_run_sweep(monkeypatch):
+    """Stop a sweep command after its spec parsed: no graph is built."""
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: SweepResult((), ()))
+
+
+@given(case=_spec_with_bad_line())
+def test_sweep_spec_fuzz_reports_bad_line(case, tmp_path, capsys, monkeypatch):
+    _stub_run_sweep(monkeypatch)
+    lines, lineno = case
+    spec_path = tmp_path / "fuzz.cfg"
+    spec_path.write_bytes("\n".join(lines).encode())
+    capsys.readouterr()
+    rc = main(["sweep", str(spec_path), "--out", str(tmp_path / "fuzz.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: spec line {lineno}: ") and err.count("\n") == 1, err
+
+
+_SPEC_LINE = st.one_of(
+    _FILLER,
+    _LINE,
+    st.builds(lambda k, v: f"{k} = {v}",
+              st.sampled_from(sorted(_SPEC_CONV) + ["axis", "grid_log"]), _LINE),
+    st.builds(lambda k, v: f"{k} = {v}",
+              st.sampled_from(sorted(_GOOD_SPEC)), st.sampled_from(sorted(set(_GOOD_SPEC.values())))),
+)
+
+
+@given(lines=st.lists(_SPEC_LINE, max_size=8), eol=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_sweep_spec_fuzz_never_raises(lines, eol, tmp_path, capsys, monkeypatch):
+    """Whatever the spec file holds, the command either parses it or exits 2
+    with one error line; no exception escapes."""
+    _stub_run_sweep(monkeypatch)
+    spec_path = tmp_path / "fuzz.cfg"
+    spec_path.write_bytes(eol.join(lines).encode())
+    capsys.readouterr()
+    rc = main(["sweep", str(spec_path), "--out", str(tmp_path / "fuzz.csv")])
+    out, err = capsys.readouterr()
+    if rc == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert rc == 0 and err == "", err
+
+
+def _not_node_id(text):
+    text = text.strip()
+    return text != "" and not text.startswith("#") and text != "node,region" and _rejects(int, text)
+
+
+@st.composite
+def _core_set_with_bad_line(draw):
+    """Lines of a core-set file for the six-node path with one line that is
+    not a node id, and that line's number."""
+    good = st.one_of(
+        _FILLER,
+        st.just("node,region"),
+        st.builds(lambda pad, i: f"{pad}{i}{pad}", _PAD, st.integers(0, 5)),
+        st.builds(lambda i, pad: f"{i}{pad},{pad}core", st.integers(0, 5), _PAD),
+        st.builds(lambda node, region: f"{node},{region}", _LINE,
+                  st.sampled_from(["boundary", "exterior", " exterior "])),
+    )
+    bad = draw(st.one_of(
+        _LINE.filter(lambda t: "," not in t and _not_node_id(t)),
+        st.builds(lambda node, pad: f"{node},{pad}core{pad}",
+                  _LINE.filter(lambda t: "," not in t and _rejects(int, t)
+                               and not t.lstrip().startswith("#")), _PAD),
+    ))
+    lines = draw(st.lists(good, max_size=6))
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    return lines, at + 1, bad.strip()
+
+
+@given(case=_core_set_with_bad_line())
+def test_core_set_fuzz_reports_bad_line(case, tmp_path, capsys):
+    lines, lineno, bad = case
+    graph = write_six_path(tmp_path)
+    core = tmp_path / "core.txt"
+    core.write_bytes("\n".join(lines).encode())
+    capsys.readouterr()
+    rc = main(["check", graph, "--core-set", str(core), "--alpha", "0.5", "--rho", "1.0"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: core-set file line {lineno}: not a node id: {bad!r}\n")
+
+
+@given(
+    lines=st.lists(st.one_of(_FILLER, _LINE, st.builds(str, st.integers(-2, 2**70)),
+                             st.builds(lambda t: f"{t},core", _LINE)), max_size=6),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_core_set_fuzz_never_raises(lines, eol, tmp_path, capsys):
+    """Whatever the core-set file holds, check either runs or exits 2 with
+    one error line; no exception escapes."""
+    graph = write_six_path(tmp_path)
+    core = tmp_path / "core.txt"
+    core.write_bytes(eol.join(lines).encode())
+    capsys.readouterr()
+    rc = main(["check", graph, "--core-set", str(core), "--alpha", "0.5", "--rho", "1.0"])
+    out, err = capsys.readouterr()
+    if rc == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert rc in (0, 1) and out.startswith("holds=")
+
+
 def test_sweep_cli_run_errors_exit_one(tmp_path, capsys):
     spec_path = tmp_path / "spec.cfg"
     spec_path.write_text(SPEC_TEXT.replace("seeds = 0,2", "seeds = 999"))
@@ -297,12 +482,25 @@ def test_analytic_outside_interval(capsys):
     assert "outside validity interval" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["0", "-1e-9"])
+ANALYTIC_EPS_ERRORS = {
+    "0": "eps must be positive, got 0.0",
+    "-1e-9": "eps must be positive, got -1e-09",
+    # a solve this loose stops short of the minimizer the slack check needs
+    "0.01": "solver result at eps=0.01 fails the slack check: not a minimizer: "
+            "active node 0 violates stationarity by 7.217e-03",
+    "0.5": "solver result at eps=0.5 fails the slack check: not a minimizer: "
+           "inactive node 0 has gradient -2.887e-01 outside [-1.732e-01 - tol, tol]",
+    "inf": "solver result at eps=inf fails the slack check: not a minimizer: "
+           "inactive node 0 has gradient -2.887e-01 outside [-1.732e-01 - tol, tol]",
+}
+
+
+@pytest.mark.parametrize("eps", list(ANALYTIC_EPS_ERRORS))
 def test_analytic_bad_eps(capsys, eps):
     rc = main(["analytic", "--family", "star", "--m", "3",
                "--alpha", "0.5", "--rho", "0.2", f"--eps={eps}"])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: eps must be positive, got {float(eps)}\n"
+    assert capsys.readouterr() == ("", f"error: {ANALYTIC_EPS_ERRORS[eps]}\n")
 
 
 def test_argparse_usage_error():

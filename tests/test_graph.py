@@ -221,6 +221,27 @@ def test_boundary_of_everything_is_empty():
     assert volume(g, s) == 2 * g.edge_count
 
 
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=40),
+    members=st.sets(st.integers(0, 14)),
+)
+def test_vertex_boundary_and_exterior_against_set_reference(pairs, members):
+    edges = {(u, v) for u, v in pairs if u != v}
+    if not edges:
+        return
+    g, remap = build_from_edges(pairs)
+    compact = {int(node): i for i, node in enumerate(remap)}
+    adj = {i: set() for i in range(g.n)}
+    for u, v in edges:
+        adj[compact[u]].add(compact[v])
+        adj[compact[v]].add(compact[u])
+    inside = {compact[i] for i in members if i in compact}
+    boundary = {j for i in inside for j in adj[i]} - inside
+    s = NodeSet(inside)
+    assert vertex_boundary(g, s) == NodeSet(boundary)
+    assert exterior(g, s) == NodeSet(set(range(g.n)) - inside - boundary)
+
+
 @given(st.integers(2, 25), st.integers(0, 60), st.integers(0, 2**32 - 1))
 def test_build_from_random_edges_is_symmetric(n, extra, rng_seed):
     rng = np.random.default_rng(rng_seed)

@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l1ppr.graph import build_from_edges
-from l1ppr.kernels import prox_grad_step
-from l1ppr.objective import ProblemParams, SparseVector
+from l1ppr.objective import ProblemParams, SparseVector, prox_grad_step
 
 from oracle import random_connected_graph
 from reference import forward_map, prox

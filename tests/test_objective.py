@@ -43,6 +43,89 @@ def test_sparse_vector_dense_round_trip():
     assert SparseVector().max_abs_diff(SparseVector()) == 0.0
 
 
+def _dict_model(pairs):
+    """What a SparseVector built from ``pairs`` holds, as a plain dict: a
+    later value for a node replaces an earlier one unless it is zero."""
+    d = {}
+    for k, val in pairs:
+        if float(val) != 0.0:
+            d[int(k)] = float(val)
+    return dict(sorted(d.items()))
+
+
+_entries = st.lists(
+    st.tuples(
+        st.integers(0, 12),
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5]),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    max_size=16,
+)
+
+
+@given(
+    pairs=_entries,
+    other_pairs=_entries,
+    as_mapping=st.booleans(),
+    probe=st.lists(st.integers(-2, 14), max_size=6),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+@example(pairs=[], other_pairs=[], as_mapping=False, probe=[0], order_seed=0)
+@example(pairs=[(3, 1.0), (1, -0.0), (3, 0.0), (1, 2.0)], other_pairs=[(1, 2.0)],
+         as_mapping=False, probe=[1, 2, 3], order_seed=1)
+def test_sparse_vector_matches_dict_model(pairs, other_pairs, as_mapping, probe, order_seed):
+    """Every public method of SparseVector against a plain dict holding the
+    same entries: values and Python types, on vectors built from a mapping,
+    from (node, value) pairs with repeated nodes, from unsorted arrays with
+    exact zeros, and from a dense array."""
+    model = _dict_model(dict(pairs).items() if as_mapping else pairs)
+    v = SparseVector(dict(pairs) if as_mapping else pairs)
+    keys = list(model)
+
+    assert len(v) == len(model)
+    assert repr(v) == f"SparseVector({model!r})"
+    items = list(v.items())
+    assert items == list(model.items())
+    assert all(type(k) is int and type(val) is float for k, val in items)
+    nodes, values = v.arrays()
+    assert nodes.dtype == np.int64 and values.dtype == np.float64
+    assert nodes.tolist() == keys and values.tolist() == list(model.values())
+    assert v.support().tolist() == keys
+    assert not (nodes.flags.writeable or values.flags.writeable or v.support().flags.writeable)
+
+    for k in probe + keys:
+        want = model.get(k, 0.0)
+        for got in (v.get(k), v[k]):
+            assert got == want and type(got) is float
+        assert v.get(k, "absent") == model.get(k, "absent")
+        assert (k in v) == (k in model)
+    assert v.values_at(np.array(probe, dtype=np.int64)).tolist() == [model.get(k, 0.0) for k in probe]
+
+    n = 15
+    dense = np.zeros(n)
+    dense[keys] = list(model.values())
+    assert np.array_equal(v.to_dense(n), dense)
+    assert SparseVector.from_dense(dense) == v
+
+    # from_arrays: the entries in a shuffled order, with exact zeros at other nodes
+    rng = np.random.default_rng(order_seed)
+    zeros = [k for k in range(n) if k not in model][: int(rng.integers(0, 4))]
+    all_nodes = np.array(keys + zeros, dtype=np.int64)
+    all_vals = np.array(list(model.values()) + [rng.choice([0.0, -0.0]) for _ in zeros])
+    order = rng.permutation(all_nodes.size)
+    assert SparseVector.from_arrays(all_nodes[order], all_vals[order]) == v
+    assert list(SparseVector.from_arrays(all_nodes[order], all_vals[order]).items()) == items
+
+    other_model = _dict_model(other_pairs)
+    w = SparseVector(other_pairs)
+    assert (v == w) == (model == other_model)
+    assert v == SparseVector(model) and v != model
+    diff = v.max_abs_diff(w)
+    want = max([0.0] + [abs(model.get(k, 0.0) - other_model.get(k, 0.0))
+                        for k in model.keys() | other_model.keys()])
+    assert diff == want and type(diff) is float
+
+
 def test_params_validation():
     ProblemParams(1.0, 0.1, 0, 2)  # alpha = 1 allowed
     for bad in (
