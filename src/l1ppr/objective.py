@@ -15,20 +15,23 @@ prox-gradient step ``prox_grad_step`` share one gather core, ``_gather``: it
 reads the adjacency rows of supp(x) only and returns the candidates supp(x) +
 N(supp(x)) + {v} with (Qx) at each of them, so every one of these costs
 O(vol(supp(x))). Its accumulation order is fixed (sources in ascending node
-order, CSR row order within a source). ``prox``, ``kkt_residual`` and the
-step share one weighted soft threshold, ``_soft_threshold``. The dict-based
+order, CSR row order within a source). ``prox`` and the step share one
+weighted soft threshold, ``_soft_threshold``, and ``kkt_residual`` is the
+residual the step returns. The dict-based
 implementations these functions replaced live on in ``tests/reference.py``,
 and the tests check the two bit for bit.
 
-The dense n-length buffers the core works in come from a workspace kept per
-graph (weakly, so it goes with the graph), shared with
-:func:`l1ppr.solver.solve`, and zeroed after each use at the indices that
-use wrote.
+Points enter and leave as their (sorted nodes, values) arrays; nothing is
+held in an n-length float buffer. The only n-length array is the core's int64
+position scratch, kept per graph (weakly, so it goes with the graph) and
+shared with :func:`l1ppr.solver.solve`. Its contents are ignored on entry, so
+it is never reset.
 """
 
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -189,31 +192,35 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"step size eta must be positive, got {eta}")
 
 
-# Per-graph dense buffers: four float64 arrays (the solver's two iterates,
-# extrapolated point and residual step; the functions below load their point
-# into the first), all zero between uses, and the gather core's int64
-# position scratch. A caller takes its graph's workspace out of the table and
-# puts it back when done, so a call that overlaps another on the same graph
-# allocates its own.
-_WORKSPACES: weakref.WeakKeyDictionary[Graph, tuple[np.ndarray, ...]] = weakref.WeakKeyDictionary()
+# Per-graph int64 position scratch for the gather core. Its contents are
+# ignored on entry, so it is never reset. A caller takes it out of the table
+# while in use, so a call that overlaps another on the same graph allocates its
+# own; a call that raises drops it, and the next one allocates a fresh one.
+_SCRATCH: weakref.WeakKeyDictionary[Graph, np.ndarray] = weakref.WeakKeyDictionary()
 
 
-def _new_workspace(n: int) -> tuple[np.ndarray, ...]:
-    return (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
+@contextmanager
+def _position_scratch(g: Graph) -> Iterator[np.ndarray]:
+    pos = _SCRATCH.pop(g, None)
+    if pos is None:
+        pos = np.empty(g.n, dtype=np.int64)
+    yield pos
+    _SCRATCH[g] = pos
 
 
-def _gather(g: Graph, p: ProblemParams, z: np.ndarray, act: np.ndarray, pos: np.ndarray) -> tuple:
-    """Gather core: the candidates, z at them and (Qz) at them.
+def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray, pos: np.ndarray) -> tuple:
+    """Gather core: the candidates, the point at them and (Qz) at them.
 
-    The candidates are ``act`` (sorted, distinct, covering the nonzeros of
-    the dense point ``z``), its neighbors and the seed, in ascending order;
-    only the rows of ``act`` are read. ``pos`` is an int64 array of length n
-    whose contents are ignored on entry (every entry read is written first);
-    on return ``pos[i]`` is the position of candidate ``i``.
+    The point z is ``vals`` at the sorted, distinct nodes ``act`` and zero
+    elsewhere. The candidates are ``act``, its neighbors and the seed, in
+    ascending order; only the rows of ``act`` are read. ``pos`` is an int64
+    array of length n whose contents are ignored on entry (every entry read
+    is written first); on return ``pos[i]`` is the position of candidate
+    ``i``.
     """
     isd = g.inv_sqrt_degrees
     nbrs, lens = _rows(g, act)
-    push = z[act] * isd[act]
+    push = vals * isd[act]
     weights = np.repeat(push, lens) * isd[nbrs]
     idx = np.concatenate((act, nbrs, np.array([p.seed], dtype=np.int64)))
     # Dedup through the position scratch: exactly one position per distinct
@@ -224,7 +231,8 @@ def _gather(g: Graph, p: ProblemParams, z: np.ndarray, act: np.ndarray, pos: np.
     pos[cand] = np.arange(cand.size, dtype=np.int64)
     # bincount adds in edge order: sources ascending, CSR order within a row
     sums = np.bincount(pos[nbrs], weights=weights, minlength=cand.size)
-    zc = z[cand]
+    zc = np.zeros(cand.size)
+    zc[pos[act]] = vals
     return cand, zc, p.hp * zc - p.hm * sums
 
 
@@ -241,44 +249,37 @@ def _soft_threshold(g: Graph, p: ProblemParams, nodes: np.ndarray, u: np.ndarray
 def prox_grad_step(
     g: Graph,
     p: ProblemParams,
-    z_dense: np.ndarray,
+    z_vals: np.ndarray,
     z_act: np.ndarray,
     eta: float,
-    out_dense: np.ndarray,
     pos_scratch: np.ndarray,
-) -> np.ndarray:
-    """One fused prox-gradient step from the point held in (z_dense, z_act):
-    x = prox(z - eta * grad f(z)), equal to ``prox(forward_map(z))`` bit for
-    bit.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One fused prox-gradient step from the point z that is ``z_vals`` at
+    the sorted, distinct nodes ``z_act``: x = prox(z - eta * grad f(z)),
+    equal to ``prox(forward_map(z))`` bit for bit.
 
-    ``z_act`` is sorted, distinct and covers the nonzeros of ``z_dense``.
-    ``out_dense`` must be all zeros on entry; on return its entries at the
-    returned (sorted) index array hold the new point and everything else is
-    still zero. ``pos_scratch`` is an int64 array of length ``g.n`` whose
-    contents are ignored on entry and left undefined on return.
+    Returns the sorted support of x, the values on it, and the fixed-point
+    residual ||z - x||_inf, which is ``kkt_residual`` at z. ``pos_scratch``
+    is an int64 array of length ``g.n`` whose contents are ignored on entry
+    and left undefined on return.
     """
-    cand, zc, grad = _gather(g, p, z_dense, z_act, pos_scratch)
+    cand, zc, grad = _gather(g, p, z_act, z_vals, pos_scratch)
     grad[pos_scratch[p.seed]] -= p.alpha * g.inv_sqrt_degrees[p.seed]
     keep, vals = _soft_threshold(g, p, cand, zc - eta * grad, eta)
-    out_act = cand[keep]
-    out_dense[out_act] = vals
-    return out_act
+    # the candidates cover supp(z) and supp(x); both are 0 elsewhere
+    x = np.zeros(cand.size)
+    x[keep] = vals
+    return cand[keep], vals, float(np.max(np.abs(zc - x)))
 
 
 def _gather_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple:
-    """The gather core at x, run in the graph's workspace: the candidates,
-    x and (Qx) at them, the positions of supp(x) and of the seed among them."""
+    """The gather core at x: the candidates, x and (Qx) at them, the
+    positions of supp(x) and of the seed among them."""
     _check_seed(g, p)
     act, vals = x.arrays()
-    ws = _WORKSPACES.pop(g, None) or _new_workspace(g.n)
-    z, pos = ws[0], ws[4]
-    try:
-        z[act] = vals
-        cand, xc, qx = _gather(g, p, z, act, pos)
+    with _position_scratch(g) as pos:
+        cand, xc, qx = _gather(g, p, act, vals, pos)
         return cand, xc, qx, pos[act], int(pos[p.seed])
-    finally:
-        z[act] = 0.0
-        _WORKSPACES[g] = ws
 
 
 def _gradient_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple[np.ndarray, ...]:
@@ -338,10 +339,8 @@ def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) 
 
     Zero exactly at the minimizer; used as the stopping criterion.
     """
-    cand, xc, grad = _gradient_at(g, p, x)
+    _check_seed(g, p)
     _check_eta(eta)
-    keep, shrunk = _soft_threshold(g, p, cand, xc - eta * grad, eta)
-    # the candidates cover supp(x) and supp(T(x)); both are 0 elsewhere
-    t = np.zeros(cand.size)
-    t[keep] = shrunk
-    return float(np.max(np.abs(xc - t)))
+    act, vals = x.arrays()
+    with _position_scratch(g) as pos:
+        return prox_grad_step(g, p, vals, act, eta, pos)[2]

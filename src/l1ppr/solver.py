@@ -14,16 +14,15 @@ The ledger is the modeled cost; the kernel calls are the actual one. FISTA
 makes two per iteration (the step from y_k, then the residual step from
 x_{k+1}). Without momentum y_k == x_k, so the step T(x_k) that the previous
 residual check computed is exactly x_{k+1}, and ISTA makes one. Every step
-is :func:`l1ppr.objective.prox_grad_step`, built from the gather core and
-soft threshold that :func:`l1ppr.objective.kkt_residual` uses, so
-``trace.final_residual`` equals ``kkt_residual`` of the returned iterate
-exactly.
+is :func:`l1ppr.objective.prox_grad_step`, which also returns the residual
+at its input point; the stopping residual is the one from the step at
+x_{k+1}, so ``trace.final_residual`` equals ``kkt_residual`` of the returned
+iterate exactly.
 
-Dense n-length buffers come from the workspace kept per graph in
-:mod:`l1ppr.objective` (weakly, so it goes with the graph) and are reset only
-at the indices a solve touched, so a solve's wall clock follows the volume of
-its iterates, not n. The reset runs in a ``finally`` block: a solve that
-raises leaves the buffers clean.
+Iterates stay in their (sorted nodes, values) array form throughout, so a
+solve's wall clock follows the volume of its iterates, not n. The only
+n-length array is the gather core's position scratch, kept per graph in
+:mod:`l1ppr.objective`.
 """
 
 from __future__ import annotations
@@ -38,11 +37,10 @@ import numpy as np
 
 from .graph import Graph, NodeSet
 from .objective import (
-    _WORKSPACES,
     ProblemParams,
     SparseVector,
     _check_seed,
-    _new_workspace,
+    _position_scratch,
     objective_value,
     prox_grad_step,
 )
@@ -182,24 +180,21 @@ def solve(
     if spurious_baseline is not None:
         trace.spurious_total = 0
 
-    ws = _WORKSPACES.pop(g, None) or _new_workspace(g.n)
-    x_cur, x_prev, y_buf, t_buf, pos = ws
-    empty = np.empty(0, dtype=np.int64)
-    # Every nonzero of the four buffers lies at an index in one of these.
-    act_cur = act_prev = y_act = xn_act = t_act = empty
-    try:
+    empty_act, empty_vals = np.empty(0, dtype=np.int64), np.empty(0)
+    with _position_scratch(g) as pos:
         # Residual of the zero start: if it already meets eps the solution
         # is 0 and no iteration is charged.
-        t_act = prox_grad_step(g, p, y_buf, empty, eta, t_buf, pos)
-        r = float(np.max(np.abs(t_buf[t_act]))) if t_act.size else 0.0
+        t_act, t_vals, r = prox_grad_step(g, p, empty_vals, empty_act, eta, pos)
         if r <= cfg.eps:
             trace.converged = True
             trace.final_residual = r
             return Solution(SparseVector(), trace, NodeSet())
 
+        x_act, x_vals = prev_act, prev_vals = empty_act, empty_vals
         for k in range(cfg.max_iter):
-            union = np.union1d(act_cur, act_prev)
-            merged = x_cur[union] + beta * (x_cur[union] - x_prev[union])
+            union = np.union1d(x_act, prev_act)
+            xu = _place(union, x_act, x_vals)
+            merged = xu + beta * (xu - _place(union, prev_act, prev_vals))
             if not np.isfinite(merged).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
             nz = merged != 0.0
@@ -207,27 +202,17 @@ def solve(
             y_act = union[nz]
             vol_y = int(degrees[y_act].sum())
 
-            # x_prev is only needed to extrapolate y; recycle its buffer.
-            x_prev[act_prev] = 0.0
             if reuse:
                 # Without momentum y_k == x_k, so x_{k+1} = T(x_k) is the
                 # step the last residual check computed.
-                x_next, xn_act = t_buf, t_act
-                t_buf, t_act = x_prev, empty
+                xn_act, xn_vals = t_act, t_vals
             else:
-                t_buf[t_act] = 0.0
-                y_buf[y_act] = y_vals
-                x_next = x_prev
-                xn_act = prox_grad_step(g, p, y_buf, y_act, eta, x_next, pos)
-                y_buf[y_act] = 0.0
-            xn_vals = x_next[xn_act]
+                xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act, eta, pos)
             if not np.isfinite(xn_vals).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
             vol_xn = int(degrees[xn_act].sum())
 
-            t_act = prox_grad_step(g, p, x_next, xn_act, eta, t_buf, pos)
-            check = np.union1d(xn_act, t_act)
-            r = float(np.max(np.abs(x_next[check] - t_buf[check]))) if check.size else 0.0
+            t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act, eta, pos)
 
             if spurious_baseline is not None:
                 spur = int(degrees[xn_act[~spurious_baseline.contains(xn_act)]].sum())
@@ -242,20 +227,22 @@ def solve(
             trace.total_work += vol_y + vol_xn
             trace.iterations += 1
 
-            x_prev, act_prev = x_cur, act_cur
-            x_cur, act_cur = x_next, xn_act
+            prev_act, prev_vals = x_act, x_vals
+            x_act, x_vals = xn_act, xn_vals
             if r <= cfg.eps:
                 trace.converged = True
                 break
 
-        trace.final_residual = r
-        x = SparseVector.from_arrays(act_cur, x_cur[act_cur])
-        return Solution(x, trace, NodeSet(act_cur))
-    finally:
-        live = np.concatenate((act_cur, act_prev, y_act, xn_act, t_act))
-        for buf in ws[:4]:
-            buf[live] = 0.0
-        _WORKSPACES[g] = ws
+    trace.final_residual = r
+    return Solution(SparseVector.from_arrays(x_act, x_vals), trace, NodeSet(x_act))
+
+
+def _place(union: np.ndarray, act: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The point that is ``vals`` at ``act`` (a subset of the sorted array
+    ``union``), as values at ``union``."""
+    out = np.zeros(union.size)
+    out[np.searchsorted(union, act)] = vals
+    return out
 
 
 @dataclass(frozen=True)

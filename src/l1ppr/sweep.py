@@ -59,11 +59,13 @@ CSV_HEADER = (
 
 
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    """Log-spaced grid endpoints included; lo must be positive."""
+    """Log-spaced grid endpoints included; both must be positive and finite."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if lo <= 0.0:
-        raise ValueError("log spacing requires lo > 0")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"log spacing requires finite bounds, got {lo}, {hi}")
+    if lo <= 0.0 or hi <= 0.0:
+        raise ValueError("log spacing requires lo > 0 and hi > 0")
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
@@ -119,10 +121,25 @@ class SweepSpec:
             raise ValueError("boundary_size sweeps require a synthetic graph source")
         if self.per_point_fresh_graph and self.synth is None:
             raise ValueError("fresh per-point graphs require a synthetic graph source")
-        if self.sweep_axis in ("rho", "epsilon") and min(self.grid) <= 0.0:
-            raise ValueError(f"{self.sweep_axis} grid values must be positive")
-        if self.sweep_axis == "alpha" and not all(0.0 < v <= 1.0 for v in self.grid):
-            raise ValueError("alpha grid values must lie in (0, 1]")
+        # Every run's settings, checked by the classes the runs use: first the
+        # fixed keys and seeds, with 1.0 (valid on every axis) standing in for
+        # the swept value, then each grid value, so an error names the grid
+        # only when a grid value is at fault.
+        for seed in self.seeds if self.seeds is not None else (0,):
+            self._run_params(1.0, seed, METHODS[0])
+        for v in self.grid:
+            try:
+                self._run_params(v, 0, METHODS[0])
+            except ValueError as exc:
+                raise ValueError(f"{self.sweep_axis} grid value {v}: {exc}") from None
+
+    def _run_params(self, value: float, seed: int, method: str) -> tuple[ProblemParams, SolverConfig]:
+        """The problem and solver settings of the run at grid value ``value``."""
+        alpha = value if self.sweep_axis == "alpha" else self.alpha
+        rho = value if self.sweep_axis == "rho" else self.rho
+        eps = value if self.sweep_axis == "epsilon" else self.eps
+        return (ProblemParams(alpha=alpha, rho=rho, seed=seed, reg_factor=self.reg_factor),
+                SolverConfig(method=method, eps=eps, max_iter=self.max_iter))
 
 
 @dataclass(frozen=True)
@@ -187,20 +204,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
     for value, g, part in points:
-        alpha, rho, eps = spec.alpha, spec.rho, spec.eps
-        if spec.sweep_axis == "rho":
-            rho = value
-        elif spec.sweep_axis == "alpha":
-            alpha = value
-        elif spec.sweep_axis == "epsilon":
-            eps = value
         baseline = part.core if part is not None else None
         for method in METHODS:
             for seed in seeds:
                 try:
-                    p = ProblemParams(alpha=alpha, rho=rho, seed=seed, reg_factor=spec.reg_factor)
-                    cfg = SolverConfig(method=method, eps=eps, max_iter=spec.max_iter)
-                    sol = solve(g, p, cfg, spurious_baseline=baseline)
+                    sol = solve(g, *spec._run_params(value, seed, method), spurious_baseline=baseline)
                     tr = sol.trace
                     wpi = tr.total_work / tr.iterations if tr.iterations else 0.0
                     rows.append(

@@ -250,6 +250,21 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
         ("axis = rho\ngrid = 1e-3\nalpha = 0.3\nalpha = 0.4\n", "duplicate key"),
         ("axis = rho\n# grid below\ngrid = 1e-3,x\n",
          "spec line 3: bad grid value '1e-3,x': could not convert string to float: 'x'"),
+        # a bad fixed setting or seed gets the checker's own message; a bad
+        # grid value is named as such
+        ("axis = rho\ngrid = 1e-3\nalpha = 2\ncore_size = 5\n",
+         "error: alpha must lie in (0, 1], got 2.0\n"),
+        ("axis = rho\ngrid = 1e-3\nreg_factor = 5\ncore_size = 5\n",
+         "error: reg_factor must be 1 or 2, got 5\n"),
+        ("axis = rho\ngrid = 1e-3\neps = 0\ncore_size = 5\n", "error: eps must be positive, got 0.0\n"),
+        ("axis = rho\ngrid = 1e-3\nmax_iter = 0\ncore_size = 5\n", "error: max_iter must be at least 1"),
+        ("axis = rho\ngrid = 1e-3\nseeds = 0,-1\ncore_size = 5\n",
+         "error: seed node must be non-negative, got -1\n"),
+        ("axis = rho\ngrid = 1e-3,nan\ncore_size = 5\n",
+         "error: rho grid value nan: rho must be positive, got nan\n"),
+        ("axis = epsilon\ngrid = nan,1e-6\ncore_size = 5\n",
+         "error: epsilon grid value nan: eps must be positive, got nan\n"),
+        ("axis = rho\ngrid_log = 1e-4,-1,3\ncore_size = 5\n", "spec line 2: bad grid_log value"),
     ]
     for text, msg in cases:
         spec_path = tmp_path / "bad.cfg"

@@ -249,7 +249,7 @@ def test_solve_allocation_independent_of_n(method):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("method", ["fista", "ista"])
 def test_workspace_clean_after_divergence(method):
-    import l1ppr.solver as solver
+    import l1ppr.objective as objective
 
     # the support still grows along the ring when the iterates overflow
     g = clique_ring(1000)
@@ -258,9 +258,29 @@ def test_workspace_clean_after_divergence(method):
         solve(g, p, SolverConfig(method=method, eps=1e-10, eta=1e3))
     cfg = SolverConfig(method=method, eps=1e-8, trace_level="full")
     _same_solution(solve(g, p, cfg), solve(clique_ring(1000), p, cfg))
-    # the float buffers; the kernel's position scratch may hold anything
-    for buf in solver._WORKSPACES[g][:4]:
-        assert not buf.any()
+    # all the graph keeps is the kernel's position scratch, which may hold anything
+    pos = objective._SCRATCH[g]
+    assert pos.dtype == np.int64 and pos.shape == (g.n,)
+
+
+def test_retained_state_is_one_position_scratch():
+    """What a solve leaves on its graph is one int64 array of length n; the
+    iterates themselves are never copied into n-length buffers."""
+    import gc
+    import tracemalloc
+
+    p, cfg = ProblemParams(0.2, 1e-4, 3), SolverConfig(eps=1e-8)
+    solve(clique_ring(100), p, cfg)  # numpy imports some modules on first use
+    g = clique_ring(10**5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve(g, p, cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(retained - 8 * g.n) < 4096, retained
 
 
 @pytest.mark.parametrize("method, passes", [("ista", 1), ("fista", 2)])

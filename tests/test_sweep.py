@@ -40,6 +40,11 @@ def test_log_grid():
         log_grid(1e-3, 1e-1, 0)
     with pytest.raises(ValueError, match="lo > 0"):
         log_grid(0.0, 1e-1, 3)
+    with pytest.raises(ValueError, match="hi > 0"):
+        log_grid(1e-4, -1.0, 3)
+    for lo, hi in ((1e-4, math.inf), (math.nan, 1e-1), (1e-4, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            log_grid(lo, hi, 3)
 
 
 def test_derive_rng_seed_pinned():
