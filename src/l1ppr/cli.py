@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -64,16 +65,7 @@ _WRITE_ROWS = 1 << 16
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        params = SynthParams(
-            core_size=args.core_size,
-            boundary_size=args.boundary_size,
-            exterior_size=args.exterior_size,
-            c_bnd=args.c_bnd,
-            deg_b=args.deg_b,
-            deg_ext=args.deg_ext,
-            core_density=args.core_density,
-            rng_seed=args.rng_seed,
-        )
+        params = SynthParams(**{key: getattr(args, key) for key in _SYNTH_KEYS})
         g, part = generate(params)
     except ValueError as exc:
         return _fail(str(exc))
@@ -108,12 +100,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         g, remap = _load_graph(args.graph, args.max_nodes)
         (seed,) = _map_original_ids(remap, [args.seed_node], "seed node")
         p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=seed, reg_factor=args.reg_factor)
-        cfg = SolverConfig(
-            method=args.method,
-            eps=args.eps,
-            max_iter=args.max_iter,
-            trace_level="full" if args.trace else "summary",
-        )
+        cfg = SolverConfig(method=args.method, eps=args.eps, max_iter=args.max_iter)
     except ValueError as exc:
         return _fail(str(exc))
     sol = solve(g, p, cfg)
@@ -188,32 +175,42 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-_SYNTH_KEYS = {
-    "core_size": int,
-    "boundary_size": int,
-    "exterior_size": int,
-    "c_bnd": int,
-    "deg_b": int,
-    "deg_ext": int,
-    "core_density": float,
-    "rng_seed": int,
-}
+# generator key -> conversion, from the fields of SynthParams (the gen flags
+# are the same fields)
+_SYNTH_KEYS = {f.name: type(f.default) for f in fields(SynthParams)}
 
+
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _grid_log(text: str) -> tuple[float, ...]:
+    lo_s, hi_s, count_s = (s.strip() for s in text.split(","))
+    return log_grid(float(lo_s), float(hi_s), int(count_s))
+
+
+# spec key -> (SweepSpec field, conversion), in the order values are
+# converted, so a spec with several bad values reports the first in this order
 _SPEC_KEYS = {
-    "axis": str,
-    "grid": str,
-    "grid_log": str,
-    "alpha": float,
-    "rho": float,
-    "eps": float,
-    "reg_factor": int,
-    "edgelist_path": str,
-    "max_nodes": int,
-    "seeds": str,
-    "seed_count": int,
-    "per_point_fresh_graph": str,
-    "base_rng_seed": int,
-    "max_iter": int,
+    "grid": ("grid", lambda text: tuple(float(v) for v in text.split(","))),
+    "grid_log": ("grid", _grid_log),
+    "axis": ("sweep_axis", str),
+    "alpha": ("alpha", float),
+    "rho": ("rho", float),
+    "eps": ("eps", float),
+    "reg_factor": ("reg_factor", int),
+    "max_nodes": ("max_nodes", int),
+    "seed_count": ("seed_count", int),
+    "base_rng_seed": ("base_rng_seed", int),
+    "max_iter": ("max_iter", int),
+    "per_point_fresh_graph": ("per_point_fresh_graph", _parse_bool),
+    "seeds": ("seeds", lambda text: tuple(int(v) for v in text.split(","))),
+    "edgelist_path": ("edgelist_path", str),
 }
 
 
@@ -236,15 +233,6 @@ def _parse_config(path: str) -> dict[str, tuple[int, str]]:
     return out
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
     def value(key: str, conv):
         lineno, text = raw[key]
@@ -252,10 +240,6 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
             return conv(text)
         except ValueError as exc:
             raise ValueError(f"spec line {lineno}: bad {key} value {text!r}: {exc}") from None
-
-    def grid_log(text: str) -> tuple[float, ...]:
-        lo_s, hi_s, count_s = (s.strip() for s in text.split(","))
-        return log_grid(float(lo_s), float(hi_s), int(count_s))
 
     unknown = set(raw) - set(_SPEC_KEYS) - set(_SYNTH_KEYS)
     if unknown:
@@ -265,28 +249,12 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
         raise ValueError("spec must set axis")
     if ("grid" in raw) == ("grid_log" in raw):
         raise ValueError("spec must set exactly one of grid, grid_log")
-    if "grid" in raw:
-        grid = value("grid", lambda text: tuple(float(v) for v in text.split(",")))
-    else:
-        grid = value("grid_log", grid_log)
-    kwargs = {"sweep_axis": value("axis", str), "grid": grid}
-    for key in ("alpha", "rho", "eps"):
-        if key in raw:
-            kwargs[key] = value(key, float)
-    for key in ("reg_factor", "max_nodes", "seed_count", "base_rng_seed", "max_iter"):
-        if key in raw:
-            kwargs[key] = value(key, int)
-    if "per_point_fresh_graph" in raw:
-        kwargs["per_point_fresh_graph"] = value("per_point_fresh_graph", _parse_bool)
-    if "seeds" in raw:
-        kwargs["seeds"] = value("seeds", lambda text: tuple(int(v) for v in text.split(",")))
-    elif "seed_count" in raw:
+    kwargs = {field: value(key, conv) for key, (field, conv) in _SPEC_KEYS.items() if key in raw}
+    if "seed_count" in raw and "seeds" not in raw:
         kwargs["seeds"] = None
-    if "edgelist_path" in raw:
-        kwargs["edgelist_path"] = value("edgelist_path", str)
-    else:
-        synth_kwargs = {k: value(k, conv) for k, conv in _SYNTH_KEYS.items() if k in raw}
-        kwargs["synth"] = SynthParams(**synth_kwargs)
+    if "edgelist_path" not in raw:
+        synth = {key: value(key, conv) for key, conv in _SYNTH_KEYS.items() if key in raw}
+        kwargs["synth"] = SynthParams(**synth)
     return SweepSpec(**kwargs)
 
 
@@ -363,14 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic block graph")
-    gen.add_argument("--core-size", type=int, default=60)
-    gen.add_argument("--boundary-size", type=int, default=600)
-    gen.add_argument("--exterior-size", type=int, default=1000)
-    gen.add_argument("--c-bnd", type=int, default=20)
-    gen.add_argument("--deg-b", type=int, default=82)
-    gen.add_argument("--deg-ext", type=int, default=998)
-    gen.add_argument("--core-density", type=float, default=1.0)
-    gen.add_argument("--rng-seed", type=int, default=0)
+    for f in fields(SynthParams):
+        gen.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     gen.add_argument("--out", required=True)
     gen.add_argument("--partition-out", default=None)
     gen.set_defaults(func=_cmd_gen)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, NodeSet, exterior, vertex_boundary
+from .graph import Graph, NodeSet, _rows, exterior, vertex_boundary
 from .objective import ProblemParams, SparseVector, _gradient_at, forward_map
 from .solver import SolveTrace, SolverConfig, solve
 
@@ -181,13 +181,9 @@ def check_no_percolation(g: Graph, p: ProblemParams, s: NodeSet) -> NoPercolatio
         return NoPercolationReport(True, None, 0.0)
     d_min_bnd = float(g.degrees[bnd.ids].min())
     coef = (p.alpha * p.rho / (2.0 * (1.0 - p.alpha))) ** 2
-    bnd_mask = np.zeros(g.n, dtype=bool)
-    bnd_mask[bnd.ids] = True
-    ext_mask = np.zeros(g.n, dtype=bool)
-    ext_mask[ext.ids] = True
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.row_offsets))
-    sel = ext_mask[src] & bnd_mask[g.neighbors]
-    hits = np.bincount(src[sel], minlength=g.n)[ext.ids]
+    nbrs, lens = _rows(g, ext.ids)
+    row = np.repeat(np.arange(len(ext), dtype=np.int64), lens)
+    hits = np.bincount(row[bnd.contains(nbrs)], minlength=len(ext))
     deg = g.degrees[ext.ids].astype(np.float64)
     ratios = hits / (coef * deg * deg * d_min_bnd)
     w = int(np.argmax(ratios))

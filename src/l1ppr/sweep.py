@@ -17,13 +17,13 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSet, parse_snap_edgelist, volume
+from .graph import _MAX_ID, Graph, NodeSet, parse_snap_edgelist, volume
 from .objective import ProblemParams
 from .solver import NumericalDivergenceError, SolverConfig, solve
 from .synth import RegionPartition, SynthParams, generate, generate_alpha_sweep_instance
@@ -51,11 +51,6 @@ __all__ = [
 
 SWEEP_AXES = ("rho", "alpha", "epsilon", "boundary_size")
 METHODS = ("ista", "fista")
-
-CSV_HEADER = (
-    "axis,value,method,seed,iters,total_work,converged,residual,"
-    "vol_supp,spurious_vol,work_per_iter"
-)
 
 
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -123,13 +118,15 @@ class SweepSpec:
             raise ValueError("fresh per-point graphs require a synthetic graph source")
         # Every run's settings, checked by the classes the runs use: first the
         # fixed keys and seeds, with 1.0 (valid on every axis) standing in for
-        # the swept value, then each grid value, so an error names the grid
-        # only when a grid value is at fault.
+        # the swept value, then each grid value with its generator settings,
+        # so an error names the grid only when a grid value is at fault.
         for seed in self.seeds if self.seeds is not None else (0,):
             self._run_params(1.0, seed, METHODS[0])
-        for v in self.grid:
+        for idx, v in enumerate(self.grid):
             try:
                 self._run_params(v, 0, METHODS[0])
+                if self.synth is not None:
+                    self._point_synth(idx, v)
             except ValueError as exc:
                 raise ValueError(f"{self.sweep_axis} grid value {v}: {exc}") from None
 
@@ -140,6 +137,19 @@ class SweepSpec:
         eps = value if self.sweep_axis == "epsilon" else self.eps
         return (ProblemParams(alpha=alpha, rho=rho, seed=seed, reg_factor=self.reg_factor),
                 SolverConfig(method=method, eps=eps, max_iter=self.max_iter))
+
+    def _point_synth(self, idx: int, value: float) -> SynthParams:
+        """The generator settings of grid point ``idx`` at value ``value``."""
+        sp = self.synth
+        if self.sweep_axis == "boundary_size":
+            # int(v) truncates the non-integer values of a log grid; inf, nan
+            # and values past the int64 node ids cannot size a graph
+            if not 0.0 <= value <= _MAX_ID:
+                raise ValueError(f"boundary_size must lie in [0, {_MAX_ID}]")
+            sp = replace(sp, boundary_size=int(value))
+        if self.per_point_fresh_graph:
+            sp = replace(sp, rng_seed=derive_rng_seed(self.base_rng_seed, idx))
+        return sp
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,13 @@ class SweepRow:
     vol_supp: int
     spurious_vol: int | None  # None without a baseline (edge-list graphs)
     work_per_iter: float
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+# statistics of a run whose solve raised
+_ERRORED_RUN = dict(iters=0, total_work=0, converged=False, residual=float("nan"),
+                    vol_supp=0, spurious_vol=0, work_per_iter=0.0)
 
 
 @dataclass(frozen=True)
@@ -175,23 +192,10 @@ def _prepare_points(spec: SweepSpec) -> list[tuple[float, Graph, RegionPartition
     if spec.edgelist_path is not None:
         g, _ = load_edgelist(spec.edgelist_path, spec.max_nodes)
         return [(float(v), g, None) for v in spec.grid]
-    out = []
-    cached: tuple[Graph, RegionPartition] | None = None
-    for idx, v in enumerate(spec.grid):
-        sp = spec.synth
-        if spec.sweep_axis == "boundary_size":
-            sp = replace(sp, boundary_size=int(v))
-        if spec.per_point_fresh_graph:
-            sp = replace(sp, rng_seed=derive_rng_seed(spec.base_rng_seed, idx))
-            g, part = generate(sp)
-        elif spec.sweep_axis == "boundary_size":
-            g, part = generate(sp)
-        else:
-            if cached is None:
-                cached = generate(sp)
-            g, part = cached
-        out.append((float(v), g, part))
-    return out
+    if not spec.per_point_fresh_graph and spec.sweep_axis != "boundary_size":
+        g, part = generate(spec.synth)
+        return [(float(v), g, part) for v in spec.grid]
+    return [(float(v), *generate(spec._point_synth(idx, v))) for idx, v in enumerate(spec.grid)]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -209,40 +213,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for seed in seeds:
                 try:
                     sol = solve(g, *spec._run_params(value, seed, method), spurious_baseline=baseline)
-                    tr = sol.trace
-                    wpi = tr.total_work / tr.iterations if tr.iterations else 0.0
-                    rows.append(
-                        SweepRow(
-                            axis=spec.sweep_axis,
-                            value=value,
-                            method=method,
-                            seed=seed,
-                            iters=tr.iterations,
-                            total_work=tr.total_work,
-                            converged=tr.converged,
-                            residual=tr.final_residual,
-                            vol_supp=volume(g, sol.support),
-                            spurious_vol=tr.spurious_total,
-                            work_per_iter=wpi,
-                        )
-                    )
                 except (ValueError, NumericalDivergenceError) as exc:
                     errors.append(SweepError(value, method, seed, str(exc)))
-                    rows.append(
-                        SweepRow(
-                            axis=spec.sweep_axis,
-                            value=value,
-                            method=method,
-                            seed=seed,
-                            iters=0,
-                            total_work=0,
-                            converged=False,
-                            residual=float("nan"),
-                            vol_supp=0,
-                            spurious_vol=0,
-                            work_per_iter=0.0,
-                        )
+                    stats = _ERRORED_RUN
+                else:
+                    tr = sol.trace
+                    stats = dict(
+                        iters=tr.iterations,
+                        total_work=tr.total_work,
+                        converged=tr.converged,
+                        residual=tr.final_residual,
+                        vol_supp=volume(g, sol.support),
+                        spurious_vol=tr.spurious_total,
+                        work_per_iter=tr.total_work / tr.iterations if tr.iterations else 0.0,
                     )
+                rows.append(SweepRow(axis=spec.sweep_axis, value=value, method=method, seed=seed,
+                                     **stats))
     rows.sort(key=lambda r: (r.value, r.method, r.seed))
     return SweepResult(tuple(rows), tuple(errors))
 
@@ -338,29 +324,20 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):  # before int: bool is an int subclass
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else str(value)
+
+
 def write_rows_csv(rows: Iterable[SweepRow], out: IO[str]) -> None:
     """Fixed-header CSV, rows sorted by (value, method, seed), floats at 12
     significant digits; byte-identical across reruns of the same spec."""
     out.write(CSV_HEADER + "\n")
     for r in sorted(rows, key=lambda r: (r.value, r.method, r.seed)):
-        out.write(
-            ",".join(
-                [
-                    r.axis,
-                    _fmt(r.value),
-                    r.method,
-                    str(r.seed),
-                    str(r.iters),
-                    str(r.total_work),
-                    "true" if r.converged else "false",
-                    _fmt(r.residual),
-                    str(r.vol_supp),
-                    "" if r.spurious_vol is None else str(r.spurious_vol),
-                    _fmt(r.work_per_iter),
-                ]
-            )
-            + "\n"
-        )
+        out.write(",".join(_csv_cell(getattr(r, f.name)) for f in fields(r)) + "\n")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ def test_gen_invalid_params(tmp_path, capsys):
     assert err.startswith("error:") and "exceeds boundary_size" in err
 
 
+def test_gen_flags_are_synth_params_fields():
+    args = vars(cli._build_parser().parse_args(["gen", "--out", "g.txt"]))
+    flags = {k: v for k, v in args.items() if k not in ("command", "func", "out", "partition_out")}
+    defaults = asdict(SynthParams())
+    assert flags == defaults
+    assert [type(v) for v in flags.values()] == [type(v) for v in defaults.values()]
+
+
 def test_solve_star_with_original_ids(tmp_path, capsys):
     graph = write_star(tmp_path)
     sol_out = str(tmp_path / "x.csv")
@@ -104,6 +113,22 @@ def test_solve_trace_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     n_iters = int(out.split("iterations=")[1].split()[0])
     assert len(lines) - 1 == n_iters
+
+
+def test_solve_trace_keeps_summary_trace(tmp_path, monkeypatch):
+    """The trace CSV needs only the per-iteration counts, not the support
+    snapshots of a full trace."""
+    levels = []
+    real_solve = cli.solve
+
+    def spy(g, p, cfg):
+        levels.append(cfg.trace_level)
+        return real_solve(g, p, cfg)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    rc = main(["solve", write_star(tmp_path), "--alpha", "0.5", "--rho", "0.1",
+               "--seed-node", "100", "--trace", str(tmp_path / "trace.csv")])
+    assert rc == 0 and levels == ["summary"]
 
 
 def test_solve_iteration_cap_exit_code(tmp_path, capsys):
@@ -265,6 +290,13 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
         ("axis = epsilon\ngrid = nan,1e-6\ncore_size = 5\n",
          "error: epsilon grid value nan: eps must be positive, got nan\n"),
         ("axis = rho\ngrid_log = 1e-4,-1,3\ncore_size = 5\n", "spec line 2: bad grid_log value"),
+        # every grid point's generator settings are checked before any graph is built
+        ("axis = boundary_size\ngrid = 30,inf\ncore_size = 5\n",
+         "error: boundary_size grid value inf: boundary_size must lie in [0, 9223372036854775807]\n"),
+        ("axis = boundary_size\ngrid = 1e30\ncore_size = 5\n",
+         "error: boundary_size grid value 1e+30: boundary_size must lie in [0, 9223372036854775807]\n"),
+        ("axis = boundary_size\ngrid = 30,5\ncore_size = 5\n",
+         "error: boundary_size grid value 5.0: c_bnd=20 exceeds boundary_size=5\n"),
     ]
     for text, msg in cases:
         spec_path = tmp_path / "bad.cfg"

@@ -165,6 +165,30 @@ def test_no_percolation_monotone_in_alpha():
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), alpha=st.floats(0.05, 0.95))
+def test_no_percolation_matches_per_node_definition(seed, n, alpha):
+    """The vectorized report equals the exposure ratio computed node by node
+    from the docstring's inequality, on random graphs and random sets."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    s = NodeSet(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    p = ProblemParams(alpha, float(rng.uniform(1e-3, 1.0)), 0, 1)
+    inside = set(s.ids.tolist())
+    bnd = {j for i in inside for j in g.neighbors_of(i).tolist()} - inside
+    ext = [i for i in range(n) if i not in inside and i not in bnd]
+    want = (True, None, 0.0)
+    if bnd and ext:
+        coef = (alpha * p.rho / (2.0 * (1.0 - alpha))) ** 2
+        d_min = float(min(g.degree(j) for j in bnd))
+        ratios = []
+        for i in ext:
+            d = float(g.degree(i))
+            ratios.append(sum(j in bnd for j in g.neighbors_of(i).tolist()) / (coef * d * d * d_min))
+        w = int(np.argmax(ratios))
+        want = (ratios[w] <= 1.0, ext[w] if ratios[w] > 0.0 else None, ratios[w])
+    assert tuple(check_no_percolation(g, p, s)) == want
+
+
 def test_verify_confinement_requires_full_trace():
     inst = star_instance(4)
     p = ProblemParams(0.5, 0.1, 0, 1)
