@@ -241,10 +241,19 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
         except ValueError as exc:
             raise ValueError(f"spec line {lineno}: bad {key} value {text!r}: {exc}") from None
 
-    unknown = set(raw) - set(_SPEC_KEYS) - set(_SYNTH_KEYS)
-    if unknown:
-        first = min(raw[key][0] for key in unknown)
-        raise ValueError(f"spec line {first}: unknown spec keys: {sorted(unknown)}")
+    def reject(keys: set[str], what: str) -> None:
+        if keys:
+            first = min(raw[key][0] for key in keys)
+            raise ValueError(f"spec line {first}: {what}: {sorted(keys)}")
+
+    reject(set(raw) - set(_SPEC_KEYS) - set(_SYNTH_KEYS), "unknown spec keys")
+    # keys the run would not read
+    if "edgelist_path" in raw:
+        reject(set(raw) & set(_SYNTH_KEYS), "generator keys not read with edgelist_path")
+    else:
+        reject(set(raw) & {"max_nodes"}, "keys read only with edgelist_path")
+    if "seeds" in raw:
+        reject(set(raw) & {"seed_count"}, "keys not read with seeds")
     if "axis" not in raw:
         raise ValueError("spec must set axis")
     if ("grid" in raw) == ("grid_log" in raw):

@@ -73,27 +73,31 @@ class SlackReport:
         return self.gamma.get(i, self.far_slack)
 
 
-def slacks(g: Graph, p: ProblemParams, x_star: SparseVector, kkt_tol: float = 1e-6) -> SlackReport:
+# Tolerance of the KKT check in ``slacks``.
+_MINIMIZER_TOL = 1e-6
+
+
+def slacks(g: Graph, p: ProblemParams, x_star: SparseVector) -> SlackReport:
     """Slack report at ``x_star``; raises if it is not a minimizer.
 
     Active nodes must sit on their subgradient face (|grad_i + sign(x_i) *
-    lambda_i| <= kkt_tol) and inactive ones inside the band
-    [-lambda_i - kkt_tol, kkt_tol]; the one-sided upper bound reflects that
-    minimizers here are nonnegative.
+    lambda_i| <= tol) and inactive ones inside the band [-lambda_i - tol,
+    tol], with tol = ``_MINIMIZER_TOL``; the one-sided upper bound reflects
+    that minimizers here are nonnegative.
     """
     cand, xc, grad = _gradient_at(g, p, x_star)
     lvl = p.reg_level
     lam = lvl * g.sqrt_degrees[cand]
     on = xc != 0.0
     viol = np.abs(grad[on] + np.where(xc[on] > 0.0, lam[on], -lam[on]))
-    bad = np.flatnonzero(viol > kkt_tol)
+    bad = np.flatnonzero(viol > _MINIMIZER_TOL)
     if bad.size:
         i, v = int(cand[on][bad[0]]), float(viol[bad[0]])
         raise ValueError(f"not a minimizer: active node {i} violates stationarity by {v:.3e}")
     active = NodeSet(cand[on])
     near = ~on & (grad != 0.0)
     ids, gi, lam = cand[near], grad[near], lam[near]
-    bad = np.flatnonzero((gi > kkt_tol) | (gi < -lam - kkt_tol))
+    bad = np.flatnonzero((gi > _MINIMIZER_TOL) | (gi < -lam - _MINIMIZER_TOL))
     if bad.size:
         i, gb, lb = int(ids[bad[0]]), float(gi[bad[0]]), float(lam[bad[0]])
         raise ValueError(
@@ -263,29 +267,28 @@ def jump_audit(
     p: ProblemParams,
     trace: SolveTrace,
     x_star: SparseVector,
-    eta: float = 1.0,
 ) -> list[JumpViolation]:
     """Check every spurious activation against the strict jump inequality.
 
     A node i outside supp(x_star) can only enter supp(x_{k+1}) if the
-    forward map at y_k moved coordinate i strictly further than
-    eta * gamma_i * sqrt(d_i) away from its value at x_star. Returns the
-    (expected empty) list of activations that fail this.
+    forward map u(y_k) = y_k - grad f(y_k) moved coordinate i strictly
+    further than gamma_i * sqrt(d_i) away from its value at x_star. Returns
+    the (expected empty) list of activations that fail this.
     """
     if trace.level != "full":
         raise ValueError("full trace required")
     report = slacks(g, p, x_star)
-    u_star = forward_map(g, p, x_star, eta)
+    u_star = forward_map(g, p, x_star)
     sd = g.sqrt_degrees
     violations: list[JumpViolation] = []
     for k, (y_nodes, y_vals, x_nodes, _) in enumerate(trace.snapshots):
         spurious = x_nodes[~report.active.contains(x_nodes)]
         if not spurious.size:
             continue
-        u_y = forward_map(g, p, SparseVector.from_arrays(y_nodes, y_vals), eta)
+        u_y = forward_map(g, p, SparseVector.from_arrays(y_nodes, y_vals))
         lhs = np.abs(u_y.values_at(spurious) - u_star.values_at(spurious))
         slack = np.array([report.gamma.get(i, report.far_slack) for i in spurious.tolist()])
-        rhs = eta * slack * sd[spurious]
+        rhs = slack * sd[spurious]
         bad = ~(lhs > rhs)
         violations.extend(
             JumpViolation(k, i, a, b)

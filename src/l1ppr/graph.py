@@ -153,7 +153,6 @@ _MAX_ID = np.iinfo(np.int64).max
 
 def build_from_edges(
     edge_list: Iterable[tuple[int, int]] | np.ndarray,
-    n_hint: int | None = None,
 ) -> tuple[Graph, np.ndarray]:
     """Build a graph from raw (u, v) pairs.
 
@@ -169,8 +168,6 @@ def build_from_edges(
         arr = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("node indices must be non-negative")
-    if n_hint is not None and arr.size and int(arr.max()) >= n_hint:
-        raise ValueError(f"node index {int(arr.max())} exceeds n_hint={n_hint}")
     arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.size == 0:
         raise ValueError("empty graph")

@@ -187,11 +187,6 @@ def _check_seed(g: Graph, p: ProblemParams) -> None:
         raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
 
 
-def _check_eta(eta: float) -> None:
-    if not eta > 0.0:
-        raise ValueError(f"step size eta must be positive, got {eta}")
-
-
 # Per-graph int64 position scratch for the gather core. Its contents are
 # ignored on entry, so it is never reset. A caller takes it out of the table
 # while in use, so a call that overlaps another on the same graph allocates its
@@ -236,11 +231,11 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray, pos: 
     return cand, zc, p.hp * zc - p.hm * sums
 
 
-def _soft_threshold(g: Graph, p: ProblemParams, nodes: np.ndarray, u: np.ndarray, eta: float) -> tuple:
+def _soft_threshold(g: Graph, p: ProblemParams, nodes: np.ndarray, u: np.ndarray) -> tuple:
     """Weighted soft threshold of the values ``u`` at ``nodes``: shrink each
-    by eta*c*alpha*rho*sqrt(d_i). Returns the mask of entries that survive
+    by c*alpha*rho*sqrt(d_i). Returns the mask of entries that survive
     (an entry exactly on its threshold does not) and their shrunk values."""
-    thresholds = (eta * p.reg_level) * g.sqrt_degrees[nodes]
+    thresholds = p.reg_level * g.sqrt_degrees[nodes]
     mag = np.abs(u)
     keep = mag > thresholds
     return keep, np.sign(u[keep]) * (mag[keep] - thresholds[keep])
@@ -251,12 +246,11 @@ def prox_grad_step(
     p: ProblemParams,
     z_vals: np.ndarray,
     z_act: np.ndarray,
-    eta: float,
     pos_scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One fused prox-gradient step from the point z that is ``z_vals`` at
-    the sorted, distinct nodes ``z_act``: x = prox(z - eta * grad f(z)),
-    equal to ``prox(forward_map(z))`` bit for bit.
+    the sorted, distinct nodes ``z_act``: x = prox(z - grad f(z)), the unit
+    step 1/L, equal to ``prox(forward_map(z))`` bit for bit.
 
     Returns the sorted support of x, the values on it, and the fixed-point
     residual ||z - x||_inf, which is ``kkt_residual`` at z. ``pos_scratch``
@@ -265,7 +259,7 @@ def prox_grad_step(
     """
     cand, zc, grad = _gather(g, p, z_act, z_vals, pos_scratch)
     grad[pos_scratch[p.seed]] -= p.alpha * g.inv_sqrt_degrees[p.seed]
-    keep, vals = _soft_threshold(g, p, cand, zc - eta * grad, eta)
+    keep, vals = _soft_threshold(g, p, cand, zc - grad)
     # the candidates cover supp(z) and supp(x); both are 0 elsewhere
     x = np.zeros(cand.size)
     x[keep] = vals
@@ -296,22 +290,21 @@ def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     return SparseVector.from_arrays(cand, grad)
 
 
-def prox(g: Graph, p: ProblemParams, w: SparseVector, eta: float = 1.0) -> SparseVector:
-    """Weighted soft threshold: shrink each entry by eta*c*alpha*rho*sqrt(d_i).
+def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
+    """Weighted soft threshold: shrink each entry by c*alpha*rho*sqrt(d_i).
 
     Entries that land exactly on the threshold map to zero and leave the
     support.
     """
-    _check_eta(eta)
     nodes, vals = w.arrays()
-    keep, shrunk = _soft_threshold(g, p, nodes, vals, eta)
+    keep, shrunk = _soft_threshold(g, p, nodes, vals)
     return SparseVector.from_arrays(nodes[keep], shrunk)
 
 
-def forward_map(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -> SparseVector:
-    """u(x) = x - eta * grad f(x)."""
+def forward_map(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
+    """u(x) = x - grad f(x), the gradient step at the unit step 1/L."""
     cand, xc, grad = _gradient_at(g, p, x)
-    return SparseVector.from_arrays(cand, xc - eta * grad)
+    return SparseVector.from_arrays(cand, xc - grad)
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
@@ -334,13 +327,12 @@ def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
     return quad - seed_term * x[p.seed] + p.reg_level * l1
 
 
-def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -> float:
-    """Fixed-point residual ||x - prox(x - eta grad f(x))||_inf.
+def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector) -> float:
+    """Fixed-point residual ||x - prox(x - grad f(x))||_inf.
 
     Zero exactly at the minimizer; used as the stopping criterion.
     """
     _check_seed(g, p)
-    _check_eta(eta)
     act, vals = x.arrays()
     with _position_scratch(g) as pos:
-        return prox_grad_step(g, p, vals, act, eta, pos)[2]
+        return prox_grad_step(g, p, vals, act, pos)[2]

@@ -1,7 +1,7 @@
 """ISTA/FISTA proximal-gradient loops with a degree-weighted work ledger.
 
-Both methods run the exact same loop; ISTA is the momentum-zero branch. Per
-iteration k the ledger charges
+Both methods run the exact same loop at the unit step 1/L = 1; ISTA is the
+momentum-zero branch. Per iteration k the ledger charges
 
     work_k = vol(supp(y_k)) + vol(supp(x_{k+1}))
 
@@ -78,8 +78,6 @@ class SolverConfig:
     method: str = "fista"
     eps: float = 1e-6
     max_iter: int = 50000
-    eta: float = 1.0
-    momentum: float | None = None  # None: (1-sqrt(a))/(1+sqrt(a)) for fista, 0 for ista
     trace_level: str = "summary"
 
     def __post_init__(self) -> None:
@@ -89,17 +87,8 @@ class SolverConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.momentum is not None and not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.trace_level not in _TRACE_LEVELS:
             raise ValueError(f"trace_level must be one of {_TRACE_LEVELS}")
-
-    def resolved_momentum(self, alpha: float) -> float:
-        if self.momentum is not None:
-            return self.momentum
-        return fista_momentum(alpha) if self.method == "fista" else 0.0
 
 
 @dataclass(slots=True)
@@ -170,9 +159,8 @@ def solve(
     lets sweeps report spurious volumes without keeping full traces.
     """
     _check_seed(g, p)
-    beta = cfg.resolved_momentum(p.alpha)
-    reuse = beta == 0.0
-    eta = cfg.eta
+    beta = fista_momentum(p.alpha) if cfg.method == "fista" else 0.0
+    reuse = beta == 0.0  # ISTA, and FISTA at alpha = 1
     full = cfg.trace_level == "full"
     degrees = g.degrees
 
@@ -184,7 +172,7 @@ def solve(
     with _position_scratch(g) as pos:
         # Residual of the zero start: if it already meets eps the solution
         # is 0 and no iteration is charged.
-        t_act, t_vals, r = prox_grad_step(g, p, empty_vals, empty_act, eta, pos)
+        t_act, t_vals, r = prox_grad_step(g, p, empty_vals, empty_act, pos)
         if r <= cfg.eps:
             trace.converged = True
             trace.final_residual = r
@@ -207,12 +195,12 @@ def solve(
                 # step the last residual check computed.
                 xn_act, xn_vals = t_act, t_vals
             else:
-                xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act, eta, pos)
+                xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act, pos)
             if not np.isfinite(xn_vals).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
             vol_xn = int(degrees[xn_act].sum())
 
-            t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act, eta, pos)
+            t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act, pos)
 
             if spurious_baseline is not None:
                 spur = int(degrees[xn_act[~spurious_baseline.contains(xn_act)]].sum())

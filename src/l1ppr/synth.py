@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .graph import Graph, NodeSet, build_from_edges
+from .graph import _MAX_ID, Graph, NodeSet, build_from_edges
 from .objective import ProblemParams, SparseVector
 
 __all__ = [
@@ -55,6 +55,8 @@ class SynthParams:
             raise ValueError("core_size must be at least 1")
         if min(self.boundary_size, self.exterior_size, self.c_bnd, self.deg_b, self.deg_ext) < 0:
             raise ValueError("sizes and degrees must be non-negative")
+        if self.total_nodes > _MAX_ID:
+            raise ValueError(f"total_nodes={self.total_nodes} exceeds the int64 node-id bound {_MAX_ID}")
         if self.boundary_size == 0 and self.c_bnd > 0:
             raise ValueError("c_bnd > 0 requires a non-empty boundary")
         if self.boundary_size > 0 and self.c_bnd > self.boundary_size:

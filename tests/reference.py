@@ -47,25 +47,23 @@ def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     return SparseVector(out)
 
 
-def forward_map(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -> SparseVector:
-    """u(x) = x - eta * grad f(x)."""
+def forward_map(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
+    """u(x) = x - grad f(x)."""
     gr = gradient(g, p, x)
     out: dict[int, float] = {}
     keys = {int(i) for i in x.support()} | {int(i) for i in gr.support()}
     for i in keys:
-        ui = x[i] - eta * gr[i]
+        ui = x[i] - gr[i]
         if ui != 0.0:
             out[i] = ui
     return SparseVector(out)
 
 
-def prox(g: Graph, p: ProblemParams, w: SparseVector, eta: float = 1.0) -> SparseVector:
-    """Weighted soft threshold: shrink each entry by eta*c*alpha*rho*sqrt(d_i);
+def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
+    """Weighted soft threshold: shrink each entry by c*alpha*rho*sqrt(d_i);
     entries exactly on the threshold map to zero."""
-    if not eta > 0.0:
-        raise ValueError(f"step size eta must be positive, got {eta}")
     sd = g.sqrt_degrees
-    tau = eta * p.reg_level
+    tau = p.reg_level
     out: dict[int, float] = {}
     for i, wi in w.items():
         t = tau * float(sd[i])
@@ -76,9 +74,9 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector, eta: float = 1.0) -> Spars
     return SparseVector(out)
 
 
-def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector, eta: float = 1.0) -> float:
-    """Fixed-point residual ||x - prox(x - eta grad f(x))||_inf."""
-    t = prox(g, p, forward_map(g, p, x, eta), eta)
+def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector) -> float:
+    """Fixed-point residual ||x - prox(x - grad f(x))||_inf."""
+    t = prox(g, p, forward_map(g, p, x))
     r = 0.0
     for i in {int(i) for i in x.support()} | {int(i) for i in t.support()}:
         r = max(r, abs(x[i] - t[i]))
@@ -101,13 +99,11 @@ def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
     return quad - seed_term * x[p.seed] + p.reg_level * l1
 
 
-def jump_audit(
-    g: Graph, p: ProblemParams, trace: SolveTrace, x_star: SparseVector, eta: float = 1.0
-) -> list[JumpViolation]:
+def jump_audit(g: Graph, p: ProblemParams, trace: SolveTrace, x_star: SparseVector) -> list[JumpViolation]:
     """Every spurious activation of the trace whose jump fails the strict
     inequality, checked one node at a time."""
     report = slacks(g, p, x_star)
-    u_star = forward_map(g, p, x_star, eta)
+    u_star = forward_map(g, p, x_star)
     sd = g.sqrt_degrees
     violations: list[JumpViolation] = []
     for rec in trace.records:
@@ -115,10 +111,10 @@ def jump_audit(
         if not spurious:
             continue
         y = SparseVector(dict(zip(rec.y_nodes.tolist(), rec.y_vals.tolist())))
-        u_y = forward_map(g, p, y, eta)
+        u_y = forward_map(g, p, y)
         for i in spurious:
             lhs = abs(u_y.get(i) - u_star.get(i))
-            rhs = eta * report.slack_at(i) * float(sd[i])
+            rhs = report.slack_at(i) * float(sd[i])
             if not lhs > rhs:
                 violations.append(JumpViolation(rec.k, i, lhs, rhs))
     return violations

@@ -62,6 +62,13 @@ def test_gen_invalid_params(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds boundary_size" in err
+    # a size beyond the int64 node ids fails before anything is generated
+    rc = main(["gen", "--core-size", "5", "--boundary-size", str(10**30), "--exterior-size", "12",
+               "--c-bnd", "2", "--deg-b", "4", "--deg-ext", "6", "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: total_nodes=1000000000000000000000000000017 exceeds the int64 node-id bound "
+        "9223372036854775807\n")
 
 
 def test_gen_flags_are_synth_params_fields():
@@ -297,6 +304,16 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
          "error: boundary_size grid value 1e+30: boundary_size must lie in [0, 9223372036854775807]\n"),
         ("axis = boundary_size\ngrid = 30,5\ncore_size = 5\n",
          "error: boundary_size grid value 5.0: c_bnd=20 exceeds boundary_size=5\n"),
+        ("axis = rho\ngrid = 1e-3\nboundary_size = 1000000000000000000000000000000\ncore_size = 5\n",
+         "error: total_nodes=1000000000000000000000000001005 exceeds the int64 node-id bound "
+         "9223372036854775807\n"),
+        # keys the run would not read
+        ("axis = rho\ngrid = 1e-3\nedgelist_path = /no/such/file\ncore_size = x\ndeg_b = 4\n",
+         "error: spec line 4: generator keys not read with edgelist_path: ['core_size', 'deg_b']\n"),
+        ("axis = rho\ngrid = 1e-3\ncore_size = 5\nmax_nodes = 10\n",
+         "error: spec line 4: keys read only with edgelist_path: ['max_nodes']\n"),
+        ("axis = rho\nseed_count = 3\ngrid = 1e-3\nseeds = 0,1\ncore_size = 5\n",
+         "error: spec line 2: keys not read with seeds: ['seed_count']\n"),
     ]
     for text, msg in cases:
         spec_path = tmp_path / "bad.cfg"

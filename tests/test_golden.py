@@ -1,7 +1,7 @@
 """Byte-for-byte pins of the command-line outputs on the small synthetic
 graph: ``gen`` and ``gen --help``, ``solve --trace --solution-out`` for both
-methods, ``check``, and four sweeps (synthetic rho, boundary_size, fresh-graph
-alpha, and an edge list). The expected files live in ``tests/golden/``.
+methods, ``check``, four sweeps (synthetic rho, boundary_size, fresh-graph
+alpha, and an edge list), and ``analytic`` on the star and the path. The expected files live in ``tests/golden/``.
 Rewrite them only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -32,6 +32,10 @@ SPECS = {
     "sweep_edgelist": "axis = epsilon\ngrid = 1e-4,1e-8\nalpha = 0.3\nrho = 1e-3\n"
                       "seeds = 1,4\nedgelist_path = gen.txt\n",
 }
+ANALYTIC = {
+    "analytic_star": ["--family", "star", "--m", "4", "--alpha", "0.5", "--rho", "0.1"],
+    "analytic_path": ["--family", "path", "--m", "5", "--alpha", "0.3", "--rho", "0.25"],
+}
 
 
 def _run(argv: list[str], code: int = 0) -> bytes:
@@ -61,6 +65,8 @@ def outputs() -> dict[str, bytes]:
     for name, text in SPECS.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
         got[f"{name}.out"] = _run(["sweep", f"{name}.cfg", "--out", f"{name}.csv"])
+    for name, flags in ANALYTIC.items():
+        got[f"{name}.out"] = _run(["analytic", *flags])
     for path in sorted(Path(".").iterdir()):
         if path.suffix in (".txt", ".csv") and path.name not in got:
             got[path.name] = path.read_bytes()

@@ -77,8 +77,6 @@ def test_build_rejects_empty_and_negative():
         build_from_edges([(2, 2)])
     with pytest.raises(ValueError, match="non-negative"):
         build_from_edges([(-1, 2)])
-    with pytest.raises(ValueError, match="n_hint"):
-        build_from_edges([(0, 5)], n_hint=3)
 
 
 def test_csr_invariants():

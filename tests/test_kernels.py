@@ -9,11 +9,11 @@ from oracle import random_connected_graph
 from reference import forward_map, kkt_residual, prox
 
 
-def _run_step(g, p, x: SparseVector, eta: float):
+def _run_step(g, p, x: SparseVector):
     act, vals = x.arrays()
     # the position scratch is written before it is read, so garbage must not matter
     pos = np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)
-    out_act, out_vals, residual = prox_grad_step(g, p, vals, act, eta, pos)
+    out_act, out_vals, residual = prox_grad_step(g, p, vals, act, pos)
     assert np.all(np.diff(out_act) > 0)
     assert np.all(out_vals != 0.0)
     return out_act, out_vals, residual
@@ -33,24 +33,24 @@ def random_problem(case_seed):
     return g, p, SparseVector.from_dense(dense)
 
 
-@given(case_seed=st.integers(0, 2**32 - 1), eta=st.sampled_from([1.0, 0.7]))
-def test_step_matches_reference_ops_bitwise(case_seed, eta):
+@given(case_seed=st.integers(0, 2**32 - 1))
+def test_step_matches_reference_ops_bitwise(case_seed):
     """The fused kernel must equal prox(forward_map(x)) from the dict-based
     reference bit for bit, not merely to rounding."""
     g, p, x = random_problem(case_seed)
-    want = prox(g, p, forward_map(g, p, x, eta), eta)
-    act, vals, residual = _run_step(g, p, x, eta)
+    want = prox(g, p, forward_map(g, p, x))
+    act, vals, residual = _run_step(g, p, x)
     got = SparseVector(dict(zip(act.tolist(), vals.tolist())))
     assert got == want  # SparseVector equality is exact
-    assert residual == kkt_residual(g, p, x, eta)
+    assert residual == kkt_residual(g, p, x)
 
 
 def test_step_from_zero_activates_seed_region():
     g, _ = build_from_edges([(0, 1), (1, 2)])
     p = ProblemParams(0.9, 0.01, 0, 1)
     pos = np.zeros(3, dtype=np.int64)
-    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64), 1.0, pos)
-    # u = eta * alpha / sqrt(d_0) at the seed, zero elsewhere
+    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64), pos)
+    # u = alpha / sqrt(d_0) at the seed, zero elsewhere
     assert act.tolist() == [0]
     tau0 = p.reg_level * g.sqrt_degrees[0]
     assert vals.tolist() == [p.alpha * g.inv_sqrt_degrees[0] - tau0]
@@ -63,6 +63,6 @@ def test_exact_tie_dropped_by_kernel():
     # u_0 = alpha*1; tau_0 = reg*1 -> tie when rho = 1/reg_factor... pick c=1, rho=1
     p = ProblemParams(1.0, 1.0, 0, 1)
     pos = np.zeros(2, dtype=np.int64)
-    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64), 1.0, pos)
+    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64), pos)
     assert act.size == 0 and vals.size == 0
     assert residual == 0.0

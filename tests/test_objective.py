@@ -179,15 +179,6 @@ def test_prox_keeps_strict_and_drops_tie():
     assert out.get(3) == pytest.approx(-0.5 * t_leaf, abs=1e-15)
 
 
-def test_prox_eta_scaling_and_validation():
-    g = star(1)
-    p = ProblemParams(0.5, 0.1, 0, 1)
-    w = SparseVector({0: 1.0})
-    assert prox(g, p, w, eta=2.0).get(0) == pytest.approx(1.0 - 2.0 * p.reg_level)
-    with pytest.raises(ValueError, match="eta"):
-        prox(g, p, w, eta=0.0)
-
-
 def test_objective_zero_is_zero():
     g = star(3)
     p = ProblemParams(0.3, 0.2, 0, 1)
@@ -217,14 +208,14 @@ def test_gradient_and_objective_match_dense(case_seed):
     assert fx == pytest.approx(dense_objective(dp, x.to_dense(n)), abs=1e-11)
 
 
-def test_forward_map_is_x_minus_eta_grad():
+def test_forward_map_is_x_minus_grad():
     g = star(4)
     p = ProblemParams(0.5, 0.1, 0, 1)
     x = SparseVector({0: 0.3, 2: -0.1})
-    u = forward_map(g, p, x, eta=0.7)
+    u = forward_map(g, p, x)
     gr = gradient(g, p, x)
     for i in set(x.support().tolist()) | set(gr.support().tolist()):
-        assert u.get(i) == pytest.approx(x.get(i) - 0.7 * gr.get(i), abs=1e-16)
+        assert u.get(i) == pytest.approx(x.get(i) - gr.get(i), abs=1e-16)
 
 
 def test_kkt_residual_zero_at_closed_form_minimizer():
@@ -258,13 +249,12 @@ def _reference_case(case_seed, reg_factor, density, seed_in_support):
     return g, p, SparseVector.from_dense(dense)
 
 
-def _with_ties(g, p, x, etas=(1.0, 0.7)):
+def _with_ties(g, p, x):
     """x with every third supported node moved exactly onto its soft
-    threshold at one of ``etas``, in turn, keeping the sign."""
+    threshold, keeping the sign."""
     vals = dict(x.items())
-    for k, i in enumerate(sorted(vals)[::3]):
-        tau = etas[k % len(etas)] * p.reg_level
-        vals[i] = math.copysign(tau * float(g.sqrt_degrees[i]), vals[i])
+    for i in sorted(vals)[::3]:
+        vals[i] = math.copysign(p.reg_level * float(g.sqrt_degrees[i]), vals[i])
     return SparseVector(vals)
 
 
@@ -283,11 +273,10 @@ def test_objective_functions_match_dict_reference_bitwise(case_seed, reg_factor,
     g, p, x = _reference_case(case_seed, reg_factor, density, seed_in_support)
     tied = _with_ties(g, p, x)
     assert gradient(g, p, x) == reference.gradient(g, p, x)
-    for eta in (1.0, 0.7):
-        assert forward_map(g, p, x, eta) == reference.forward_map(g, p, x, eta)
-        for w in (x, tied):
-            assert prox(g, p, w, eta) == reference.prox(g, p, w, eta)
-        assert kkt_residual(g, p, x, eta) == reference.kkt_residual(g, p, x, eta)
+    assert forward_map(g, p, x) == reference.forward_map(g, p, x)
+    for w in (x, tied):
+        assert prox(g, p, w) == reference.prox(g, p, w)
+    assert kkt_residual(g, p, x) == reference.kkt_residual(g, p, x)
     assert objective_value(g, p, x) == reference.objective_value(g, p, x)
 
 
@@ -297,7 +286,7 @@ def test_objective_functions_at_zero_and_off_seed(reg_factor):
     for x in (SparseVector(), SparseVector({2: 0.4, 4: -1e-3})):
         p = ProblemParams(0.3, 0.05, 0, reg_factor)
         assert gradient(g, p, x) == reference.gradient(g, p, x)
-        assert forward_map(g, p, x, 0.7) == reference.forward_map(g, p, x, 0.7)
+        assert forward_map(g, p, x) == reference.forward_map(g, p, x)
         assert objective_value(g, p, x) == reference.objective_value(g, p, x)
     assert objective_value(g, p, SparseVector()) == 0.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from l1ppr.graph import NodeSet, build_from_edges, volume
-from l1ppr.objective import ProblemParams, SparseVector, kkt_residual, objective_value
+from l1ppr.objective import ProblemParams, SparseVector, kkt_residual, objective_value, prox_grad_step
 from l1ppr.solver import (
     NumericalDivergenceError,
     SolverConfig,
@@ -23,8 +23,7 @@ def star(m):
 
 def test_config_validation():
     for bad in (
-        dict(method="gd"), dict(eps=0.0), dict(max_iter=0), dict(eta=-1.0),
-        dict(momentum=1.0), dict(momentum=-0.1), dict(trace_level="verbose"),
+        dict(method="gd"), dict(eps=0.0), dict(max_iter=0), dict(trace_level="verbose"),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
@@ -39,10 +38,11 @@ def test_fista_momentum_values():
 
 
 def test_ista_is_momentum_zero_branch():
+    # FISTA's momentum is 0 at alpha = 1
     g, _ = build_from_edges([(0, 1), (1, 2), (2, 3), (1, 3)])
-    p = ProblemParams(0.3, 0.02, 0, 1)
+    p = ProblemParams(1.0, 0.02, 0, 1)
     cfg_i = SolverConfig(method="ista", eps=1e-10, trace_level="full")
-    cfg_f0 = SolverConfig(method="fista", eps=1e-10, momentum=0.0, trace_level="full")
+    cfg_f0 = SolverConfig(method="fista", eps=1e-10, trace_level="full")
     a = solve(g, p, cfg_i)
     b = solve(g, p, cfg_f0)
     assert a.x == b.x
@@ -124,12 +124,43 @@ def test_summary_trace_has_no_snapshots():
     assert full.trace.records[0].x_nodes is not None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_divergence_raises():
+def _faulty_step(fault):
+    """``prox_grad_step`` whose values go bad from its third call on.
+
+    With ``"inf"`` they are infinite, which the check on x_{k+1} catches.
+    With ``"overflow"`` they are +-1.5e308 on alternate calls: every iterate
+    is finite, but its extrapolation x + beta (x - x_prev) is not (at alpha
+    0.2 FISTA's momentum takes 1.5e308 past the largest double; ISTA's
+    x - x_prev overflows and 0 * inf is nan), which the check on y_k catches.
+    """
+    calls = []
+
+    def step(g, p, z_vals, z_act, pos):
+        act, vals, r = prox_grad_step(g, p, z_vals, z_act, pos)
+        calls.append(None)
+        if len(calls) < 3:
+            return act, vals, r
+        bad = np.inf if fault == "inf" else (1.5e308 if len(calls) % 2 else -1.5e308)
+        return act, np.full(vals.size, bad), r
+
+    return step
+
+
+# the iteration at which each fault trips the divergence check
+DIVERGES_AT = {("fista", "inf"): 1, ("fista", "overflow"): 2,
+               ("ista", "inf"): 2, ("ista", "overflow"): 4}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_divergence_raises(monkeypatch):
+    import l1ppr.solver as solver
+
     g = star(4)
-    p = ProblemParams(0.5, 0.01, 0, 1)
-    with pytest.raises(NumericalDivergenceError, match="iteration"):
-        solve(g, p, SolverConfig(method="ista", eps=1e-10, eta=25.0, max_iter=5000))
+    p = ProblemParams(0.2, 0.01, 0, 1)
+    for (method, fault), k in DIVERGES_AT.items():
+        monkeypatch.setattr(solver, "prox_grad_step", _faulty_step(fault))
+        with pytest.raises(NumericalDivergenceError, match=f"^numerical divergence at iteration {k}$"):
+            solve(g, p, SolverConfig(method=method, eps=1e-10))
 
 
 def test_iteration_cap_reported_not_converged():
@@ -246,16 +277,19 @@ def test_solve_allocation_independent_of_n(method):
     assert abs(peaks[1] - peaks[0]) < 4096, peaks
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("method", ["fista", "ista"])
-def test_workspace_clean_after_divergence(method):
+def test_workspace_clean_after_divergence(method, monkeypatch):
     import l1ppr.objective as objective
+    import l1ppr.solver as solver
 
-    # the support still grows along the ring when the iterates overflow
     g = clique_ring(1000)
     p = ProblemParams(0.2, 1e-4, 3)
-    with pytest.raises(NumericalDivergenceError):
-        solve(g, p, SolverConfig(method=method, eps=1e-10, eta=1e3))
+    for fault in ("inf", "overflow"):
+        monkeypatch.setattr(solver, "prox_grad_step", _faulty_step(fault))
+        with pytest.raises(NumericalDivergenceError, match=f"iteration {DIVERGES_AT[method, fault]}$"):
+            solve(g, p, SolverConfig(method=method, eps=1e-10))
+    monkeypatch.undo()
     cfg = SolverConfig(method=method, eps=1e-8, trace_level="full")
     _same_solution(solve(g, p, cfg), solve(clique_ring(1000), p, cfg))
     # all the graph keeps is the kernel's position scratch, which may hold anything

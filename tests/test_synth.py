@@ -65,10 +65,13 @@ def test_params_validation():
         (dict(core_density=1.5), "core_density"),
         (dict(core_density=0.0), "core_density"),
         (dict(core_size=10, core_density=0.1), "too low"),
+        (dict(boundary_size=2**63 - 1060), "exceeds the int64 node-id bound 9223372036854775807"),
     ]
     for overrides, match in cases:
         with pytest.raises(ValueError, match=match):
             SynthParams(**overrides)
+    # node ids 0 .. 2**63 - 2 still fit (nothing is generated here)
+    assert SynthParams(boundary_size=2**63 - 1061).total_nodes == 2**63 - 1
 
 
 def test_isolated_nodes_rejected():
