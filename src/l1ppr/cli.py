@@ -116,12 +116,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
-                for rec in tr.records:
-                    spur = "" if rec.spurious_vol is None else rec.spurious_vol
-                    fh.write(
-                        f"{rec.k},{rec.vol_supp_y},{rec.vol_supp_x_next},{rec.work},"
-                        f"{_fmt(rec.residual)},{spur}\n"
-                    )
+                # the solve has no baseline, so the spurious column stays empty
+                for k, (vy, vx, r) in enumerate(zip(tr.vol_supp_y, tr.vol_supp_x_next, tr.residual)):
+                    fh.write(f"{k},{vy},{vx},{vy + vx},{_fmt(r)},\n")
         if args.solution_out:
             with open(args.solution_out, "w", encoding="utf-8") as fh:
                 fh.write("node,value\n")
@@ -261,6 +258,9 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
     kwargs = {field: value(key, conv) for key, (field, conv) in _SPEC_KEYS.items() if key in raw}
     if "seed_count" in raw and "seeds" not in raw:
         kwargs["seeds"] = None
+    elif not kwargs.get("per_point_fresh_graph"):
+        reject(set(raw) & {"base_rng_seed"},
+               "keys read only with seed_count or per_point_fresh_graph = true")
     if "edgelist_path" not in raw:
         synth = {key: value(key, conv) for key, conv in _SYNTH_KEYS.items() if key in raw}
         kwargs["synth"] = SynthParams(**synth)

@@ -237,13 +237,18 @@ def verify_confinement(
     )
 
 
-def degree_cutoff(alpha: float, rho: float, L: float = 1.0, R: float = math.sqrt(20.0)) -> float:
+# The gradient Lipschitz bound and the iterate-radius bound of ``degree_cutoff``.
+_LIPSCHITZ = 1.0
+_RADIUS = math.sqrt(20.0)
+
+
+def degree_cutoff(alpha: float, rho: float) -> float:
     """Degree above which an inactive node stays inactive under the doubled
-    penalty: (L*R / (alpha*rho))^2, with L a gradient Lipschitz bound and R
-    an iterate-radius bound."""
+    penalty: (L*R / (alpha*rho))^2, with L = ``_LIPSCHITZ`` a gradient
+    Lipschitz bound and R = ``_RADIUS`` an iterate-radius bound."""
     if alpha <= 0.0 or rho <= 0.0:
         raise ValueError("alpha and rho must be positive")
-    return (L * R / (alpha * rho)) ** 2
+    return (_LIPSCHITZ * _RADIUS / (alpha * rho)) ** 2
 
 
 def conservative_degree_cutoff(alpha: float, rho: float) -> float:

@@ -1,23 +1,25 @@
 """ISTA/FISTA proximal-gradient loops with a degree-weighted work ledger.
 
 Both methods run the exact same loop at the unit step 1/L = 1; ISTA is the
-momentum-zero branch. Per iteration k the ledger charges
+momentum-zero branch, which takes y_k = x_k without extrapolating. Per
+iteration k the ledger charges
 
     work_k = vol(supp(y_k)) + vol(supp(x_{k+1}))
 
 which also covers the per-iteration stopping diagnostic (the fixed-point
 residual is evaluated at x_{k+1}, whose support volume is already counted).
-Iterations start from x_{-1} = x_0 = 0 and stop as soon as the residual drops
-to eps, checked every iteration, or at the global iteration cap.
+Iterations start from x_{-1} = x_0 = 0. The residual at x_k is tested
+against eps once, at the top of iteration k, so a zero start that already
+meets it charges nothing; the global iteration cap ends the loop otherwise.
 
 The ledger is the modeled cost; the kernel calls are the actual one. FISTA
 makes two per iteration (the step from y_k, then the residual step from
-x_{k+1}). Without momentum y_k == x_k, so the step T(x_k) that the previous
-residual check computed is exactly x_{k+1}, and ISTA makes one. Every step
-is :func:`l1ppr.objective.prox_grad_step`, which also returns the residual
-at its input point; the stopping residual is the one from the step at
-x_{k+1}, so ``trace.final_residual`` equals ``kkt_residual`` of the returned
-iterate exactly.
+x_{k+1}). Without momentum the step T(x_k) that the previous residual check
+computed is exactly x_{k+1}, and ISTA makes one. Every step is
+:func:`l1ppr.objective.prox_grad_step`, which also returns the residual at
+its input point; the stopping residual is the one from the step at x_{k+1},
+so ``trace.final_residual`` equals ``kkt_residual`` of the returned iterate
+exactly.
 
 Iterates stay in their (sorted nodes, values) array form throughout, so a
 solve's wall clock follows the volume of its iterates, not n. The only
@@ -31,7 +33,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .objective import (
 
 __all__ = [
     "SolverConfig",
-    "IterationRecord",
     "SolveTrace",
     "Solution",
     "NumericalDivergenceError",
@@ -91,52 +91,36 @@ class SolverConfig:
             raise ValueError(f"trace_level must be one of {_TRACE_LEVELS}")
 
 
-@dataclass(slots=True)
-class IterationRecord:
-    k: int
-    vol_supp_y: int
-    vol_supp_x_next: int
-    work: int
-    residual: float
-    spurious_vol: int | None = None
-    y_nodes: np.ndarray | None = None
-    y_vals: np.ndarray | None = None
-    x_nodes: np.ndarray | None = None
-    x_vals: np.ndarray | None = None
-
-
 @dataclass
 class SolveTrace:
     """Per-iteration ledger of one solve.
 
-    The per-iteration numbers are kept in compact array columns, one entry
-    per iteration (``spurious_vol`` only when the solve had a baseline), and
-    ``snapshots`` holds ``(y_nodes, y_vals, x_nodes, x_vals)`` per iteration
-    at the full level. ``records`` assembles them into
-    :class:`IterationRecord` objects on each access.
+    Each column holds one entry per iteration; ``spurious_vol`` is ``None``
+    when the solve had no baseline. At the full level ``snapshots`` holds
+    ``(y_nodes, y_vals, x_nodes, x_vals)`` per iteration. The counters are
+    read off the columns.
     """
 
-    iterations: int = 0
-    total_work: int = 0
     final_residual: float = float("inf")
     converged: bool = False
     level: str = "summary"
-    spurious_total: int | None = None
     vol_supp_y: array = field(default_factory=partial(array, "q"))
     vol_supp_x_next: array = field(default_factory=partial(array, "q"))
     residual: array = field(default_factory=partial(array, "d"))
-    spurious_vol: array = field(default_factory=partial(array, "q"))
+    spurious_vol: array | None = None
     snapshots: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @property
-    def records(self) -> list[IterationRecord]:
-        spur = self.spurious_vol if self.spurious_total is not None else repeat(None)
-        snaps = self.snapshots if self.level == "full" else repeat((None,) * 4)
-        return [
-            IterationRecord(k, vy, vx, vy + vx, r, s, *snap)
-            for k, (vy, vx, r, s, snap) in enumerate(
-                zip(self.vol_supp_y, self.vol_supp_x_next, self.residual, spur, snaps))
-        ]
+    def iterations(self) -> int:
+        return len(self.residual)
+
+    @property
+    def total_work(self) -> int:
+        return sum(self.vol_supp_y) + sum(self.vol_supp_x_next)
+
+    @property
+    def spurious_total(self) -> int | None:
+        return None if self.spurious_vol is None else sum(self.spurious_vol)
 
 
 @dataclass
@@ -164,63 +148,47 @@ def solve(
     full = cfg.trace_level == "full"
     degrees = g.degrees
 
-    trace = SolveTrace(level=cfg.trace_level)
-    if spurious_baseline is not None:
-        trace.spurious_total = 0
+    trace = SolveTrace(level=cfg.trace_level,
+                       spurious_vol=None if spurious_baseline is None else array("q"))
 
-    empty_act, empty_vals = np.empty(0, dtype=np.int64), np.empty(0)
+    x_act, x_vals = prev_act, prev_vals = np.empty(0, dtype=np.int64), np.empty(0)
     with _position_scratch(g) as pos:
-        # Residual of the zero start: if it already meets eps the solution
-        # is 0 and no iteration is charged.
-        t_act, t_vals, r = prox_grad_step(g, p, empty_vals, empty_act, pos)
-        if r <= cfg.eps:
-            trace.converged = True
-            trace.final_residual = r
-            return Solution(SparseVector(), trace, NodeSet())
-
-        x_act, x_vals = prev_act, prev_vals = empty_act, empty_vals
+        t_act, t_vals, r = prox_grad_step(g, p, x_vals, x_act, pos)
         for k in range(cfg.max_iter):
-            union = np.union1d(x_act, prev_act)
-            xu = _place(union, x_act, x_vals)
-            merged = xu + beta * (xu - _place(union, prev_act, prev_vals))
-            if not np.isfinite(merged).all():
-                raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-            nz = merged != 0.0
-            y_vals = merged[nz]
-            y_act = union[nz]
-            vol_y = int(degrees[y_act].sum())
-
+            if r <= cfg.eps:
+                break
             if reuse:
                 # Without momentum y_k == x_k, so x_{k+1} = T(x_k) is the
                 # step the last residual check computed.
+                y_act, y_vals = x_act, x_vals
                 xn_act, xn_vals = t_act, t_vals
             else:
+                union = np.union1d(x_act, prev_act)
+                xu = _place(union, x_act, x_vals)
+                merged = xu + beta * (xu - _place(union, prev_act, prev_vals))
+                if not np.isfinite(merged).all():
+                    raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
+                nz = merged != 0.0
+                y_act, y_vals = union[nz], merged[nz]
                 xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act, pos)
             if not np.isfinite(xn_vals).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-            vol_xn = int(degrees[xn_act].sum())
 
             t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act, pos)
 
-            if spurious_baseline is not None:
-                spur = int(degrees[xn_act[~spurious_baseline.contains(xn_act)]].sum())
-                trace.spurious_vol.append(spur)
-                trace.spurious_total += spur
-
-            trace.vol_supp_y.append(vol_y)
-            trace.vol_supp_x_next.append(vol_xn)
+            trace.vol_supp_y.append(int(degrees[y_act].sum()))
+            trace.vol_supp_x_next.append(int(degrees[xn_act].sum()))
             trace.residual.append(r)
+            if spurious_baseline is not None:
+                outside = xn_act[~spurious_baseline.contains(xn_act)]
+                trace.spurious_vol.append(int(degrees[outside].sum()))
             if full:
                 trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
-            trace.total_work += vol_y + vol_xn
-            trace.iterations += 1
 
             prev_act, prev_vals = x_act, x_vals
             x_act, x_vals = xn_act, xn_vals
-            if r <= cfg.eps:
-                trace.converged = True
-                break
 
+    trace.converged = r <= cfg.eps
     trace.final_residual = r
     return Solution(SparseVector.from_arrays(x_act, x_vals), trace, NodeSet(x_act))
 
@@ -233,14 +201,18 @@ def _place(union: np.ndarray, act: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rounding allowance of ``EnvelopePoint.violates``.
+_ENVELOPE_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class EnvelopePoint:
     k: int
     gap: float
     bound: float
 
-    def violates(self, slack: float = 1e-9) -> bool:
-        return self.gap > self.bound + slack
+    def violates(self) -> bool:
+        return self.gap > self.bound + _ENVELOPE_SLACK
 
 
 def rate_envelope(

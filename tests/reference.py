@@ -106,15 +106,15 @@ def jump_audit(g: Graph, p: ProblemParams, trace: SolveTrace, x_star: SparseVect
     u_star = forward_map(g, p, x_star)
     sd = g.sqrt_degrees
     violations: list[JumpViolation] = []
-    for rec in trace.records:
-        spurious = [i for i in rec.x_nodes.tolist() if i not in report.active]
+    for k, (y_nodes, y_vals, x_nodes, _) in enumerate(trace.snapshots):
+        spurious = [i for i in x_nodes.tolist() if i not in report.active]
         if not spurious:
             continue
-        y = SparseVector(dict(zip(rec.y_nodes.tolist(), rec.y_vals.tolist())))
+        y = SparseVector(dict(zip(y_nodes.tolist(), y_vals.tolist())))
         u_y = forward_map(g, p, y)
         for i in spurious:
             lhs = abs(u_y.get(i) - u_star.get(i))
             rhs = report.slack_at(i) * float(sd[i])
             if not lhs > rhs:
-                violations.append(JumpViolation(rec.k, i, lhs, rhs))
+                violations.append(JumpViolation(k, i, lhs, rhs))
     return violations

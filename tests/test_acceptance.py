@@ -212,8 +212,8 @@ def test_c08_jump_audit_on_confinement_traces():
         assert jump_audit(g, p, trace, x_star) == []
         star_supp = set(x_star.support().tolist())
         audited += sum(
-            sum(1 for i in rec.x_nodes.tolist() if i not in star_supp)
-            for rec in trace.records
+            sum(1 for i in x_nodes.tolist() if i not in star_supp)
+            for _, _, x_nodes, _ in trace.snapshots
         )
     # the audit must actually have had activations to examine
     assert audited > 0
@@ -231,11 +231,12 @@ def test_c09_work_model_replay():
             cfg = SolverConfig(method=method, eps=1e-9, trace_level="full")
             trace = solve(g, p, cfg).trace
             total = 0
-            for rec in trace.records:
-                vol_y = volume(g, NodeSet(rec.y_nodes))
-                vol_x = volume(g, NodeSet(rec.x_nodes))
-                assert rec.work == vol_y + vol_x
-                total += rec.work
+            for (y_nodes, _, x_nodes, _), vy, vx in zip(
+                    trace.snapshots, trace.vol_supp_y, trace.vol_supp_x_next, strict=True):
+                vol_y = volume(g, NodeSet(y_nodes))
+                vol_x = volume(g, NodeSet(x_nodes))
+                assert vy + vx == vol_y + vol_x
+                total += vy + vx
             assert total == trace.total_work
 
 
@@ -299,12 +300,12 @@ def test_c12_ista_iterates_monotone(random_suite):
         trace = solve(g, p, cfg).trace
         prev = np.zeros(g.n)
         prev_supp: set[int] = set()
-        for rec in trace.records:
+        for _, _, x_nodes, x_vals in trace.snapshots:
             cur = np.zeros(g.n)
-            cur[rec.x_nodes] = rec.x_vals
+            cur[x_nodes] = x_vals
             assert np.all(cur >= 0.0)
             assert np.all(cur - prev >= 0.0)
-            supp = set(rec.x_nodes.tolist())
+            supp = set(x_nodes.tolist())
             assert prev_supp <= supp
             prev, prev_supp = cur, supp
 
@@ -327,9 +328,9 @@ def test_c13_high_degree_node_never_activates():
     p_b = ProblemParams(alpha, rho, seed=0, reg_factor=2)
     cfg = SolverConfig(method="fista", eps=1e-12, trace_level="full")
     trace = solve(g, p_b, cfg).trace
-    for rec in trace.records:
-        assert hub not in rec.x_nodes
-        assert hub not in rec.y_nodes
+    for y_nodes, _, x_nodes, _ in trace.snapshots:
+        assert hub not in x_nodes
+        assert hub not in y_nodes
 
 
 SWEEP_SPEC_TEXT = """\

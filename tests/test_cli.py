@@ -314,6 +314,12 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
          "error: spec line 4: keys read only with edgelist_path: ['max_nodes']\n"),
         ("axis = rho\nseed_count = 3\ngrid = 1e-3\nseeds = 0,1\ncore_size = 5\n",
          "error: spec line 2: keys not read with seeds: ['seed_count']\n"),
+        ("axis = rho\ngrid = 1e-3\nseeds = 0,2\nbase_rng_seed = 5\ncore_size = 5\n",
+         "error: spec line 4: keys read only with seed_count or per_point_fresh_graph = true: "
+         "['base_rng_seed']\n"),
+        ("axis = rho\ngrid = 1e-3\nbase_rng_seed = 5\nper_point_fresh_graph = no\ncore_size = 5\n",
+         "error: spec line 3: keys read only with seed_count or per_point_fresh_graph = true: "
+         "['base_rng_seed']\n"),
     ]
     for text, msg in cases:
         spec_path = tmp_path / "bad.cfg"

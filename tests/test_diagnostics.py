@@ -209,10 +209,10 @@ def test_verify_confinement_counts():
     # the full support volume each iteration
     rep2 = verify_confinement(inst.graph, p, cfg, NodeSet([]), sol.trace)
     assert not rep2.confined
-    assert set(rep2.violations) == {r.k for r in sol.trace.records}
+    assert set(rep2.violations) == set(range(sol.trace.iterations))
     assert all(v.ids.tolist() == [0] for v in rep2.violations.values())
     assert rep2.max_spurious_vol == 4
-    assert rep2.cum_spurious_vol == 4 * len(sol.trace.records)
+    assert rep2.cum_spurious_vol == 4 * sol.trace.iterations
 
 
 def test_verify_confinement_trivial_trace():
@@ -253,7 +253,7 @@ def test_jump_audit_holds_for_breakpoint_dust():
     p = ProblemParams(0.5, rho0, 0, 1)
     cfg = SolverConfig(method="fista", eps=1e-10, trace_level="full")
     sol = solve(inst.graph, p, cfg)
-    spurious_seen = any(rec.x_nodes.size > 1 for rec in sol.trace.records)
+    spurious_seen = any(x_nodes.size > 1 for _, _, x_nodes, _ in sol.trace.snapshots)
     assert spurious_seen
     assert jump_audit(inst.graph, p, sol.trace, inst.solution_formula(0.5, rho0)) == []
 

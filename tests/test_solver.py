@@ -47,7 +47,16 @@ def test_ista_is_momentum_zero_branch():
     b = solve(g, p, cfg_f0)
     assert a.x == b.x
     assert a.trace.total_work == b.trace.total_work
-    assert [r.residual for r in a.trace.records] == [r.residual for r in b.trace.records]
+    assert a.trace.residual == b.trace.residual
+    # without momentum y_k is x_k itself, from y_0 = x_0 = 0 (at alpha = 1
+    # the first step is exact, so ISTA also runs at alpha = 0.3)
+    c = solve(g, ProblemParams(0.3, 0.02, 0, 1), cfg_i)
+    assert c.trace.iterations > 1
+    for sol in (a, b, c):
+        snaps = sol.trace.snapshots
+        assert snaps and snaps[0][0].size == 0 and snaps[0][1].size == 0
+        for (_, _, x_nodes, x_vals), (y_nodes, y_vals, _, _) in zip(snaps, snaps[1:]):
+            assert np.array_equal(y_nodes, x_nodes) and np.array_equal(y_vals, x_vals)
 
 
 def test_trivial_solution_costs_nothing():
@@ -55,11 +64,13 @@ def test_trivial_solution_costs_nothing():
     # rho >= 1/(reg_factor * d_seed)
     g = star(4)
     p = ProblemParams(0.5, 0.26, 0, 1)
-    sol = solve(g, p, SolverConfig(method="fista", eps=1e-10))
-    assert len(sol.x) == 0
-    assert sol.trace.iterations == 0
-    assert sol.trace.total_work == 0
-    assert sol.trace.converged
+    for method in ("ista", "fista"):
+        sol = solve(g, p, SolverConfig(method=method, eps=1e-10))
+        assert len(sol.x) == 0
+        assert sol.trace.iterations == 0
+        assert sol.trace.total_work == 0
+        assert sol.trace.converged
+        assert sol.trace.final_residual == kkt_residual(g, p, SparseVector())
     # just below the threshold the solve is nontrivial
     p2 = ProblemParams(0.5, 0.24, 0, 1)
     sol2 = solve(g, p2, SolverConfig(method="fista", eps=1e-10))
@@ -104,24 +115,24 @@ def test_work_ledger_replays_from_snapshots():
                                    c_bnd=4, deg_b=6, deg_ext=10))
     p = ProblemParams(0.3, 1e-3, 0, 1)
     sol = solve(g, p, SolverConfig(method="fista", eps=1e-10, trace_level="full"))
+    tr = sol.trace
     total = 0
-    for rec in sol.trace.records:
-        vol_y = volume(g, NodeSet(rec.y_nodes))
-        vol_x = volume(g, NodeSet(rec.x_nodes))
-        assert rec.work == vol_y + vol_x
-        assert rec.vol_supp_y == vol_y and rec.vol_supp_x_next == vol_x
-        total += rec.work
-    assert total == sol.trace.total_work
-    assert isinstance(sol.trace.total_work, int)
+    for (y_nodes, _, x_nodes, _), vy, vx in zip(tr.snapshots, tr.vol_supp_y, tr.vol_supp_x_next, strict=True):
+        vol_y = volume(g, NodeSet(y_nodes))
+        vol_x = volume(g, NodeSet(x_nodes))
+        assert vy == vol_y and vx == vol_x
+        total += vy + vx
+    assert total == tr.total_work
+    assert isinstance(tr.total_work, int)
 
 
 def test_summary_trace_has_no_snapshots():
     g = star(3)
     p = ProblemParams(0.5, 0.01, 0, 1)
     sol = solve(g, p, SolverConfig(method="fista", eps=1e-8))
-    assert sol.trace.records and sol.trace.records[0].x_nodes is None
+    assert sol.trace.iterations and not sol.trace.snapshots
     full = solve(g, p, SolverConfig(method="fista", eps=1e-8, trace_level="full"))
-    assert full.trace.records[0].x_nodes is not None
+    assert full.trace.iterations and len(full.trace.snapshots) == full.trace.iterations
 
 
 def _faulty_step(fault):
@@ -129,9 +140,10 @@ def _faulty_step(fault):
 
     With ``"inf"`` they are infinite, which the check on x_{k+1} catches.
     With ``"overflow"`` they are +-1.5e308 on alternate calls: every iterate
-    is finite, but its extrapolation x + beta (x - x_prev) is not (at alpha
-    0.2 FISTA's momentum takes 1.5e308 past the largest double; ISTA's
-    x - x_prev overflows and 0 * inf is nan), which the check on y_k catches.
+    is finite, but FISTA's extrapolation x + beta (x - x_prev) is not (at
+    alpha 0.2 its momentum takes 1.5e308 past the largest double), which the
+    check on y_k catches. ISTA takes y_k = x_k and extrapolates nothing, so
+    it runs on these finite iterates to the iteration cap.
     """
     calls = []
 
@@ -146,9 +158,14 @@ def _faulty_step(fault):
     return step
 
 
-# the iteration at which each fault trips the divergence check
-DIVERGES_AT = {("fista", "inf"): 1, ("fista", "overflow"): 2,
-               ("ista", "inf"): 2, ("ista", "overflow"): 4}
+# the iteration at which each fault trips the divergence check; ISTA's
+# finite overflow trips none
+DIVERGES_AT = {("fista", "inf"): 1, ("fista", "overflow"): 2, ("ista", "inf"): 2}
+FAULT_CAP = 10
+
+
+def _assert_runs_to_cap(sol):
+    assert not sol.trace.converged and sol.trace.iterations == FAULT_CAP
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -160,7 +177,9 @@ def test_divergence_raises(monkeypatch):
     for (method, fault), k in DIVERGES_AT.items():
         monkeypatch.setattr(solver, "prox_grad_step", _faulty_step(fault))
         with pytest.raises(NumericalDivergenceError, match=f"^numerical divergence at iteration {k}$"):
-            solve(g, p, SolverConfig(method=method, eps=1e-10))
+            solve(g, p, SolverConfig(method=method, eps=1e-10, max_iter=FAULT_CAP))
+    monkeypatch.setattr(solver, "prox_grad_step", _faulty_step("overflow"))
+    _assert_runs_to_cap(solve(g, p, SolverConfig(method="ista", eps=1e-10, max_iter=FAULT_CAP)))
 
 
 def test_iteration_cap_reported_not_converged():
@@ -187,12 +206,13 @@ def test_spurious_accumulation_matches_full_trace():
     mask = np.zeros(g.n, dtype=bool)
     mask[part.core.ids] = True
     want = 0
-    for rec in sol.trace.records:
-        outside = rec.x_nodes[~mask[rec.x_nodes]]
+    for (_, _, x_nodes, _), spur in zip(sol.trace.snapshots, sol.trace.spurious_vol, strict=True):
+        outside = x_nodes[~mask[x_nodes]]
         vol = int(g.degrees[outside].sum())
-        assert rec.spurious_vol == vol
+        assert spur == vol
         want += vol
     assert sol.trace.spurious_total == want
+    assert solve(g, p, cfg).trace.spurious_vol is None
 
 
 def test_rate_envelope_requires_full_trace():
@@ -222,12 +242,12 @@ def test_ista_iterates_monotone_from_zero():
     sol = solve(g, p, SolverConfig(method="ista", eps=1e-11, trace_level="full"))
     prev = np.zeros(g.n)
     prev_supp: set[int] = set()
-    for rec in sol.trace.records:
+    for _, _, x_nodes, x_vals in sol.trace.snapshots:
         cur = np.zeros(g.n)
-        cur[rec.x_nodes] = rec.x_vals
+        cur[x_nodes] = x_vals
         assert np.all(cur >= 0.0)
         assert np.all(cur - prev >= 0.0)
-        supp = set(rec.x_nodes.tolist())
+        supp = set(x_nodes.tolist())
         assert prev_supp <= supp
         prev, prev_supp = cur, supp
 
@@ -287,8 +307,12 @@ def test_workspace_clean_after_divergence(method, monkeypatch):
     p = ProblemParams(0.2, 1e-4, 3)
     for fault in ("inf", "overflow"):
         monkeypatch.setattr(solver, "prox_grad_step", _faulty_step(fault))
-        with pytest.raises(NumericalDivergenceError, match=f"iteration {DIVERGES_AT[method, fault]}$"):
-            solve(g, p, SolverConfig(method=method, eps=1e-10))
+        cfg = SolverConfig(method=method, eps=1e-10, max_iter=FAULT_CAP)
+        if (method, fault) in DIVERGES_AT:
+            with pytest.raises(NumericalDivergenceError, match=f"iteration {DIVERGES_AT[method, fault]}$"):
+                solve(g, p, cfg)
+        else:
+            _assert_runs_to_cap(solve(g, p, cfg))
     monkeypatch.undo()
     cfg = SolverConfig(method=method, eps=1e-8, trace_level="full")
     _same_solution(solve(g, p, cfg), solve(clique_ring(1000), p, cfg))
