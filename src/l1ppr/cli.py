@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import check_no_percolation, slacks
 from .graph import _MAX_ID, NodeSet, _find, volume
-from .objective import ProblemParams
+from .objective import ProblemParams, SettingError
 from .solver import SolverConfig, solve
 from .sweep import SweepSpec, _fmt, load_edgelist, log_grid, run_sweep, write_rows_csv
 from .synth import SynthParams, generate, path_instance, star_instance
@@ -211,6 +211,13 @@ _SPEC_KEYS = {
 }
 
 
+def _spec_keys_of(name: str) -> list[str]:
+    """The spec keys that set the SweepSpec, ProblemParams or SynthParams field ``name``."""
+    if name == "seed":  # every seeds entry is a ProblemParams seed
+        return ["seeds"]
+    return [key for key, (field, _) in _SPEC_KEYS.items() if field == name] or [name]
+
+
 def _parse_config(path: str) -> dict[str, tuple[int, str]]:
     """``key -> (line number, value)`` from a key = value spec file."""
     out: dict[str, tuple[int, str]] = {}
@@ -261,10 +268,17 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
     elif not kwargs.get("per_point_fresh_graph"):
         reject(set(raw) & {"base_rng_seed"},
                "keys read only with seed_count or per_point_fresh_graph = true")
-    if "edgelist_path" not in raw:
-        synth = {key: value(key, conv) for key, conv in _SYNTH_KEYS.items() if key in raw}
-        kwargs["synth"] = SynthParams(**synth)
-    return SweepSpec(**kwargs)
+    try:
+        if "edgelist_path" not in raw:
+            synth = {key: value(key, conv) for key, conv in _SYNTH_KEYS.items() if key in raw}
+            kwargs["synth"] = SynthParams(**synth)
+        return SweepSpec(**kwargs)
+    except SettingError as exc:
+        # the line of the first key at fault that the spec sets
+        at = [raw[key][0] for name in exc.fields for key in _spec_keys_of(name) if key in raw]
+        if not at:
+            raise
+        raise ValueError(f"spec line {at[0]}: {exc}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -41,7 +41,6 @@ __all__ = [
     "check_no_percolation",
     "verify_confinement",
     "degree_cutoff",
-    "conservative_degree_cutoff",
     "jump_audit",
 ]
 
@@ -249,14 +248,6 @@ def degree_cutoff(alpha: float, rho: float) -> float:
     if alpha <= 0.0 or rho <= 0.0:
         raise ValueError("alpha and rho must be positive")
     return (_LIPSCHITZ * _RADIUS / (alpha * rho)) ** 2
-
-
-def conservative_degree_cutoff(alpha: float, rho: float) -> float:
-    """Printed constant form 1600 / (alpha*rho)^2, i.e. L <= 1 and R <= 20
-    folded into a single pessimistic constant."""
-    if alpha <= 0.0 or rho <= 0.0:
-        raise ValueError("alpha and rho must be positive")
-    return 1600.0 / (alpha * alpha * rho * rho)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .graph import Graph, _find, _rows
 
 __all__ = [
     "SparseVector",
+    "SettingError",
     "ProblemParams",
     "gradient",
     "prox",
@@ -147,6 +148,15 @@ class SparseVector:
         return float(np.max(np.abs(self.values_at(nodes) - other.values_at(nodes)), initial=0.0))
 
 
+class SettingError(ValueError):
+    """A setting no run can use. ``fields`` names the settings at fault, the
+    likeliest first, so a caller can point at where they were set."""
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Problem instance parameters: teleportation, regularization, seed."""
@@ -158,13 +168,13 @@ class ProblemParams:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise SettingError(f"alpha must lie in (0, 1], got {self.alpha}", "alpha")
         if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+            raise SettingError(f"rho must be positive, got {self.rho}", "rho")
         if self.seed < 0:
-            raise ValueError(f"seed node must be non-negative, got {self.seed}")
+            raise SettingError(f"seed node must be non-negative, got {self.seed}", "seed")
         if self.reg_factor not in (1, 2):
-            raise ValueError(f"reg_factor must be 1 or 2, got {self.reg_factor}")
+            raise SettingError(f"reg_factor must be 1 or 2, got {self.reg_factor}", "reg_factor")
 
     @property
     def hp(self) -> float:

@@ -39,6 +39,7 @@ import numpy as np
 from .graph import Graph, NodeSet
 from .objective import (
     ProblemParams,
+    SettingError,
     SparseVector,
     _check_seed,
     _position_scratch,
@@ -82,13 +83,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+            raise SettingError(f"method must be one of {_METHODS}, got {self.method!r}", "method")
         if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+            raise SettingError(f"eps must be positive, got {self.eps}", "eps")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+            raise SettingError(f"max_iter must be at least 1, got {self.max_iter}", "max_iter")
         if self.trace_level not in _TRACE_LEVELS:
-            raise ValueError(f"trace_level must be one of {_TRACE_LEVELS}")
+            raise SettingError(f"trace_level must be one of {_TRACE_LEVELS}", "trace_level")
 
 
 @dataclass

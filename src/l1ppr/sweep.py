@@ -19,14 +19,14 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
 from .graph import _MAX_ID, Graph, NodeSet, parse_snap_edgelist, volume
-from .objective import ProblemParams
+from .objective import ProblemParams, SettingError
 from .solver import NumericalDivergenceError, SolverConfig, solve
-from .synth import RegionPartition, SynthParams, generate, generate_alpha_sweep_instance
+from .synth import RegionPartition, SynthParams, generate
 
 __all__ = [
     "SWEEP_AXES",
@@ -35,18 +35,14 @@ __all__ = [
     "SweepRow",
     "SweepError",
     "SweepResult",
-    "AggregateRow",
     "TradeoffRow",
-    "AutotuneResult",
     "log_grid",
     "derive_rng_seed",
     "load_edgelist",
     "sample_seeds",
     "run_sweep",
-    "aggregate",
     "tradeoff_ratios",
     "write_rows_csv",
-    "autotune",
 ]
 
 SWEEP_AXES = ("rho", "alpha", "epsilon", "boundary_size")
@@ -107,15 +103,19 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.sweep_axis not in SWEEP_AXES:
-            raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
+            raise SettingError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}",
+                               "sweep_axis")
         if not self.grid:
-            raise ValueError("grid must be nonempty")
+            raise SettingError("grid must be nonempty", "grid")
         if (self.synth is None) == (self.edgelist_path is None):
-            raise ValueError("exactly one of synth params or edgelist_path required")
+            raise SettingError("exactly one of synth params or edgelist_path required",
+                               "edgelist_path", "synth")
         if self.sweep_axis == "boundary_size" and self.synth is None:
-            raise ValueError("boundary_size sweeps require a synthetic graph source")
+            raise SettingError("boundary_size sweeps require a synthetic graph source",
+                               "sweep_axis", "edgelist_path")
         if self.per_point_fresh_graph and self.synth is None:
-            raise ValueError("fresh per-point graphs require a synthetic graph source")
+            raise SettingError("fresh per-point graphs require a synthetic graph source",
+                               "per_point_fresh_graph", "edgelist_path")
         # Every run's settings, checked by the classes the runs use: first the
         # fixed keys and seeds, with 1.0 (valid on every axis) standing in for
         # the swept value, then each grid value with its generator settings,
@@ -128,7 +128,7 @@ class SweepSpec:
                 if self.synth is not None:
                     self._point_synth(idx, v)
             except ValueError as exc:
-                raise ValueError(f"{self.sweep_axis} grid value {v}: {exc}") from None
+                raise SettingError(f"{self.sweep_axis} grid value {v}: {exc}", "grid") from None
 
     def _run_params(self, value: float, seed: int, method: str) -> tuple[ProblemParams, SolverConfig]:
         """The problem and solver settings of the run at grid value ``value``."""
@@ -233,49 +233,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(tuple(rows), tuple(errors))
 
 
-def _nearest_rank(sorted_vals: Sequence[float], pct: float) -> float:
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_vals)))
-    return sorted_vals[rank - 1]
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    axis: str
-    value: float
-    method: str
-    n: int
-    mean_work: float
-    p25_work: float
-    p75_work: float
-    mean_iters: float
-
-
-def aggregate(rows: Iterable[SweepRow]) -> list[AggregateRow]:
-    """Per (value, method) summary of total_work: mean plus nearest-rank
-    25th/75th percentiles, and the mean iteration count."""
-    groups: dict[tuple[float, str], list[SweepRow]] = {}
-    axis = None
-    for r in rows:
-        axis = r.axis
-        groups.setdefault((r.value, r.method), []).append(r)
-    out = []
-    for (value, method), rs in sorted(groups.items()):
-        works = sorted(float(r.total_work) for r in rs)
-        out.append(
-            AggregateRow(
-                axis=axis,
-                value=value,
-                method=method,
-                n=len(rs),
-                mean_work=sum(works) / len(works),
-                p25_work=_nearest_rank(works, 25.0),
-                p75_work=_nearest_rank(works, 75.0),
-                mean_iters=sum(r.iters for r in rs) / len(rs),
-            )
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class TradeoffRow:
     value: float
@@ -338,53 +295,3 @@ def write_rows_csv(rows: Iterable[SweepRow], out: IO[str]) -> None:
     out.write(CSV_HEADER + "\n")
     for r in sorted(rows, key=lambda r: (r.value, r.method, r.seed)):
         out.write(",".join(_csv_cell(getattr(r, f.name)) for f in fields(r)) + "\n")
-
-
-@dataclass(frozen=True)
-class AutotuneResult:
-    best: tuple[int, int, int]
-    score: float
-    scores: tuple[float, ...]
-
-
-def autotune(
-    base: SynthParams,
-    candidates: Sequence[tuple[int, int, int]],
-    alpha_min: float,
-    rho: float = 1e-4,
-    eps: float = 1e-6,
-    reg_factor: int = 1,
-    ext_cap: int = 2048,
-    max_iter: int = 50000,
-) -> AutotuneResult:
-    """Pick the (c_bnd, deg_b, m_ext_edges) candidate whose teleportation
-    sweep most often makes the accelerated method do more work than the
-    plain one.
-
-    Each candidate is scored on 12 log-spaced alpha values in
-    [alpha_min, 0.9]: the score is the fraction of points with
-    FISTA total_work > ISTA total_work. Ties break toward the earliest
-    candidate in the given order.
-    """
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    alphas = log_grid(alpha_min, 0.9, 12)
-    scores = []
-    best_idx = 0
-    for idx, (c_bnd, deg_b, m_ext) in enumerate(candidates):
-        params = replace(base, c_bnd=c_bnd, deg_b=deg_b)
-        g, _ = generate_alpha_sweep_instance(params, m_ext, alpha_min, rho, ext_cap)
-        wins = 0
-        for a in alphas:
-            p = ProblemParams(alpha=a, rho=rho, seed=0, reg_factor=reg_factor)
-            w = {}
-            for method in METHODS:
-                cfg = SolverConfig(method=method, eps=eps, max_iter=max_iter)
-                w[method] = solve(g, p, cfg).trace.total_work
-            if w["fista"] > w["ista"]:
-                wins += 1
-        score = wins / len(alphas)
-        scores.append(score)
-        if score > scores[best_idx]:
-            best_idx = idx
-    return AutotuneResult(tuple(candidates[best_idx]), scores[best_idx], tuple(scores))

@@ -1,14 +1,10 @@
 """Deterministic graph families used in experiments and tests.
 
-Three constructions live here:
+Two constructions live here:
 
 * the core/boundary/exterior block family (clique or sparsified core, modular
   core-to-boundary fan-out, circulant boundary and exterior, one boundary
   attachment per exterior node);
-* its variant for teleportation sweeps, where the exterior is a clique and
-  only the first m exterior nodes touch the boundary, with the exterior size
-  chosen as the smallest value passing the no-percolation check at the
-  smallest swept teleportation value;
 * two closed-form instances (star and path) whose minimizer, slack values and
   regularization breakpoint are known analytically and serve as ground truth.
 
@@ -24,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _MAX_ID, Graph, NodeSet, build_from_edges
-from .objective import ProblemParams, SparseVector
+from .objective import SettingError, SparseVector
 
 __all__ = [
     "SynthParams",
     "RegionPartition",
     "AnalyticInstance",
     "generate",
-    "generate_alpha_sweep_instance",
     "star_instance",
     "path_instance",
 ]
@@ -52,27 +47,35 @@ class SynthParams:
 
     def __post_init__(self) -> None:
         if self.core_size < 1:
-            raise ValueError("core_size must be at least 1")
-        if min(self.boundary_size, self.exterior_size, self.c_bnd, self.deg_b, self.deg_ext) < 0:
-            raise ValueError("sizes and degrees must be non-negative")
+            raise SettingError("core_size must be at least 1", "core_size")
+        for name in ("boundary_size", "exterior_size", "c_bnd", "deg_b", "deg_ext"):
+            if getattr(self, name) < 0:
+                raise SettingError("sizes and degrees must be non-negative", name)
         if self.total_nodes > _MAX_ID:
-            raise ValueError(f"total_nodes={self.total_nodes} exceeds the int64 node-id bound {_MAX_ID}")
-        if self.boundary_size == 0 and self.c_bnd > 0:
-            raise ValueError("c_bnd > 0 requires a non-empty boundary")
-        if self.boundary_size > 0 and self.c_bnd > self.boundary_size:
-            raise ValueError(
-                f"c_bnd={self.c_bnd} exceeds boundary_size={self.boundary_size}"
+            # the largest block is the likeliest culprit
+            blocks = sorted(("core_size", "boundary_size", "exterior_size"),
+                            key=lambda name: -getattr(self, name))
+            raise SettingError(
+                f"total_nodes={self.total_nodes} exceeds the int64 node-id bound {_MAX_ID}", *blocks
             )
+        if self.boundary_size == 0 and self.c_bnd > 0:
+            raise SettingError("c_bnd > 0 requires a non-empty boundary", "c_bnd", "boundary_size")
+        if self.boundary_size > 0 and self.c_bnd > self.boundary_size:
+            raise SettingError(f"c_bnd={self.c_bnd} exceeds boundary_size={self.boundary_size}",
+                               "c_bnd", "boundary_size")
         if self.exterior_size > 0 and self.boundary_size == 0:
-            raise ValueError("exterior nodes need a boundary to attach to")
+            raise SettingError("exterior nodes need a boundary to attach to",
+                               "exterior_size", "boundary_size")
         if self.exterior_size > 0 and self.deg_ext >= self.exterior_size:
-            raise ValueError(
-                f"deg_ext={self.deg_ext} must be smaller than exterior_size={self.exterior_size}"
+            raise SettingError(
+                f"deg_ext={self.deg_ext} must be smaller than exterior_size={self.exterior_size}",
+                "deg_ext", "exterior_size",
             )
         if not (0.0 < self.core_density <= 1.0):
-            raise ValueError("core_density must lie in (0, 1]")
+            raise SettingError("core_density must lie in (0, 1]", "core_density")
         if self.core_density * self._core_pairs() < self.core_size - 1:
-            raise ValueError("core_density too low for the core to stay connected")
+            raise SettingError("core_density too low for the core to stay connected",
+                               "core_density", "core_size")
 
     def _core_pairs(self) -> int:
         return self.core_size * (self.core_size - 1) // 2
@@ -150,25 +153,20 @@ def _core_edges(params: SynthParams) -> np.ndarray:
     return np.array(tree, dtype=np.int64).reshape(-1, 2)
 
 
-def _block_graph(
-    params: SynthParams, ext_size: int, ext_edges: np.ndarray, n_attach: int
-) -> tuple[Graph, RegionPartition]:
-    """Core, fan-out and boundary circulant from ``params``, plus the given
-    exterior edges (an int64 (k, 2) array of global ids) and one boundary
-    attachment for each of the first ``n_attach`` exterior nodes."""
-    s, b, c = params.core_size, params.boundary_size, params.c_bnd
+def generate(params: SynthParams) -> tuple[Graph, RegionPartition]:
+    """Build the block instance; bit-identical for identical params."""
+    s, b, e, c = params.core_size, params.boundary_size, params.exterior_size, params.c_bnd
     b0, e0 = s, s + b
-    total = e0 + ext_size
-    if n_attach and not b:
-        raise ValueError("exterior nodes need a boundary to attach to")
-    # with b == 0 both ranges are empty (c is then 0), so % b never divides
+    total = e0 + e
+    # with b == 0 the fan-out and the attachments are empty (SynthParams then
+    # requires c == 0 and e == 0), so % b never divides
     fan = np.arange(s * c, dtype=np.int64)  # core node u's j-th edge is u*c + j
-    attach = np.arange(n_attach, dtype=np.int64)
+    attach = np.arange(e, dtype=np.int64)
     edges = np.concatenate((
         _core_edges(params),
         np.stack((np.repeat(np.arange(s, dtype=np.int64), c), b0 + fan % b), axis=1),
         _circulant_edges(b0, b, params.deg_b),
-        ext_edges,
+        _circulant_edges(e0, e, params.deg_ext),
         np.stack((e0 + attach, b0 + attach % b), axis=1),
     ))
     g, remap = build_from_edges(edges)
@@ -183,74 +181,6 @@ def _block_graph(
         exterior=NodeSet(np.arange(e0, total)),
     )
     return g, part
-
-
-def generate(params: SynthParams) -> tuple[Graph, RegionPartition]:
-    """Build the block instance; bit-identical for identical params."""
-    e = params.exterior_size
-    e0 = params.core_size + params.boundary_size
-    return _block_graph(params, e, _circulant_edges(e0, e, params.deg_ext), e)
-
-
-def _alpha_sweep_candidate(
-    base: SynthParams, m_ext_edges: int, ext_size: int
-) -> tuple[Graph, RegionPartition]:
-    """Variant instance: exterior clique, only m exterior-boundary edges."""
-    e0 = base.core_size + base.boundary_size
-    clique = e0 + np.stack(np.triu_indices(ext_size, 1), axis=1).astype(np.int64)
-    return _block_graph(base, ext_size, clique, m_ext_edges)
-
-
-def generate_alpha_sweep_instance(
-    base: SynthParams,
-    m_ext_edges: int,
-    alpha_min: float,
-    rho: float = 1e-4,
-    ext_cap: int = 2048,
-) -> tuple[Graph, RegionPartition]:
-    """Clique-exterior variant sized so confinement is certified at alpha_min.
-
-    The exterior size is the smallest value for which the no-percolation
-    check passes at ``(alpha_min, rho)`` with the core as the candidate set;
-    the check's violation ratio is strictly decreasing in the exterior size,
-    so a binary search finds the threshold. The check only becomes easier for
-    larger teleportation values, so the certificate covers every
-    ``alpha >= alpha_min`` in a sweep.
-    """
-    from .diagnostics import check_no_percolation
-
-    if m_ext_edges < 0:
-        raise ValueError("m_ext_edges must be non-negative")
-    lo = max(m_ext_edges, 2)
-    if lo > ext_cap:
-        raise ValueError(f"m_ext_edges={m_ext_edges} exceeds ext_cap={ext_cap}")
-    probe = ProblemParams(alpha_min, rho, seed=0, reg_factor=2)
-
-    def passes(ext_size: int) -> tuple[bool, Graph, RegionPartition]:
-        g, part = _alpha_sweep_candidate(base, m_ext_edges, ext_size)
-        report = check_no_percolation(g, probe, part.core)
-        return report.holds, g, part
-
-    ok, g, part = passes(lo)
-    if ok:
-        return g, part
-    ok, g_hi, part_hi = passes(ext_cap)
-    if not ok:
-        raise ValueError(
-            f"no exterior size up to {ext_cap} satisfies the no-percolation "
-            f"check at alpha={alpha_min}, rho={rho}"
-        )
-    lo_fail, hi_pass = lo, ext_cap
-    best = (g_hi, part_hi)
-    while hi_pass - lo_fail > 1:
-        mid = (lo_fail + hi_pass) // 2
-        ok, g_mid, part_mid = passes(mid)
-        if ok:
-            hi_pass = mid
-            best = (g_mid, part_mid)
-        else:
-            lo_fail = mid
-    return best
 
 
 @dataclass(frozen=True)

@@ -282,31 +282,48 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
         ("axis = rho\ngrid = 1e-3\nalpha = 0.3\nalpha = 0.4\n", "duplicate key"),
         ("axis = rho\n# grid below\ngrid = 1e-3,x\n",
          "spec line 3: bad grid value '1e-3,x': could not convert string to float: 'x'"),
-        # a bad fixed setting or seed gets the checker's own message; a bad
-        # grid value is named as such
+        # a bad fixed setting or seed gets the checker's own message after the
+        # line of its key; a bad grid value is named as such
         ("axis = rho\ngrid = 1e-3\nalpha = 2\ncore_size = 5\n",
-         "error: alpha must lie in (0, 1], got 2.0\n"),
+         "error: spec line 3: alpha must lie in (0, 1], got 2.0\n"),
         ("axis = rho\ngrid = 1e-3\nreg_factor = 5\ncore_size = 5\n",
-         "error: reg_factor must be 1 or 2, got 5\n"),
-        ("axis = rho\ngrid = 1e-3\neps = 0\ncore_size = 5\n", "error: eps must be positive, got 0.0\n"),
-        ("axis = rho\ngrid = 1e-3\nmax_iter = 0\ncore_size = 5\n", "error: max_iter must be at least 1"),
+         "error: spec line 3: reg_factor must be 1 or 2, got 5\n"),
+        ("axis = rho\ngrid = 1e-3\neps = 0\ncore_size = 5\n",
+         "error: spec line 3: eps must be positive, got 0.0\n"),
+        ("axis = rho\ngrid = 1e-3\nmax_iter = 0\ncore_size = 5\n",
+         "error: spec line 3: max_iter must be at least 1"),
         ("axis = rho\ngrid = 1e-3\nseeds = 0,-1\ncore_size = 5\n",
-         "error: seed node must be non-negative, got -1\n"),
+         "error: spec line 3: seed node must be non-negative, got -1\n"),
         ("axis = rho\ngrid = 1e-3,nan\ncore_size = 5\n",
-         "error: rho grid value nan: rho must be positive, got nan\n"),
+         "error: spec line 2: rho grid value nan: rho must be positive, got nan\n"),
         ("axis = epsilon\ngrid = nan,1e-6\ncore_size = 5\n",
-         "error: epsilon grid value nan: eps must be positive, got nan\n"),
+         "error: spec line 2: epsilon grid value nan: eps must be positive, got nan\n"),
         ("axis = rho\ngrid_log = 1e-4,-1,3\ncore_size = 5\n", "spec line 2: bad grid_log value"),
         # every grid point's generator settings are checked before any graph is built
         ("axis = boundary_size\ngrid = 30,inf\ncore_size = 5\n",
-         "error: boundary_size grid value inf: boundary_size must lie in [0, 9223372036854775807]\n"),
+         "error: spec line 2: boundary_size grid value inf: "
+         "boundary_size must lie in [0, 9223372036854775807]\n"),
         ("axis = boundary_size\ngrid = 1e30\ncore_size = 5\n",
-         "error: boundary_size grid value 1e+30: boundary_size must lie in [0, 9223372036854775807]\n"),
+         "error: spec line 2: boundary_size grid value 1e+30: "
+         "boundary_size must lie in [0, 9223372036854775807]\n"),
         ("axis = boundary_size\ngrid = 30,5\ncore_size = 5\n",
-         "error: boundary_size grid value 5.0: c_bnd=20 exceeds boundary_size=5\n"),
+         "error: spec line 2: boundary_size grid value 5.0: c_bnd=20 exceeds boundary_size=5\n"),
         ("axis = rho\ngrid = 1e-3\nboundary_size = 1000000000000000000000000000000\ncore_size = 5\n",
-         "error: total_nodes=1000000000000000000000000001005 exceeds the int64 node-id bound "
-         "9223372036854775807\n"),
+         "error: spec line 3: total_nodes=1000000000000000000000000001005 exceeds the int64 "
+         "node-id bound 9223372036854775807\n"),
+        # a bad generator key, and a conflict between two: the line of a key
+        # the message names that the spec sets
+        ("axis = rho\ngrid = 1e-3\ncore_size = 5\ndeg_b = -1\n",
+         "error: spec line 4: sizes and degrees must be non-negative\n"),
+        ("axis = rho\ngrid = 1e-3\ncore_size = 5\nboundary_size = 5\n",
+         "error: spec line 4: c_bnd=20 exceeds boundary_size=5\n"),
+        ("axis = rho\nc_bnd = 700\ngrid = 1e-3\ncore_size = 5\n",
+         "error: spec line 2: c_bnd=700 exceeds boundary_size=600\n"),
+        ("axis = rho\ngrid = 1e-3\nexterior_size = 9\ncore_size = 5\n",
+         "error: spec line 3: deg_ext=998 must be smaller than exterior_size=9\n"),
+        ("axis = rhoo\ngrid = 1e-3\ncore_size = 5\n", "error: spec line 1: sweep_axis must be one of"),
+        ("axis = boundary_size\ngrid = 30\nedgelist_path = g.txt\n",
+         "error: spec line 1: boundary_size sweeps require a synthetic graph source\n"),
         # keys the run would not read
         ("axis = rho\ngrid = 1e-3\nedgelist_path = /no/such/file\ncore_size = x\ndeg_b = 4\n",
          "error: spec line 4: generator keys not read with edgelist_path: ['core_size', 'deg_b']\n"),

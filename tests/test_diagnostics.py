@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from l1ppr.diagnostics import (
     check_no_percolation,
-    conservative_degree_cutoff,
     degree_cutoff,
     jump_audit,
     slacks,
@@ -227,13 +226,10 @@ def test_verify_confinement_trivial_trace():
 def test_degree_cutoff_values():
     assert degree_cutoff(1.0, 1.0) == pytest.approx(20.0)
     assert degree_cutoff(0.5, 0.1) == pytest.approx(20.0 / 0.05 ** 2)
-    assert conservative_degree_cutoff(0.2, 1e-4) == pytest.approx(4e12)
-    assert conservative_degree_cutoff(1.0, 1.0) == 1600.0
-    for fn in (degree_cutoff, conservative_degree_cutoff):
-        with pytest.raises(ValueError):
-            fn(0.0, 1.0)
-        with pytest.raises(ValueError):
-            fn(0.5, 0.0)
+    with pytest.raises(ValueError):
+        degree_cutoff(0.0, 1.0)
+    with pytest.raises(ValueError):
+        degree_cutoff(0.5, 0.0)
 
 
 def test_jump_audit_clean_on_ista():

@@ -1,5 +1,5 @@
-"""The Python examples in README.md run, and the Quick start prints what its
-comments say."""
+"""The Python examples in README.md run, the Quick start prints what its
+comments say, and the functions its Diagnostics list names exist."""
 
 import ast
 import contextlib
@@ -8,6 +8,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import l1ppr
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -34,3 +36,11 @@ def test_readme_python_blocks():
             assert work == "108"
             assert float(min_slack) == pytest.approx(0.025, abs=1e-9)
     assert quick_starts == 1
+
+
+def test_readme_diagnostics_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Diagnostics\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^- `(\w+)\(", section, re.M)
+    assert len(names) >= 7
+    assert [name for name in names if not hasattr(l1ppr, name)] == []

@@ -1,15 +1,11 @@
 import io
 import math
 
-import numpy as np
 import pytest
 
 from l1ppr.sweep import (
-    AggregateRow,
     SweepRow,
     SweepSpec,
-    aggregate,
-    autotune,
     derive_rng_seed,
     load_edgelist,
     log_grid,
@@ -180,17 +176,6 @@ def _row(value, method, seed, iters, work):
                     work_per_iter=work / iters if iters else 0.0)
 
 
-def test_aggregate_nearest_rank():
-    rows = [_row(1.0, "ista", s, 10 + s, w)
-            for s, w in enumerate([30, 10, 50, 20, 40])]
-    (agg,) = aggregate(rows)
-    assert agg == AggregateRow(axis="rho", value=1.0, method="ista", n=5,
-                               mean_work=30.0, p25_work=20.0, p75_work=40.0,
-                               mean_iters=12.0)
-    (single,) = aggregate([_row(2.0, "fista", 0, 7, 100)])
-    assert single.p25_work == single.p75_work == 100.0
-
-
 def test_tradeoff_identity_and_skips():
     rows = [
         _row(1.0, "ista", 0, 10, 100),
@@ -226,15 +211,3 @@ def test_csv_format_and_reruns_byte_identical(tmp_path):
     assert len(fields) == 11
     assert fields[0] == "rho" and fields[2] in ("fista", "ista")
     assert fields[6] in ("true", "false")
-
-
-def test_autotune_smoke_and_tie_break():
-    base = SynthParams(core_size=4, boundary_size=6, exterior_size=0,
-                       c_bnd=2, deg_b=2, deg_ext=0)
-    res = autotune(base, [(2, 2, 0), (2, 2, 0)], alpha_min=0.3,
-                   rho=1e-3, eps=1e-8, max_iter=5000)
-    assert res.best == (2, 2, 0)
-    assert res.scores[0] == res.scores[1] == res.score
-    assert 0.0 <= res.score <= 1.0
-    with pytest.raises(ValueError, match="nonempty"):
-        autotune(base, [], alpha_min=0.3)

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from l1ppr.diagnostics import check_no_percolation
 from l1ppr.objective import ProblemParams
 from l1ppr.synth import (
-    AnalyticInstance,
     SynthParams,
-    _alpha_sweep_candidate,
     _even_circulant_degree,
     generate,
-    generate_alpha_sweep_instance,
     path_instance,
     star_instance,
 )
@@ -173,41 +169,3 @@ def test_breakpoint_matches_dense_scan():
     assert rho0p == pytest.approx(1.0 / 7.0)
     grid = [rho0p - 2e-3, rho0p + 5e-4]
     assert breakpoint_scan(pa.graph, 0, 0.5, grid, [0]) == pytest.approx(rho0p + 5e-4)
-
-
-SWEEP_BASE = SynthParams(core_size=6, boundary_size=12, exterior_size=0,
-                         c_bnd=3, deg_b=4, deg_ext=0)
-
-
-def test_alpha_sweep_instance_is_minimal():
-    g, part = generate_alpha_sweep_instance(SWEEP_BASE, m_ext_edges=3,
-                                            alpha_min=0.5, rho=0.01, ext_cap=256)
-    ext = len(part.exterior)
-    assert 3 < ext < 256
-    probe = ProblemParams(0.5, 0.01, 0, 2)
-    assert check_no_percolation(g, probe, part.core).holds
-    g_small, part_small = _alpha_sweep_candidate(SWEEP_BASE, 3, ext - 1)
-    assert not check_no_percolation(g_small, probe, part_small.core).holds
-    # the certificate extends upward in teleportation
-    assert check_no_percolation(g, ProblemParams(0.9, 0.01, 0, 2), part.core).holds
-
-
-def test_alpha_sweep_no_edges_trivially_passes():
-    g, part = generate_alpha_sweep_instance(SWEEP_BASE, m_ext_edges=0,
-                                            alpha_min=0.2, rho=1e-4, ext_cap=64)
-    assert len(part.exterior) == 2
-    assert g.n == 6 + 12 + 2
-
-
-def test_alpha_sweep_cap_exhausted():
-    with pytest.raises(ValueError, match="no exterior size up to 64"):
-        generate_alpha_sweep_instance(SWEEP_BASE, m_ext_edges=2,
-                                      alpha_min=0.2, rho=1e-4, ext_cap=64)
-
-
-def test_alpha_sweep_rejects_negative_m():
-    with pytest.raises(ValueError, match="non-negative"):
-        generate_alpha_sweep_instance(SWEEP_BASE, m_ext_edges=-1, alpha_min=0.5)
-    with pytest.raises(ValueError, match="exceeds ext_cap"):
-        generate_alpha_sweep_instance(SWEEP_BASE, m_ext_edges=100, alpha_min=0.5,
-                                      ext_cap=64)
