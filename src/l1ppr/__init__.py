@@ -1,119 +1,20 @@
 """Sparsity-inducing personalized PageRank: local solvers, work accounting,
-confinement diagnostics, analytic instances, and a sweep harness."""
+confinement diagnostics, analytic instances, and a sweep harness.
 
-from .diagnostics import (
-    ConfinementReport,
-    JumpViolation,
-    NoPercolationReport,
-    SlackReport,
-    TwoTierSplit,
-    check_no_percolation,
-    degree_cutoff,
-    jump_audit,
-    slacks,
-    two_tier_split,
-    verify_confinement,
-)
-from .graph import (
-    Graph,
-    NodeSet,
-    build_from_edges,
-    exterior,
-    parse_snap_edgelist,
-    vertex_boundary,
-    volume,
-)
-from .kernels import active_backend
-from .objective import (
-    ProblemParams,
-    SparseVector,
-    forward_map,
-    gradient,
-    kkt_residual,
-    objective_value,
-    prox,
-)
-from .solver import (
-    EnvelopePoint,
-    NumericalDivergenceError,
-    Solution,
-    SolveTrace,
-    SolverConfig,
-    fista_momentum,
-    rate_envelope,
-    solve,
-)
-from .sweep import (
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    TradeoffRow,
-    log_grid,
-    run_sweep,
-    sample_seeds,
-    tradeoff_ratios,
-    write_rows_csv,
-)
-from .synth import (
-    AnalyticInstance,
-    RegionPartition,
-    SynthParams,
-    generate,
-    path_instance,
-    star_instance,
-)
+Every name in a module's ``__all__`` is importable from the package itself.
+``kernels`` is imported only so ``l1ppr.kernels`` resolves; it is not
+re-exported.
+"""
+
+from . import diagnostics, graph, kernels, objective, solver, sweep, synth  # noqa: F401
+from .diagnostics import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .objective import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .sweep import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "NodeSet",
-    "build_from_edges",
-    "parse_snap_edgelist",
-    "volume",
-    "vertex_boundary",
-    "exterior",
-    "SparseVector",
-    "ProblemParams",
-    "gradient",
-    "prox",
-    "forward_map",
-    "objective_value",
-    "kkt_residual",
-    "active_backend",
-    "SolverConfig",
-    "SolveTrace",
-    "Solution",
-    "NumericalDivergenceError",
-    "fista_momentum",
-    "solve",
-    "rate_envelope",
-    "EnvelopePoint",
-    "SynthParams",
-    "RegionPartition",
-    "AnalyticInstance",
-    "generate",
-    "star_instance",
-    "path_instance",
-    "SlackReport",
-    "TwoTierSplit",
-    "NoPercolationReport",
-    "ConfinementReport",
-    "JumpViolation",
-    "slacks",
-    "two_tier_split",
-    "check_no_percolation",
-    "verify_confinement",
-    "degree_cutoff",
-    "jump_audit",
-    "SweepSpec",
-    "SweepRow",
-    "SweepResult",
-    "TradeoffRow",
-    "log_grid",
-    "sample_seeds",
-    "run_sweep",
-    "tradeoff_ratios",
-    "write_rows_csv",
-    "__version__",
-]
+__all__ = [name for mod in (graph, objective, solver, synth, diagnostics, sweep)
+           for name in mod.__all__] + ["__version__"]

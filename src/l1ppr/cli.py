@@ -26,8 +26,8 @@ import numpy as np
 
 from .diagnostics import check_no_percolation, slacks
 from .graph import _MAX_ID, NodeSet, _find, volume
-from .objective import ProblemParams, SettingError
-from .solver import SolverConfig, solve
+from .objective import REG_FACTORS, ProblemParams, SettingError
+from .solver import METHODS, SolverConfig, solve
 from .sweep import SweepSpec, _fmt, load_edgelist, log_grid, run_sweep, write_rows_csv
 from .synth import SynthParams, generate, path_instance, star_instance
 
@@ -364,11 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("graph")
     slv.add_argument("--alpha", type=float, required=True)
     slv.add_argument("--rho", type=float, required=True)
-    slv.add_argument("--eps", type=float, default=1e-6)
-    slv.add_argument("--method", choices=("ista", "fista"), default="fista")
+    slv.add_argument("--eps", type=float, default=SolverConfig.eps)
+    slv.add_argument("--method", choices=METHODS, default=SolverConfig.method)
     slv.add_argument("--seed-node", type=int, required=True)
-    slv.add_argument("--reg-factor", type=int, choices=(1, 2), default=1)
-    slv.add_argument("--max-iter", type=int, default=50000)
+    slv.add_argument("--reg-factor", type=int, choices=REG_FACTORS, default=ProblemParams.reg_factor)
+    slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     slv.add_argument("--max-nodes", type=int, default=None)
     slv.add_argument("--trace", default=None, help="write per-iteration CSV here")
     slv.add_argument("--solution-out", default=None, help="write node,value CSV here")
@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--core-set", required=True)
     chk.add_argument("--alpha", type=float, required=True)
     chk.add_argument("--rho", type=float, required=True)
-    chk.add_argument("--reg-factor", type=int, choices=(1, 2), default=2)
+    chk.add_argument("--reg-factor", type=int, choices=REG_FACTORS, default=2)
     chk.add_argument("--max-nodes", type=int, default=None)
     chk.set_defaults(func=_cmd_check)
 

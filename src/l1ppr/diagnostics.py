@@ -134,7 +134,7 @@ class TwoTierSplit(NamedTuple):
 
 
 def two_tier_split(
-    g: Graph, p: ProblemParams, eps: float = 1e-11, max_iter: int = 50000
+    g: Graph, p: ProblemParams, eps: float = 1e-11, max_iter: int = SolverConfig.max_iter
 ) -> TwoTierSplit:
     """Solve at the base and doubled penalty; split the heavier problem's
     inactive slacks at alpha*rho and check the small-slack set is contained

@@ -1,9 +1,11 @@
 """Immutable undirected graphs in CSR form, with set and boundary primitives.
 
-The adjacency access point for local algorithms is :meth:`Graph.neighbors_of`;
-everything downstream (gradients, boundary computations) reads rows only for
-the nodes it is entitled to touch, which keeps edge-access counts proportional
-to the degree volume of the sets involved.
+The package reads adjacency through ``_rows``, which gathers the rows of a
+whole node array at once; everything downstream (gradients, boundary
+computations) reads rows only for the nodes it is entitled to touch, which
+keeps edge-access counts proportional to the degree volume of the sets
+involved. :meth:`Graph.neighbors_of` returns a single row, for callers that
+walk one node at a time.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from .graph import Graph, _find, _rows
 __all__ = [
     "SparseVector",
     "SettingError",
+    "REG_FACTORS",
     "ProblemParams",
     "gradient",
     "prox",
@@ -148,6 +149,10 @@ class SparseVector:
         return float(np.max(np.abs(self.values_at(nodes) - other.values_at(nodes)), initial=0.0))
 
 
+# the penalty multipliers c of the paper: the base problem and the doubled one
+REG_FACTORS = (1, 2)
+
+
 class SettingError(ValueError):
     """A setting no run can use. ``fields`` names the settings at fault, the
     likeliest first, so a caller can point at where they were set."""
@@ -173,7 +178,7 @@ class ProblemParams:
             raise SettingError(f"rho must be positive, got {self.rho}", "rho")
         if self.seed < 0:
             raise SettingError(f"seed node must be non-negative, got {self.seed}", "seed")
-        if self.reg_factor not in (1, 2):
+        if self.reg_factor not in REG_FACTORS:
             raise SettingError(f"reg_factor must be 1 or 2, got {self.reg_factor}", "reg_factor")
 
     @property

@@ -48,6 +48,7 @@ from .objective import (
 )
 
 __all__ = [
+    "METHODS",
     "SolverConfig",
     "SolveTrace",
     "Solution",
@@ -58,7 +59,7 @@ __all__ = [
     "rate_envelope",
 ]
 
-_METHODS = ("ista", "fista")
+METHODS = ("ista", "fista")
 _TRACE_LEVELS = ("summary", "full")
 
 
@@ -82,8 +83,8 @@ class SolverConfig:
     trace_level: str = "summary"
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise SettingError(f"method must be one of {_METHODS}, got {self.method!r}", "method")
+        if self.method not in METHODS:
+            raise SettingError(f"method must be one of {METHODS}, got {self.method!r}", "method")
         if not self.eps > 0.0:
             raise SettingError(f"eps must be positive, got {self.eps}", "eps")
         if self.max_iter < 1:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import _MAX_ID, Graph, NodeSet, parse_snap_edgelist, volume
 from .objective import ProblemParams, SettingError
-from .solver import NumericalDivergenceError, SolverConfig, solve
+from .solver import METHODS, NumericalDivergenceError, SolverConfig, solve
 from .synth import RegionPartition, SynthParams, generate
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("rho", "alpha", "epsilon", "boundary_size")
-METHODS = ("ista", "fista")
 
 
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -90,8 +89,8 @@ class SweepSpec:
     grid: tuple[float, ...]
     alpha: float = 0.20
     rho: float = 1e-4
-    eps: float = 1e-6
-    reg_factor: int = 1
+    eps: float = SolverConfig.eps
+    reg_factor: int = ProblemParams.reg_factor
     synth: SynthParams | None = None
     edgelist_path: str | None = None
     max_nodes: int | None = None
@@ -99,7 +98,7 @@ class SweepSpec:
     seed_count: int = 1
     per_point_fresh_graph: bool = False
     base_rng_seed: int = 0
-    max_iter: int = 50000
+    max_iter: int = SolverConfig.max_iter
 
     def __post_init__(self) -> None:
         if self.sweep_axis not in SWEEP_AXES:

@@ -6,13 +6,16 @@ failure instead of as failed benchmark operations.
 """
 
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import l1ppr
 import l1ppr.cli  # noqa: F401  (not imported by the package itself)
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
 _MODULES = ("cli", "diagnostics", "graph", "objective", "solver", "sweep", "synth")
@@ -45,3 +48,22 @@ def test_positional_signatures_called_by_the_benchmark():
     assert params(l1ppr.diagnostics.verify_confinement) == ["g", "p", "cfg", "s", "trace"]
     assert params(l1ppr.solver.rate_envelope) == ["g", "p", "cfg", "trace", "f_star"]
     assert callable(l1ppr.kernels.active_backend)
+
+
+def test_package_import_binds_what_the_benchmark_reads():
+    """``import l1ppr, l1ppr.cli`` alone, as ``perfbench/run.py`` imports the
+    package, binds every module and name that the layer wrappers and the
+    machine facts read, ``l1ppr.kernels`` included. It runs in a fresh
+    interpreter: this session imports every submodule, which would bind them
+    whatever the package imports."""
+    code = (
+        "import l1ppr, l1ppr.cli\n"
+        "import run, tracing\n"
+        "tracing.instrument(tracing.Tracer(), l1ppr, layers=True)\n"
+        "print(run.machine_facts(l1ppr)['backend'])\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "numpy\n"

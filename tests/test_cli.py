@@ -1,6 +1,7 @@
+import argparse
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import l1ppr.cli as cli
 from l1ppr.cli import _map_original_ids, main
+from l1ppr.objective import REG_FACTORS, ProblemParams
+from l1ppr.solver import METHODS, SolverConfig
 from l1ppr.sweep import SweepResult, SweepSpec, load_edgelist, run_sweep, write_rows_csv
 from l1ppr.synth import SynthParams, generate
 
@@ -77,6 +80,21 @@ def test_gen_flags_are_synth_params_fields():
     defaults = asdict(SynthParams())
     assert flags == defaults
     assert [type(v) for v in flags.values()] == [type(v) for v in defaults.values()]
+
+
+def test_solve_flags_default_to_solver_config():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {cmd: {a.dest: a.choices for a in commands[cmd]._actions} for cmd in ("solve", "check")}
+    args = vars(parser.parse_args(["solve", "g.txt", "--alpha", "0.2", "--rho", "1e-4",
+                                   "--seed-node", "0"]))
+    cfg, reg_factor = SolverConfig(), ProblemParams(0.2, 1e-4, 0).reg_factor
+    assert (args["method"], args["eps"], args["max_iter"]) == (cfg.method, cfg.eps, cfg.max_iter)
+    assert args["reg_factor"] == reg_factor
+    assert choices["solve"]["method"] == METHODS
+    assert choices["solve"]["reg_factor"] == choices["check"]["reg_factor"] == REG_FACTORS
+    spec = {f.name: f.default for f in fields(SweepSpec)}
+    assert (spec["eps"], spec["reg_factor"], spec["max_iter"]) == (cfg.eps, reg_factor, cfg.max_iter)
 
 
 def test_solve_star_with_original_ids(tmp_path, capsys):
@@ -160,6 +178,58 @@ def test_solve_input_errors(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and "out.csv" in err
+
+
+def write_reversed_path(tmp_path):
+    """Path 5-4-3-2-1-0, listed from the 5 end, so the first ids in file
+    order are the largest."""
+    path = tmp_path / "rpath.txt"
+    path.write_text("".join(f"{i} {i - 1}\n" for i in range(5, 0, -1)))
+    return str(path)
+
+
+def _loaded_graph(monkeypatch, name):
+    """Record the graph argument of every call of ``cli.<name>``."""
+    seen = []
+    original = getattr(cli, name)
+
+    def record(g, *args):
+        seen.append(g)
+        return original(g, *args)
+
+    monkeypatch.setattr(cli, name, record)
+    return seen
+
+
+def test_solve_max_nodes(tmp_path, capsys, monkeypatch):
+    graph = write_reversed_path(tmp_path)
+    seen = _loaded_graph(monkeypatch, "solve")
+    rc = main(["solve", graph, "--alpha", "0.5", "--rho", "0.1", "--seed-node", "4",
+               "--max-nodes", "3"])
+    assert rc == 0
+    assert seen[0].equals(load_edgelist(graph, max_nodes=3)[0]) and seen[0].n == 3
+    capsys.readouterr()
+    rc = main(["solve", graph, "--alpha", "0.5", "--rho", "0.1", "--seed-node", "2",
+               "--max-nodes", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed node 2 not present in the graph\n"
+
+
+def test_check_max_nodes(tmp_path, capsys, monkeypatch):
+    graph = write_reversed_path(tmp_path)
+    core = tmp_path / "core.txt"
+    core.write_text("4\n")
+    seen = _loaded_graph(monkeypatch, "check_no_percolation")
+    rc = main(["check", graph, "--core-set", str(core), "--alpha", "0.5", "--rho", "1.0",
+               "--max-nodes", "3"])
+    assert rc == 0
+    assert seen[0].equals(load_edgelist(graph, max_nodes=3)[0]) and seen[0].n == 3
+    capsys.readouterr()
+    core.write_text("4\n2\n")
+    rc = main(["check", graph, "--core-set", str(core), "--alpha", "0.5", "--rho", "1.0",
+               "--max-nodes", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: core node 2 not present in the graph\n"
 
 
 def test_map_original_ids_between_and_beyond_present_ids():

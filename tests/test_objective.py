@@ -309,7 +309,7 @@ def test_objective_functions_leave_workspace_clean():
 def test_objective_allocation_independent_of_n():
     """One objective_value and one forward_map call at the same local point
     on a 10^3- and a 10^5-node ring allocate the same at their peak: they
-    work in the graph's workspace and touch only candidate positions."""
+    work in the graph's position scratch and touch only candidate positions."""
     import tracemalloc
 
     p = ProblemParams(0.2, 1e-4, 3)
@@ -323,7 +323,7 @@ def test_objective_allocation_independent_of_n():
             np.stack([ring, np.roll(ring, -1)], axis=1),
             [[19, 20]],
         ]))
-        objective_value(g, p, x)  # creates the workspace
+        objective_value(g, p, x)  # creates the position scratch
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

@@ -277,7 +277,7 @@ def _same_solution(a, b):
 def test_solve_allocation_independent_of_n(method):
     """The same local problem on a 10^3- and a 10^5-node ring allocates the
     same at its peak: nothing in a solve scales with n once the graph's
-    workspace exists."""
+    position scratch exists."""
     import tracemalloc
 
     p = ProblemParams(0.2, 1e-4, 3)
@@ -285,7 +285,7 @@ def test_solve_allocation_independent_of_n(method):
     peaks = []
     for ring_nodes in (10**3, 10**5):
         g = clique_ring(ring_nodes)
-        solve(g, p, cfg)  # creates the workspace
+        solve(g, p, cfg)  # creates the position scratch
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
