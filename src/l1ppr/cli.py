@@ -39,6 +39,11 @@ def _fail(msg: str, code: int = 2) -> int:
     return code
 
 
+def _reason(exc: Exception) -> str:
+    """Message of an input error; a MemoryError raised by Python itself has none."""
+    return str(exc) or "out of memory"
+
+
 def _load_graph(path: str, max_nodes: int | None = None):
     try:
         return load_edgelist(path, max_nodes)
@@ -67,8 +72,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         params = SynthParams(**{key: getattr(args, key) for key in _SYNTH_KEYS})
         g, part = generate(params)
-    except ValueError as exc:
-        return _fail(str(exc))
+    except (ValueError, MemoryError) as exc:
+        return _fail(_reason(exc))
     partition_path = args.partition_out or args.out + ".partition.csv"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -101,8 +106,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         (seed,) = _map_original_ids(remap, [args.seed_node], "seed node")
         p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=seed, reg_factor=args.reg_factor)
         cfg = SolverConfig(method=args.method, eps=args.eps, max_iter=args.max_iter)
-    except ValueError as exc:
-        return _fail(str(exc))
+    except (ValueError, MemoryError) as exc:
+        return _fail(_reason(exc))
     sol = solve(g, p, cfg)
     tr = sol.trace
     print(
@@ -158,8 +163,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         core_orig = _read_core_set(args.core_set)
         core = NodeSet(_map_original_ids(remap, core_orig, "core node"))
         p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=0, reg_factor=args.reg_factor)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError, MemoryError) as exc:
+        return _fail(_reason(exc))
     if len(core) == 0:
         print("warning: empty core set; boundary is empty and the condition holds vacuously", file=sys.stderr)
     report = check_no_percolation(g, p, core)
@@ -242,8 +247,8 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
         lineno, text = raw[key]
         try:
             return conv(text)
-        except ValueError as exc:
-            raise ValueError(f"spec line {lineno}: bad {key} value {text!r}: {exc}") from None
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"spec line {lineno}: bad {key} value {text!r}: {_reason(exc)}") from None
 
     def reject(keys: set[str], what: str) -> None:
         if keys:
@@ -284,12 +289,12 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = _spec_from_config(_parse_config(args.spec))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError, MemoryError) as exc:
+        return _fail(_reason(exc))
     try:
         result = run_sweep(spec)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError, MemoryError) as exc:
+        return _fail(_reason(exc))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_rows_csv(result.rows, fh)
@@ -318,8 +323,8 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         # plain iteration identifies the support exactly even at the
         # breakpoint, where momentum leaves dust on the zero-slack nodes
         cfg = SolverConfig(method="ista", eps=args.eps, max_iter=200000)
-    except ValueError as exc:
-        return _fail(str(exc))
+    except (ValueError, MemoryError) as exc:
+        return _fail(_reason(exc))
     g = inst.graph
     sol = solve(g, p, cfg)
     try:

@@ -84,7 +84,7 @@ def slacks(g: Graph, p: ProblemParams, x_star: SparseVector) -> SlackReport:
     tol], with tol = ``_MINIMIZER_TOL``; the one-sided upper bound reflects
     that minimizers here are nonnegative.
     """
-    cand, xc, grad = _gradient_at(g, p, x_star)
+    cand, xc, grad = _gradient_at(g, p, *x_star.arrays())
     lvl = p.reg_level
     lam = lvl * g.sqrt_degrees[cand]
     on = xc != 0.0

@@ -24,14 +24,13 @@ and the tests check the two bit for bit.
 Points enter and leave as their (sorted nodes, values) arrays; nothing is
 held in an n-length float buffer. The only n-length array is the core's int64
 position scratch, kept per graph (weakly, so it goes with the graph) and
-shared with :func:`l1ppr.solver.solve`. Its contents are ignored on entry, so
-it is never reset.
+known to ``_gather`` alone. Its contents are ignored on entry, so it is never
+reset.
 """
 
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -203,31 +202,24 @@ def _check_seed(g: Graph, p: ProblemParams) -> None:
 
 
 # Per-graph int64 position scratch for the gather core. Its contents are
-# ignored on entry, so it is never reset. A caller takes it out of the table
+# ignored on entry, so it is never reset. ``_gather`` takes it out of the table
 # while in use, so a call that overlaps another on the same graph allocates its
 # own; a call that raises drops it, and the next one allocates a fresh one.
 _SCRATCH: weakref.WeakKeyDictionary[Graph, np.ndarray] = weakref.WeakKeyDictionary()
 
 
-@contextmanager
-def _position_scratch(g: Graph) -> Iterator[np.ndarray]:
-    pos = _SCRATCH.pop(g, None)
-    if pos is None:
-        pos = np.empty(g.n, dtype=np.int64)
-    yield pos
-    _SCRATCH[g] = pos
-
-
-def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray, pos: np.ndarray) -> tuple:
-    """Gather core: the candidates, the point at them and (Qz) at them.
+def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
+    """Gather core: the candidates, the point at them, (Qz) at them and the
+    position of the seed among them.
 
     The point z is ``vals`` at the sorted, distinct nodes ``act`` and zero
     elsewhere. The candidates are ``act``, its neighbors and the seed, in
-    ascending order; only the rows of ``act`` are read. ``pos`` is an int64
-    array of length n whose contents are ignored on entry (every entry read
-    is written first); on return ``pos[i]`` is the position of candidate
-    ``i``.
+    ascending order; only the rows of ``act`` are read.
     """
+    _check_seed(g, p)
+    pos = _SCRATCH.pop(g, None)
+    if pos is None:
+        pos = np.empty(g.n, dtype=np.int64)
     isd = g.inv_sqrt_degrees
     nbrs, lens = _rows(g, act)
     push = vals * isd[act]
@@ -243,7 +235,17 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray, pos: 
     sums = np.bincount(pos[nbrs], weights=weights, minlength=cand.size)
     zc = np.zeros(cand.size)
     zc[pos[act]] = vals
-    return cand, zc, p.hp * zc - p.hm * sums
+    at_seed = int(pos[p.seed])
+    _SCRATCH[g] = pos
+    return cand, zc, p.hp * zc - p.hm * sums, at_seed
+
+
+def _gradient_at(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
+    """The candidates of the point z (``vals`` at ``act``), z at them and
+    grad f(z) = Qz - alpha D^{-1/2} e_v at them."""
+    cand, zc, grad, at_seed = _gather(g, p, act, vals)
+    grad[at_seed] -= p.alpha * g.inv_sqrt_degrees[p.seed]
+    return cand, zc, grad
 
 
 def _soft_threshold(g: Graph, p: ProblemParams, nodes: np.ndarray, u: np.ndarray) -> tuple:
@@ -261,19 +263,15 @@ def prox_grad_step(
     p: ProblemParams,
     z_vals: np.ndarray,
     z_act: np.ndarray,
-    pos_scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One fused prox-gradient step from the point z that is ``z_vals`` at
     the sorted, distinct nodes ``z_act``: x = prox(z - grad f(z)), the unit
     step 1/L, equal to ``prox(forward_map(z))`` bit for bit.
 
     Returns the sorted support of x, the values on it, and the fixed-point
-    residual ||z - x||_inf, which is ``kkt_residual`` at z. ``pos_scratch``
-    is an int64 array of length ``g.n`` whose contents are ignored on entry
-    and left undefined on return.
+    residual ||z - x||_inf, which is ``kkt_residual`` at z.
     """
-    cand, zc, grad = _gather(g, p, z_act, z_vals, pos_scratch)
-    grad[pos_scratch[p.seed]] -= p.alpha * g.inv_sqrt_degrees[p.seed]
+    cand, zc, grad = _gradient_at(g, p, z_act, z_vals)
     keep, vals = _soft_threshold(g, p, cand, zc - grad)
     # the candidates cover supp(z) and supp(x); both are 0 elsewhere
     x = np.zeros(cand.size)
@@ -281,27 +279,9 @@ def prox_grad_step(
     return cand[keep], vals, float(np.max(np.abs(zc - x)))
 
 
-def _gather_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple:
-    """The gather core at x: the candidates, x and (Qx) at them, the
-    positions of supp(x) and of the seed among them."""
-    _check_seed(g, p)
-    act, vals = x.arrays()
-    with _position_scratch(g) as pos:
-        cand, xc, qx = _gather(g, p, act, vals, pos)
-        return cand, xc, qx, pos[act], int(pos[p.seed])
-
-
-def _gradient_at(g: Graph, p: ProblemParams, x: SparseVector) -> tuple[np.ndarray, ...]:
-    """The candidates of x, x at them and grad f(x) = Qx - alpha D^{-1/2} e_v
-    at them."""
-    cand, xc, grad, _, at_seed = _gather_at(g, p, x)
-    grad[at_seed] -= p.alpha * g.inv_sqrt_degrees[p.seed]
-    return cand, xc, grad
-
-
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     """grad f at x; support is contained in supp(x), its neighbors, and {v}."""
-    cand, _, grad = _gradient_at(g, p, x)
+    cand, _, grad = _gradient_at(g, p, *x.arrays())
     return SparseVector.from_arrays(cand, grad)
 
 
@@ -318,7 +298,7 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
 
 def forward_map(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     """u(x) = x - grad f(x), the gradient step at the unit step 1/L."""
-    cand, xc, grad = _gradient_at(g, p, x)
+    cand, xc, grad = _gradient_at(g, p, *x.arrays())
     return SparseVector.from_arrays(cand, xc - grad)
 
 
@@ -334,12 +314,13 @@ def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
     The quadratic and l1 terms are each summed over supp(x) in ascending node
     order.
     """
-    cand, xc, qx, at, _ = _gather_at(g, p, x)
+    cand, xc, qx, at_seed = _gather(g, p, *x.arrays())
+    at = np.flatnonzero(xc)  # supp(x): its values are never zero
     xs = xc[at]
     quad = _sum_in_order(xs * (0.5 * qx[at]))
     l1 = _sum_in_order(g.sqrt_degrees[cand[at]] * np.abs(xs))
     seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
-    return quad - seed_term * x[p.seed] + p.reg_level * l1
+    return quad - seed_term * float(xc[at_seed]) + p.reg_level * l1
 
 
 def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector) -> float:
@@ -347,7 +328,5 @@ def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector) -> float:
 
     Zero exactly at the minimizer; used as the stopping criterion.
     """
-    _check_seed(g, p)
     act, vals = x.arrays()
-    with _position_scratch(g) as pos:
-        return prox_grad_step(g, p, vals, act, pos)[2]
+    return prox_grad_step(g, p, vals, act)[2]

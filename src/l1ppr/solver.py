@@ -41,8 +41,6 @@ from .objective import (
     ProblemParams,
     SettingError,
     SparseVector,
-    _check_seed,
-    _position_scratch,
     objective_value,
     prox_grad_step,
 )
@@ -144,7 +142,6 @@ def solve(
     the per-iteration degree volume of supp(x_{k+1}) outside that set, which
     lets sweeps report spurious volumes without keeping full traces.
     """
-    _check_seed(g, p)
     beta = fista_momentum(p.alpha) if cfg.method == "fista" else 0.0
     reuse = beta == 0.0  # ISTA, and FISTA at alpha = 1
     full = cfg.trace_level == "full"
@@ -154,41 +151,40 @@ def solve(
                        spurious_vol=None if spurious_baseline is None else array("q"))
 
     x_act, x_vals = prev_act, prev_vals = np.empty(0, dtype=np.int64), np.empty(0)
-    with _position_scratch(g) as pos:
-        t_act, t_vals, r = prox_grad_step(g, p, x_vals, x_act, pos)
-        for k in range(cfg.max_iter):
-            if r <= cfg.eps:
-                break
-            if reuse:
-                # Without momentum y_k == x_k, so x_{k+1} = T(x_k) is the
-                # step the last residual check computed.
-                y_act, y_vals = x_act, x_vals
-                xn_act, xn_vals = t_act, t_vals
-            else:
-                union = np.union1d(x_act, prev_act)
-                xu = _place(union, x_act, x_vals)
-                merged = xu + beta * (xu - _place(union, prev_act, prev_vals))
-                if not np.isfinite(merged).all():
-                    raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-                nz = merged != 0.0
-                y_act, y_vals = union[nz], merged[nz]
-                xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act, pos)
-            if not np.isfinite(xn_vals).all():
+    t_act, t_vals, r = prox_grad_step(g, p, x_vals, x_act)
+    for k in range(cfg.max_iter):
+        if r <= cfg.eps:
+            break
+        if reuse:
+            # Without momentum y_k == x_k, so x_{k+1} = T(x_k) is the
+            # step the last residual check computed.
+            y_act, y_vals = x_act, x_vals
+            xn_act, xn_vals = t_act, t_vals
+        else:
+            union = np.union1d(x_act, prev_act)
+            xu = _place(union, x_act, x_vals)
+            merged = xu + beta * (xu - _place(union, prev_act, prev_vals))
+            if not np.isfinite(merged).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
+            nz = merged != 0.0
+            y_act, y_vals = union[nz], merged[nz]
+            xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act)
+        if not np.isfinite(xn_vals).all():
+            raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
 
-            t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act, pos)
+        t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act)
 
-            trace.vol_supp_y.append(int(degrees[y_act].sum()))
-            trace.vol_supp_x_next.append(int(degrees[xn_act].sum()))
-            trace.residual.append(r)
-            if spurious_baseline is not None:
-                outside = xn_act[~spurious_baseline.contains(xn_act)]
-                trace.spurious_vol.append(int(degrees[outside].sum()))
-            if full:
-                trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
+        trace.vol_supp_y.append(int(degrees[y_act].sum()))
+        trace.vol_supp_x_next.append(int(degrees[xn_act].sum()))
+        trace.residual.append(r)
+        if spurious_baseline is not None:
+            outside = xn_act[~spurious_baseline.contains(xn_act)]
+            trace.spurious_vol.append(int(degrees[outside].sum()))
+        if full:
+            trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
 
-            prev_act, prev_vals = x_act, x_vals
-            x_act, x_vals = xn_act, xn_vals
+        prev_act, prev_vals = x_act, x_vals
+        x_act, x_vals = xn_act, xn_vals
 
     trace.converged = r <= cfg.eps
     trace.final_residual = r

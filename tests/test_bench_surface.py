@@ -47,6 +47,8 @@ def test_positional_signatures_called_by_the_benchmark():
 
     assert params(l1ppr.diagnostics.verify_confinement) == ["g", "p", "cfg", "s", "trace"]
     assert params(l1ppr.solver.rate_envelope) == ["g", "p", "cfg", "trace", "f_star"]
+    # the kernel counter reads the graph from args[0] and z_act from args[3]
+    assert params(l1ppr.solver.prox_grad_step) == ["g", "p", "z_vals", "z_act"]
     assert callable(l1ppr.kernels.active_backend)
 
 

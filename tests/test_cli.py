@@ -74,6 +74,29 @@ def test_gen_invalid_params(tmp_path, capsys):
         "9223372036854775807\n")
 
 
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """An input too large to allocate exits 2 with one error line. The
+    allocations are stubbed out: the test never really makes them."""
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    def numpy_out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli, "generate", out_of_memory)
+    monkeypatch.setattr(cli, "log_grid", numpy_out_of_memory)
+    rc = main(["gen", "--exterior-size", "10000000000000", "--deg-ext", "2",
+               "--out", str(tmp_path / "x.tsv")])
+    assert (rc, capsys.readouterr()) == (2, ("", "error: out of memory\n"))
+    assert not (tmp_path / "x.tsv").exists()
+    spec_path = tmp_path / "spec.cfg"
+    spec_path.write_text("axis = rho\ngrid_log = 1e-4, 1e-2, 1000000000000\n")
+    rc = main(["sweep", str(spec_path), "--out", str(tmp_path / "x.csv")])
+    assert (rc, capsys.readouterr()) == (2, ("", (
+        "error: spec line 2: bad grid_log value '1e-4, 1e-2, 1000000000000': "
+        "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n")))
+
+
 def test_gen_flags_are_synth_params_fields():
     args = vars(cli._build_parser().parse_args(["gen", "--out", "g.txt"]))
     flags = {k: v for k, v in args.items() if k not in ("command", "func", "out", "partition_out")}

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from l1ppr import objective
 from l1ppr.graph import build_from_edges
 from l1ppr.objective import ProblemParams, SparseVector, prox_grad_step
 
@@ -12,8 +13,8 @@ from reference import forward_map, kkt_residual, prox
 def _run_step(g, p, x: SparseVector):
     act, vals = x.arrays()
     # the position scratch is written before it is read, so garbage must not matter
-    pos = np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)
-    out_act, out_vals, residual = prox_grad_step(g, p, vals, act, pos)
+    objective._SCRATCH[g] = np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)
+    out_act, out_vals, residual = prox_grad_step(g, p, vals, act)
     assert np.all(np.diff(out_act) > 0)
     assert np.all(out_vals != 0.0)
     return out_act, out_vals, residual
@@ -48,8 +49,7 @@ def test_step_matches_reference_ops_bitwise(case_seed):
 def test_step_from_zero_activates_seed_region():
     g, _ = build_from_edges([(0, 1), (1, 2)])
     p = ProblemParams(0.9, 0.01, 0, 1)
-    pos = np.zeros(3, dtype=np.int64)
-    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64), pos)
+    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
     # u = alpha / sqrt(d_0) at the seed, zero elsewhere
     assert act.tolist() == [0]
     tau0 = p.reg_level * g.sqrt_degrees[0]
@@ -62,7 +62,6 @@ def test_exact_tie_dropped_by_kernel():
     g, _ = build_from_edges([(0, 1)])
     # u_0 = alpha*1; tau_0 = reg*1 -> tie when rho = 1/reg_factor... pick c=1, rho=1
     p = ProblemParams(1.0, 1.0, 0, 1)
-    pos = np.zeros(2, dtype=np.int64)
-    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64), pos)
+    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
     assert act.size == 0 and vals.size == 0
     assert residual == 0.0

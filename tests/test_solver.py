@@ -147,8 +147,8 @@ def _faulty_step(fault):
     """
     calls = []
 
-    def step(g, p, z_vals, z_act, pos):
-        act, vals, r = prox_grad_step(g, p, z_vals, z_act, pos)
+    def step(g, p, z_vals, z_act):
+        act, vals, r = prox_grad_step(g, p, z_vals, z_act)
         calls.append(None)
         if len(calls) < 3:
             return act, vals, r
@@ -344,23 +344,36 @@ def test_retained_state_is_one_position_scratch():
 @pytest.mark.parametrize("method, passes", [("ista", 1), ("fista", 2)])
 def test_kernel_calls_per_iteration(method, passes, monkeypatch):
     """One residual step from zero, then one kernel pass per ISTA iteration
-    (the residual step is the next iterate) and two per FISTA iteration."""
+    (the residual step is the next iterate) and two per FISTA iteration.
+
+    The edges those passes read, vol(supp z) for each step from z, are the
+    ledger's: FISTA steps from y_k and from x_{k+1}, which is ``total_work``;
+    ISTA steps from x_0 = 0 and from each x_{k+1}."""
     import l1ppr.solver as solver
 
     calls = []
     step = solver.prox_grad_step
-    monkeypatch.setattr(solver, "prox_grad_step", lambda *a: calls.append(1) or step(*a))
+
+    def counted(g, p, z_vals, z_act):
+        calls.append(int(g.degrees[z_act].sum()))
+        return step(g, p, z_vals, z_act)
+
+    monkeypatch.setattr(solver, "prox_grad_step", counted)
     g = clique_ring(100)
     sol = solve(g, ProblemParams(0.2, 1e-4, 3), SolverConfig(method=method, eps=1e-8))
     assert sol.trace.iterations > 5
     assert len(calls) == passes * sol.trace.iterations + 1
+    edges_read = sum(sol.trace.vol_supp_x_next) if method == "ista" else sol.trace.total_work
+    assert sum(calls) == edges_read
 
 
 def test_concurrent_solves_on_one_graph():
     """Solves overlapping on one graph from several threads give the serial
-    results: only one of them at a time holds the graph's workspace."""
+    results, and the graph keeps one position scratch after them."""
     import sys
     import threading
+
+    import l1ppr.objective as objective
 
     g = clique_ring(1000)
     jobs = [(ProblemParams(0.2, 1e-4, s), SolverConfig(method=m, eps=1e-8, trace_level="full"))
@@ -385,6 +398,9 @@ def test_concurrent_solves_on_one_graph():
     assert not any(t.is_alive() for t in threads)
     for a, b in zip(got, want):
         _same_solution(a, b)
+    # overlapping steps allocate scratches of their own; the graph keeps one
+    pos = objective._SCRATCH[g]
+    assert isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.shape == (g.n,)
 
 
 def test_concurrent_solves_and_objective_calls_on_one_graph():
