@@ -44,13 +44,6 @@ def _reason(exc: Exception) -> str:
     return str(exc) or "out of memory"
 
 
-def _load_graph(path: str, max_nodes: int | None = None):
-    try:
-        return load_edgelist(path, max_nodes)
-    except OSError as exc:
-        raise ValueError(f"cannot read graph file: {exc}") from exc
-
-
 def _map_original_ids(remap: np.ndarray, nodes: list[int], what: str) -> list[int]:
     """Translate original edge-list ids to compact graph ids (``remap`` is
     strictly increasing)."""
@@ -102,7 +95,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
-        g, remap = _load_graph(args.graph, args.max_nodes)
+        g, remap = load_edgelist(args.graph, args.max_nodes)
         (seed,) = _map_original_ids(remap, [args.seed_node], "seed node")
         p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=seed, reg_factor=args.reg_factor)
         cfg = SolverConfig(method=args.method, eps=args.eps, max_iter=args.max_iter)
@@ -159,7 +152,7 @@ def _read_core_set(path: str) -> list[int]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        g, remap = _load_graph(args.graph, args.max_nodes)
+        g, remap = load_edgelist(args.graph, args.max_nodes)
         core_orig = _read_core_set(args.core_set)
         core = NodeSet(_map_original_ids(remap, core_orig, "core node"))
         p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=0, reg_factor=args.reg_factor)

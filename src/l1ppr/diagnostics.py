@@ -8,8 +8,9 @@ Everything in here interrogates a solved problem or a running trace:
 * ``two_tier_split`` solves the problem at the base penalty and at twice the
   base penalty and checks that the low-slack inactive nodes of the heavier
   problem are active in the lighter one;
-* ``check_no_percolation`` evaluates, for every exterior node, the exposure
-  inequality that certifies iterate supports stay inside S and its boundary;
+* ``check_no_percolation`` evaluates, for every exterior node next to the
+  boundary of S, the exposure inequality that certifies iterate supports stay
+  inside S and its boundary;
 * ``verify_confinement`` replays a full trace against a candidate set and
   ledgers every escape plus the spurious volume relative to that set;
 * ``degree_cutoff`` gives the degree above which an (A)-inactive node can
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, NodeSet, _rows, exterior, vertex_boundary
+from .graph import Graph, NodeSet, _rows, vertex_boundary
 from .objective import ProblemParams, SparseVector, _gradient_at, forward_map
 from .solver import SolveTrace, SolverConfig, solve
 
@@ -171,27 +172,27 @@ def check_no_percolation(g: Graph, p: ProblemParams, s: NodeSet) -> NoPercolatio
     neighbors lying on the boundary must satisfy
     |N(i) ∩ ∂s| / d_i <= (alpha*rho / (2(1-alpha)))^2 * d_i * min_{∂s} d.
     The report carries the largest LHS/RHS ratio; ``holds`` means it is <= 1.
-    Degenerate cases: alpha = 1 makes the bound infinite, and an empty
-    boundary or exterior leaves nothing to check — all treated as holding.
+    A node with no boundary neighbor has a zero LHS and cannot fail, so only
+    the exterior nodes next to ∂s are evaluated, counted from the rows of ∂s:
+    the check reads the rows of s and ∂s and nothing else. Degenerate cases:
+    alpha = 1 makes the bound infinite, and an empty boundary or one with no
+    exterior neighbor leaves nothing to check — all treated as holding.
     """
     if p.alpha >= 1.0:
         return NoPercolationReport(True, None, 0.0)
     bnd = vertex_boundary(g, s)
-    if len(bnd) == 0:
-        return NoPercolationReport(True, None, 0.0)
-    ext = exterior(g, s)
-    if len(ext) == 0:
+    nbrs, _ = _rows(g, bnd.ids)
+    ext, hits = np.unique(nbrs[~s.union(bnd).contains(nbrs)], return_counts=True)
+    if not ext.size:
         return NoPercolationReport(True, None, 0.0)
     d_min_bnd = float(g.degrees[bnd.ids].min())
     coef = (p.alpha * p.rho / (2.0 * (1.0 - p.alpha))) ** 2
-    nbrs, lens = _rows(g, ext.ids)
-    row = np.repeat(np.arange(len(ext), dtype=np.int64), lens)
-    hits = np.bincount(row[bnd.contains(nbrs)], minlength=len(ext))
-    deg = g.degrees[ext.ids].astype(np.float64)
-    ratios = hits / (coef * deg * deg * d_min_bnd)
+    deg = g.degrees[ext].astype(np.float64)
+    with np.errstate(divide="ignore"):  # coef underflows to 0: the ratios are inf
+        ratios = hits / (coef * deg * deg * d_min_bnd)
     w = int(np.argmax(ratios))
     worst_ratio = float(ratios[w])
-    worst_node = int(ext.ids[w]) if worst_ratio > 0.0 else None
+    worst_node = int(ext[w]) if worst_ratio > 0.0 else None
     return NoPercolationReport(worst_ratio <= 1.0, worst_node, worst_ratio)
 
 

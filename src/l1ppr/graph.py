@@ -25,7 +25,6 @@ __all__ = [
     "parse_snap_edgelist",
     "volume",
     "vertex_boundary",
-    "exterior",
 ]
 
 
@@ -315,7 +314,3 @@ def vertex_boundary(g: Graph, s: NodeSet) -> NodeSet:
     touched = np.unique(_rows(g, s.ids)[0])
     return NodeSet(touched[~s.contains(touched)])
 
-
-def exterior(g: Graph, s: NodeSet) -> NodeSet:
-    """Complement of ``s`` and its vertex boundary."""
-    return NodeSet(np.arange(g.n)).difference(s.union(vertex_boundary(g, s)))

@@ -67,8 +67,12 @@ def derive_rng_seed(base_rng_seed: int, point_index: int) -> int:
 
 def load_edgelist(path: str, max_nodes: int | None = None):
     """Parse a whitespace edge list file, optionally truncated for smoke tests
-    (see :func:`l1ppr.graph.parse_snap_edgelist` for ``max_nodes``)."""
-    return parse_snap_edgelist(Path(path), max_nodes)
+    (see :func:`l1ppr.graph.parse_snap_edgelist` for ``max_nodes``). A file
+    that cannot be read raises ``ValueError``, as a malformed one does."""
+    try:
+        return parse_snap_edgelist(Path(path), max_nodes)
+    except OSError as exc:
+        raise ValueError(f"cannot read graph file: {exc}") from exc
 
 
 def sample_seeds(g: Graph, k: int, rng_seed: int) -> NodeSet:
@@ -115,6 +119,8 @@ class SweepSpec:
         if self.per_point_fresh_graph and self.synth is None:
             raise SettingError("fresh per-point graphs require a synthetic graph source",
                                "per_point_fresh_graph", "edgelist_path")
+        if self.seeds is None and self.seed_count < 1:
+            raise SettingError("seed_count must be at least 1", "seed_count")
         # Every run's settings, checked by the classes the runs use: first the
         # fixed keys and seeds, with 1.0 (valid on every axis) standing in for
         # the swept value, then each grid value with its generator settings,

@@ -116,8 +116,6 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, i
     """Uniform random labeled tree on n nodes (Pruefer decode)."""
     if n <= 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = rng.integers(0, n, size=n - 2)
     deg = np.ones(n, dtype=np.int64)
     np.add.at(deg, seq, 1)
@@ -248,7 +246,8 @@ def star_instance(m: int) -> AnalyticInstance:
     """Star with center seed 0 and leaves 1..m."""
     if m < 1:
         raise ValueError("star needs at least one leaf")
-    g, _ = build_from_edges([(0, k) for k in range(1, m + 1)])
+    leaves = np.arange(1, m + 1, dtype=np.int64)
+    g, _ = build_from_edges(np.stack((np.zeros_like(leaves), leaves), axis=1))
     return AnalyticInstance(graph=g, seed=0, family="star", m=m)
 
 
@@ -256,5 +255,6 @@ def path_instance(m: int) -> AnalyticInstance:
     """Path 0-1-...-(m+1) with seed at endpoint 0 and m interior nodes."""
     if m < 2:
         raise ValueError("path needs at least two interior nodes")
-    g, _ = build_from_edges([(i, i + 1) for i in range(m + 1)])
+    nodes = np.arange(m + 1, dtype=np.int64)
+    g, _ = build_from_edges(np.stack((nodes, nodes + 1), axis=1))
     return AnalyticInstance(graph=g, seed=0, family="path", m=m)

@@ -1,4 +1,5 @@
 import argparse
+import os
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -424,12 +425,19 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
          "error: spec line 4: keys read only with edgelist_path: ['max_nodes']\n"),
         ("axis = rho\nseed_count = 3\ngrid = 1e-3\nseeds = 0,1\ncore_size = 5\n",
          "error: spec line 2: keys not read with seeds: ['seed_count']\n"),
+        ("axis = rho\ngrid = 1e-3\nseed_count = 0\ncore_size = 5\n",
+         "error: spec line 3: seed_count must be at least 1\n"),
+        ("axis = rho\ngrid = 1e-3\nseed_count = -1\ncore_size = 5\n",
+         "error: spec line 3: seed_count must be at least 1\n"),
         ("axis = rho\ngrid = 1e-3\nseeds = 0,2\nbase_rng_seed = 5\ncore_size = 5\n",
          "error: spec line 4: keys read only with seed_count or per_point_fresh_graph = true: "
          "['base_rng_seed']\n"),
         ("axis = rho\ngrid = 1e-3\nbase_rng_seed = 5\nper_point_fresh_graph = no\ncore_size = 5\n",
          "error: spec line 3: keys read only with seed_count or per_point_fresh_graph = true: "
          "['base_rng_seed']\n"),
+        # an unreadable graph file, reported as solve and check report it
+        ("axis = rho\ngrid = 1e-3\nedgelist_path = /no/such/file\n",
+         "error: cannot read graph file: [Errno 2] No such file or directory: '/no/such/file'\n"),
     ]
     for text, msg in cases:
         spec_path = tmp_path / "bad.cfg"
@@ -697,3 +705,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "family=star m=2" in proc.stdout
+
+
+@pytest.mark.parametrize("family", ["star", "path"])
+def test_analytic_size_beyond_memory_exits_2(family):
+    """A closed-form instance of 10^12 nodes fails at its first array
+    allocation. Run under an address-space cap, so a regression that fills
+    memory element by element stops at the cap instead of at the machine's."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from l1ppr.cli import main\n"
+        f"sys.exit(main(['analytic', '--family', '{family}', '--m', '1000000000000',"
+        " '--alpha', '0.5', '--rho', '1e-13']))\n"
+    )
+    # one BLAS thread: each one reserves address space for its buffers
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: Unable to allocate "), proc.stderr

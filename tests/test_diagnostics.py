@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from l1ppr.diagnostics import (
 from l1ppr.graph import NodeSet, build_from_edges
 from l1ppr.objective import ProblemParams, SparseVector
 from l1ppr.solver import SolverConfig, solve
-from l1ppr.synth import path_instance, star_instance
+from l1ppr.synth import SynthParams, generate, path_instance, star_instance
 
 import reference
 from oracle import build_dense, dense_gradient, random_connected_graph
@@ -152,6 +153,18 @@ def test_no_percolation_degenerate_cases():
     no_ext = NodeSet([1, 4])  # boundary {0,2,3,5} swallows the rest
     rep = check_no_percolation(g, ProblemParams(0.5, 1e-4, 0, 1), no_ext)
     assert rep.holds and rep.worst_node is None
+
+
+def test_no_percolation_underflow_names_a_node():
+    """When the bound's coefficient underflows to 0, every exterior node next
+    to the boundary has an infinite ratio, and the first of them is named."""
+    g, part = generate(SynthParams(core_size=5, boundary_size=30, exterior_size=50,
+                                   c_bnd=3, deg_b=4, deg_ext=6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_no_percolation(g, ProblemParams(0.2, 1e-170, 0, 2), part.core)
+    # the core's fan-out reaches nodes 5..19; node 20 is the first beyond it
+    assert rep == (False, 20, math.inf)
 
 
 def test_no_percolation_monotone_in_alpha():

@@ -9,7 +9,6 @@ from l1ppr.graph import (
     Graph,
     NodeSet,
     build_from_edges,
-    exterior,
     parse_snap_edgelist,
     vertex_boundary,
     volume,
@@ -204,9 +203,7 @@ def test_volume_and_boundary_on_path():
     assert volume(g, s) == 2
     assert volume(g, NodeSet([0, 5])) == 2
     assert vertex_boundary(g, s) == NodeSet([1, 3])
-    assert exterior(g, s) == NodeSet([0, 4, 5])
     assert vertex_boundary(g, NodeSet()) == NodeSet()
-    assert exterior(g, NodeSet()) == NodeSet(range(6))
     with pytest.raises(ValueError, match="out of range"):
         volume(g, NodeSet([6]))
 
@@ -215,7 +212,6 @@ def test_boundary_of_everything_is_empty():
     g = path_graph(4)
     s = NodeSet(range(4))
     assert vertex_boundary(g, s) == NodeSet()
-    assert exterior(g, s) == NodeSet()
     assert volume(g, s) == 2 * g.edge_count
 
 
@@ -223,7 +219,7 @@ def test_boundary_of_everything_is_empty():
     pairs=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=40),
     members=st.sets(st.integers(0, 14)),
 )
-def test_vertex_boundary_and_exterior_against_set_reference(pairs, members):
+def test_vertex_boundary_against_set_reference(pairs, members):
     edges = {(u, v) for u, v in pairs if u != v}
     if not edges:
         return
@@ -237,7 +233,6 @@ def test_vertex_boundary_and_exterior_against_set_reference(pairs, members):
     boundary = {j for i in inside for j in adj[i]} - inside
     s = NodeSet(inside)
     assert vertex_boundary(g, s) == NodeSet(boundary)
-    assert exterior(g, s) == NodeSet(set(range(g.n)) - inside - boundary)
 
 
 @given(st.integers(2, 25), st.integers(0, 60), st.integers(0, 2**32 - 1))

@@ -304,33 +304,3 @@ def test_objective_functions_leave_workspace_clean():
     # all the graph keeps is the gather core's position scratch
     pos = objective._SCRATCH[g]
     assert pos.dtype == np.int64 and pos.shape == (g.n,)
-
-
-def test_objective_allocation_independent_of_n():
-    """One objective_value and one forward_map call at the same local point
-    on a 10^3- and a 10^5-node ring allocate the same at their peak: they
-    work in the graph's position scratch and touch only candidate positions."""
-    import tracemalloc
-
-    p = ProblemParams(0.2, 1e-4, 3)
-    x = SparseVector({i: 1.0 / (i + 1) for i in range(25)})
-    peaks = []
-    for ring_nodes in (10**3, 10**5):
-        iu, ju = np.triu_indices(20, 1)
-        ring = np.arange(20, 20 + ring_nodes, dtype=np.int64)
-        g, _ = build_from_edges(np.concatenate([
-            np.stack([iu, ju], axis=1),
-            np.stack([ring, np.roll(ring, -1)], axis=1),
-            [[19, 20]],
-        ]))
-        objective_value(g, p, x)  # creates the position scratch
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            objective_value(g, p, x)
-            forward_map(g, p, x)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 4096, peaks

@@ -97,6 +97,10 @@ def test_spec_validation(tmp_path):
         SweepSpec(**{**ok, "grid": (0.0, 1e-2)})
     with pytest.raises(ValueError, match="alpha grid"):
         SweepSpec(**{**ok, "sweep_axis": "alpha", "grid": (0.5, 1.2)})
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="seed_count must be at least 1"):
+            SweepSpec(**{**ok, "seeds": None, "seed_count": count})
+    SweepSpec(**{**ok, "seed_count": 0})  # not read with seeds
 
 
 def test_run_sweep_shape_and_order():
