@@ -172,7 +172,20 @@ def build_from_edges(
     arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.size == 0:
         raise ValueError("empty graph")
-    present, compact = np.unique(arr.ravel(), return_inverse=True)
+    ids = arr.ravel()
+    top = int(ids.max())
+    if top < ids.size:
+        # every `gen` file's ids are dense in [0, n): compact them by
+        # presence, in an array no longer than the input
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[ids] = True
+        present = np.flatnonzero(seen)
+        rank = np.cumsum(seen, dtype=np.int64)
+        rank -= 1
+        compact = rank[ids]
+        del seen, rank
+    else:
+        present, compact = np.unique(ids, return_inverse=True)
     n = int(present.size)
     if n > _MAX_ID // n:
         raise ValueError(f"{n} distinct nodes overflow the int64 edge key")

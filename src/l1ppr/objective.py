@@ -22,17 +22,22 @@ implementations these functions replaced live on in ``tests/reference.py``,
 and the tests check the two bit for bit.
 
 Points enter and leave as their (sorted nodes, values) arrays; nothing is
-held in an n-length float buffer. The only n-length array is the core's int64
-position scratch, kept per graph (weakly, so it goes with the graph) and
-known to ``_gather`` alone. Its contents are ignored on entry, so it is never
-reset.
+held in an n-length float buffer. The core keeps two things per graph
+(weakly, so they go with the graph), known to ``_gather`` alone: its int64
+position scratch, the only n-length array, whose contents are ignored on
+entry, so it is never reset; and the plan of the last support it read, the
+candidates and the edge-aligned bins and weights that depend on the seed and
+the support only. A call at the seed and support of the previous one, which
+is most steps of a solve once its support settles, reuses the plan: it reads
+no adjacency row and leaves the scratch alone, and does the same products
+and the same per-bin sums in edge order as a call that builds the plan.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -201,11 +206,52 @@ def _check_seed(g: Graph, p: ProblemParams) -> None:
         raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
 
 
-# Per-graph int64 position scratch for the gather core. Its contents are
-# ignored on entry, so it is never reset. ``_gather`` takes it out of the table
-# while in use, so a call that overlaps another on the same graph allocates its
-# own; a call that raises drops it, and the next one allocates a fresh one.
-_SCRATCH: weakref.WeakKeyDictionary[Graph, np.ndarray] = weakref.WeakKeyDictionary()
+class _Plan(NamedTuple):
+    """What the gather core derives from the graph, the seed and the support
+    ``act`` alone: D^{-1/2} at ``act`` and its row lengths, then per entry of
+    those rows, in edge order, the bin of its node among the candidates and
+    D^{-1/2} at it, then the candidates and the positions of ``act`` and of
+    the seed among them. Its arrays are read-only."""
+
+    key: tuple  # (seed, len(act), act.tobytes())
+    isd_act: np.ndarray
+    lens: np.ndarray
+    bins: np.ndarray
+    isd_nbrs: np.ndarray
+    cand: np.ndarray
+    act_pos: np.ndarray
+    at_seed: int
+
+
+# Per-graph state of the gather core: a dict holding the int64 position
+# scratch under "scratch" and the plan of the last support under "plan".
+# A call reads the plan once into a local, and a plan is never changed, only
+# replaced, so overlapping calls on one graph each see a whole one. A call
+# that builds a plan takes the scratch out of the dict while in use, so a
+# build that overlaps another allocates its own; a build that raises drops
+# it, and the next one allocates a fresh one.
+_STATE: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
+
+
+def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -> _Plan:
+    pos = state.pop("scratch", None)
+    if pos is None:
+        pos = np.empty(g.n, dtype=np.int64)
+    isd = g.inv_sqrt_degrees
+    nbrs, lens = _rows(g, act)
+    idx = np.concatenate((act, nbrs, np.array([seed], dtype=np.int64)))
+    # Dedup through the position scratch: exactly one position per distinct
+    # node survives the scatter, whichever write lands last.
+    at = np.arange(idx.size, dtype=np.int64)
+    pos[idx] = at
+    cand = np.sort(idx[pos[idx] == at])
+    pos[cand] = np.arange(cand.size, dtype=np.int64)
+    arrays = (isd[act], lens, pos[nbrs], isd[nbrs], cand, pos[act])
+    at_seed = int(pos[seed])
+    state["scratch"] = pos
+    for a in arrays:
+        a.setflags(write=False)
+    return _Plan(key, *arrays, at_seed)
 
 
 def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
@@ -214,30 +260,25 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
 
     The point z is ``vals`` at the sorted, distinct nodes ``act`` and zero
     elsewhere. The candidates are ``act``, its neighbors and the seed, in
-    ascending order; only the rows of ``act`` are read.
+    ascending order; only the rows of ``act`` are read, and only when the
+    graph's plan is for another seed or support.
     """
     _check_seed(g, p)
-    pos = _SCRATCH.pop(g, None)
-    if pos is None:
-        pos = np.empty(g.n, dtype=np.int64)
-    isd = g.inv_sqrt_degrees
-    nbrs, lens = _rows(g, act)
-    push = vals * isd[act]
-    weights = np.repeat(push, lens) * isd[nbrs]
-    idx = np.concatenate((act, nbrs, np.array([p.seed], dtype=np.int64)))
-    # Dedup through the position scratch: exactly one position per distinct
-    # node survives the scatter, whichever write lands last.
-    at = np.arange(idx.size, dtype=np.int64)
-    pos[idx] = at
-    cand = np.sort(idx[pos[idx] == at])
-    pos[cand] = np.arange(cand.size, dtype=np.int64)
+    state = _STATE.get(g)
+    if state is None:
+        state = _STATE.setdefault(g, {})
+    key = (p.seed, act.size, act.tobytes())  # the size tells int widths apart
+    plan = state.get("plan")
+    if plan is None or plan.key != key:
+        plan = None
+        state.pop("plan", None)  # so that two plans never coexist
+        plan = state["plan"] = _build_plan(g, p.seed, act, key, state)
+    weights = np.repeat(vals * plan.isd_act, plan.lens) * plan.isd_nbrs
     # bincount adds in edge order: sources ascending, CSR order within a row
-    sums = np.bincount(pos[nbrs], weights=weights, minlength=cand.size)
-    zc = np.zeros(cand.size)
-    zc[pos[act]] = vals
-    at_seed = int(pos[p.seed])
-    _SCRATCH[g] = pos
-    return cand, zc, p.hp * zc - p.hm * sums, at_seed
+    sums = np.bincount(plan.bins, weights=weights, minlength=plan.cand.size)
+    zc = np.zeros(plan.cand.size)
+    zc[plan.act_pos] = vals
+    return plan.cand, zc, p.hp * zc - p.hm * sums, plan.at_seed
 
 
 def _gradient_at(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:

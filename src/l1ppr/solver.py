@@ -24,7 +24,10 @@ exactly.
 Iterates stay in their (sorted nodes, values) array form throughout, so a
 solve's wall clock follows the volume of its iterates, not n. The only
 n-length array is the gather core's position scratch, kept per graph in
-:mod:`l1ppr.objective`.
+:mod:`l1ppr.objective` with the plan of the last support a step read. Once
+a solve's support stops changing, which the iterates of a proximal-gradient
+method do after finitely many steps, its steps reuse that plan and read no
+adjacency row.
 """
 
 from __future__ import annotations

@@ -279,6 +279,30 @@ def test_build_from_edges_against_set_reference(pairs):
     assert np.array_equal(g.sqrt_degrees, np.sqrt(g.degrees.astype(np.float64)))
 
 
+def test_build_compaction_same_on_both_sides_of_the_dense_guard():
+    """Ids below the input length compact through a presence array, others
+    through np.unique; both give the same graph and the same id map."""
+    rng = np.random.default_rng(5)
+    ids = np.flatnonzero(rng.random(300) < 0.6)  # gapped ids
+    edges = rng.choice(ids, size=(400, 2))
+    top = int(edges.max())
+    assert top < edges.size
+    dense, dense_remap = build_from_edges(edges)
+    # the same edges with the largest id, or every id, moved past the guard
+    for far in (np.where(edges == top, 10**12, edges), edges + 10**12):
+        assert int(far.max()) >= far.size
+        sparse, sparse_remap = build_from_edges(far)
+        assert sparse.equals(dense)
+        assert np.array_equal(sparse.degrees, dense.degrees)
+        assert sparse_remap.dtype == dense_remap.dtype == np.int64
+        assert np.array_equal(sparse_remap, np.unique(far[far[:, 0] != far[:, 1]]))
+    assert np.array_equal(dense_remap, np.unique(edges[edges[:, 0] != edges[:, 1]]))
+    # an edge like (0, 10**12) sends a tiny input down the np.unique path
+    g, remap = build_from_edges([(0, 10**12), (10**12, 5)])
+    h, remap_h = build_from_edges([(0, 2), (2, 1)])  # dense: compacts to itself
+    assert g.equals(h) and remap.tolist() == [0, 5, 10**12] and remap_h.tolist() == [0, 1, 2]
+
+
 def test_build_from_edges_rejects_key_overflow(monkeypatch):
     import l1ppr.graph as graph
 

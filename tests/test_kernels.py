@@ -1,19 +1,25 @@
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from l1ppr import objective
 from l1ppr.graph import build_from_edges
 from l1ppr.objective import ProblemParams, SparseVector, prox_grad_step
+from l1ppr.solver import SolverConfig, solve
 
 from oracle import random_connected_graph
-from reference import forward_map, kkt_residual, prox
+from reference import forward_map, gradient, kkt_residual, objective_value, prox
+from test_solver import clique_ring
 
 
 def _run_step(g, p, x: SparseVector):
     act, vals = x.arrays()
-    # the position scratch is written before it is read, so garbage must not matter
-    objective._SCRATCH[g] = np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)
+    # the position scratch is written before it is read, so garbage must not
+    # matter; with no plan on the graph, the step builds one
+    objective._STATE[g] = {"scratch": np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)}
     out_act, out_vals, residual = prox_grad_step(g, p, vals, act)
     assert np.all(np.diff(out_act) > 0)
     assert np.all(out_vals != 0.0)
@@ -65,3 +71,86 @@ def test_exact_tie_dropped_by_kernel():
     act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
     assert act.size == 0 and vals.size == 0
     assert residual == 0.0
+
+
+def _count_rows(monkeypatch):
+    """Record each adjacency read of the gather core from now on."""
+    calls = []
+    rows = objective._rows
+
+    def counted(g, nodes):
+        calls.append(nodes.size)
+        return rows(g, nodes)
+
+    monkeypatch.setattr(objective, "_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["ista", "fista"])
+def test_rows_read_once_per_support_change(method, monkeypatch):
+    """A solve's steps read adjacency rows only when their (seed, support)
+    differs from the previous step's; a step on the previous support reuses
+    its plan."""
+    import l1ppr.solver as solver
+
+    keys = []
+    step = solver.prox_grad_step
+
+    def recorded(g, p, z_vals, z_act):
+        keys.append((p.seed, z_act.tobytes()))
+        return step(g, p, z_vals, z_act)
+
+    monkeypatch.setattr(solver, "prox_grad_step", recorded)
+    rows = _count_rows(monkeypatch)
+    solve(clique_ring(100), ProblemParams(0.2, 1e-4, 3), SolverConfig(method=method, eps=1e-8))
+    changes = sum(i == 0 or key != keys[i - 1] for i, key in enumerate(keys))
+    assert len(rows) == changes < len(keys) / 2, (len(rows), changes, len(keys))
+
+
+def test_plan_hit_equals_cold_step_and_reference(monkeypatch):
+    """A step, and each objective function, at the support of the last call
+    but with new values reuses the plan and gives what a step on a graph
+    without a plan gives, and the dict-based reference, bit for bit."""
+    rows = _count_rows(monkeypatch)
+    for case_seed in range(40):
+        g, p, x = random_problem(case_seed)
+        act, vals = x.arrays()
+        prox_grad_step(g, p, vals, act)  # builds the plan
+        y = SparseVector.from_arrays(act, np.random.default_rng(case_seed).standard_normal(act.size))
+        assert np.array_equal(y.support(), act)
+        read = len(rows)
+        hit = prox_grad_step(g, p, y.arrays()[1], act)
+        assert objective.gradient(g, p, y) == gradient(g, p, y)
+        assert objective.forward_map(g, p, y) == forward_map(g, p, y)
+        assert objective.objective_value(g, p, y) == objective_value(g, p, y)
+        assert len(rows) == read
+        del objective._STATE[g]
+        cold = prox_grad_step(g, p, y.arrays()[1], act)
+        assert [a.tobytes() for a in hit[:2]] == [a.tobytes() for a in cold[:2]] and hit[2] == cold[2]
+        assert len(rows) == read + 1
+        assert SparseVector.from_arrays(*hit[:2]) == prox(g, p, forward_map(g, p, y))
+        assert hit[2] == kkt_residual(g, p, y)
+
+
+def test_plan_misses_on_another_seed_support_or_graph(monkeypatch):
+    """The plan is for one graph, one seed and one support: a change of any
+    of them reads the rows again and gives the reference's step."""
+    rows = _count_rows(monkeypatch)
+    g = clique_ring(100)
+    p = ProblemParams(0.2, 1e-4, 3)
+    act, vals = np.array([1, 3, 5]), np.array([0.1, -0.2, 0.3])
+    cases = {
+        "another seed": (g, ProblemParams(0.2, 1e-4, 4), act),
+        "another support of the same length": (g, p, np.array([1, 3, 6])),
+        "a copy of the graph": (dataclasses.replace(g), p, act),
+    }
+    for name, (g2, p2, act2) in cases.items():
+        prox_grad_step(g, p, vals, act)
+        read = len(rows)
+        assert prox_grad_step(g, p, vals, act)[2] == kkt_residual(g, p, SparseVector.from_arrays(act, vals))
+        assert len(rows) == read, name
+        got = prox_grad_step(g2, p2, vals, act2)
+        assert len(rows) == read + 1, name
+        z = SparseVector.from_arrays(act2, vals)
+        assert SparseVector.from_arrays(*got[:2]) == prox(g2, p2, forward_map(g2, p2, z)), name
+        assert got[2] == kkt_residual(g2, p2, z), name

@@ -301,6 +301,7 @@ def test_objective_functions_leave_workspace_clean():
     with pytest.raises(ValueError, match="out of range"):
         gradient(g, ProblemParams(0.3, 0.05, 99, 1), x)
     forward_map(g, p, x)
-    # all the graph keeps is the gather core's position scratch
-    pos = objective._SCRATCH[g]
-    assert pos.dtype == np.int64 and pos.shape == (g.n,)
+    # all the graph keeps is the gather core's position scratch and one plan
+    state = objective._STATE[g]
+    assert sorted(state) == ["plan", "scratch"]
+    assert state["scratch"].dtype == np.int64 and state["scratch"].shape == (g.n,)

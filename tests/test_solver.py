@@ -292,29 +292,36 @@ def test_workspace_clean_after_divergence(method, monkeypatch):
     monkeypatch.undo()
     cfg = SolverConfig(method=method, eps=1e-8, trace_level="full")
     _same_solution(solve(g, p, cfg), solve(clique_ring(1000), p, cfg))
-    # all the graph keeps is the kernel's position scratch, which may hold anything
-    pos = objective._SCRATCH[g]
-    assert pos.dtype == np.int64 and pos.shape == (g.n,)
+    # all the graph keeps is the kernel's position scratch, which may hold
+    # anything, and the plan of the last support
+    state = objective._STATE[g]
+    assert sorted(state) == ["plan", "scratch"]
+    assert state["scratch"].dtype == np.int64 and state["scratch"].shape == (g.n,)
 
 
 def test_retained_state_is_one_position_scratch():
-    """What a solve leaves on its graph is one int64 array of length n; the
-    iterates themselves are never copied into n-length buffers."""
+    """What a solve leaves on its graph is one int64 array of length n and the
+    plan of its last support, whose size does not grow with n; the iterates
+    themselves are never copied into n-length buffers."""
     import gc
     import tracemalloc
 
     p, cfg = ProblemParams(0.2, 1e-4, 3), SolverConfig(eps=1e-8)
     solve(clique_ring(100), p, cfg)  # numpy imports some modules on first use
-    g = clique_ring(10**5)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        solve(g, p, cfg)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert abs(retained - 8 * g.n) < 4096, retained
+
+    def retained_beyond_scratch(n):
+        g = clique_ring(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve(g, p, cfg)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - base - 8 * g.n
+        finally:
+            tracemalloc.stop()
+
+    small, big = retained_beyond_scratch(10**3), retained_beyond_scratch(10**5)
+    assert abs(big - small) < 4096, (small, big)
 
 
 @pytest.mark.parametrize("method, passes", [("ista", 1), ("fista", 2)])
@@ -375,7 +382,7 @@ def test_concurrent_solves_on_one_graph():
     for a, b in zip(got, want):
         _same_solution(a, b)
     # overlapping steps allocate scratches of their own; the graph keeps one
-    pos = objective._SCRATCH[g]
+    pos = objective._STATE[g]["scratch"]
     assert isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.shape == (g.n,)
 
 
