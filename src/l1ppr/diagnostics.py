@@ -85,9 +85,9 @@ def slacks(g: Graph, p: ProblemParams, x_star: SparseVector) -> SlackReport:
     tol], with tol = ``_MINIMIZER_TOL``; the one-sided upper bound reflects
     that minimizers here are nonnegative.
     """
-    cand, xc, grad = _gradient_at(g, p, *x_star.arrays())
-    lvl = p.reg_level
-    lam = lvl * g.sqrt_degrees[cand]
+    plan, xc, grad = _gradient_at(g, p, *x_star.arrays())
+    cand, lvl = plan.cand, p.reg_level
+    lam = lvl * plan.sqrt_cand
     on = xc != 0.0
     viol = np.abs(grad[on] + np.where(xc[on] > 0.0, lam[on], -lam[on]))
     bad = np.flatnonzero(viol > _MINIMIZER_TOL)

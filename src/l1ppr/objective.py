@@ -31,6 +31,12 @@ the support only. A call at the seed and support of the previous one, which
 is most steps of a solve once its support settles, reuses the plan: it reads
 no adjacency row and leaves the scratch alone, and does the same products
 and the same per-bin sums in edge order as a call that builds the plan.
+
+A support a step returns may be the plan's read-only copy of its input
+support: it is, exactly when the step leaves the support unchanged. A call
+given that very array at the plan's seed finds the plan by identity, without
+building a key from the support's bytes; any other array, such as a caller's
+writable one, is compared by its bytes.
 """
 
 from __future__ import annotations
@@ -208,17 +214,21 @@ def _check_seed(g: Graph, p: ProblemParams) -> None:
 
 class _Plan(NamedTuple):
     """What the gather core derives from the graph, the seed and the support
-    ``act`` alone: D^{-1/2} at ``act`` and its row lengths, then per entry of
-    those rows, in edge order, the bin of its node among the candidates and
-    D^{-1/2} at it, then the candidates and the positions of ``act`` and of
+    ``act`` alone: its own copy of ``act``, D^{-1/2} at ``act`` and its row
+    lengths, then per entry of those rows, in edge order, the bin of its node
+    among the candidates and D^{-1/2} at it, then the candidates, sqrt(d) at
+    them, which of them are in ``act``, and the positions of ``act`` and of
     the seed among them. Its arrays are read-only."""
 
     key: tuple  # (seed, len(act), act.tobytes())
+    act: np.ndarray
     isd_act: np.ndarray
     lens: np.ndarray
     bins: np.ndarray
     isd_nbrs: np.ndarray
     cand: np.ndarray
+    sqrt_cand: np.ndarray
+    in_act: np.ndarray
     act_pos: np.ndarray
     at_seed: int
 
@@ -246,7 +256,11 @@ def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -
     pos[idx] = at
     cand = np.sort(idx[pos[idx] == at])
     pos[cand] = np.arange(cand.size, dtype=np.int64)
-    arrays = (isd[act], lens, pos[nbrs], isd[nbrs], cand, pos[act])
+    act_pos = pos[act]
+    in_act = np.zeros(cand.size, dtype=bool)
+    in_act[act_pos] = True
+    arrays = (act.astype(np.int64), isd[act], lens, pos[nbrs], isd[nbrs], cand,
+              g.sqrt_degrees[cand], in_act, act_pos)
     at_seed = int(pos[seed])
     state["scratch"] = pos
     for a in arrays:
@@ -255,45 +269,49 @@ def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -
 
 
 def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
-    """Gather core: the candidates, the point at them, (Qz) at them and the
-    position of the seed among them.
+    """Gather core: the plan of the support ``act``, the point at its
+    candidates and (Qz) at them.
 
     The point z is ``vals`` at the sorted, distinct nodes ``act`` and zero
     elsewhere. The candidates are ``act``, its neighbors and the seed, in
     ascending order; only the rows of ``act`` are read, and only when the
-    graph's plan is for another seed or support.
+    graph's plan is for another seed or support. ``act`` that is the plan's
+    own array, as a step returns on an unchanged support, finds the plan
+    without building a key.
     """
-    _check_seed(g, p)
     state = _STATE.get(g)
     if state is None:
         state = _STATE.setdefault(g, {})
-    key = (p.seed, act.size, act.tobytes())  # the size tells int widths apart
     plan = state.get("plan")
-    if plan is None or plan.key != key:
-        plan = None
-        state.pop("plan", None)  # so that two plans never coexist
-        plan = state["plan"] = _build_plan(g, p.seed, act, key, state)
-    weights = np.repeat(vals * plan.isd_act, plan.lens) * plan.isd_nbrs
+    if plan is None or act is not plan.act or plan.key[0] != p.seed:
+        _check_seed(g, p)
+        key = (p.seed, act.size, act.tobytes())  # the size tells int widths apart
+        if plan is None or plan.key != key:
+            plan = None
+            state.pop("plan", None)  # so that two plans never coexist
+            plan = state["plan"] = _build_plan(g, p.seed, act, key, state)
+    weights = (vals * plan.isd_act).repeat(plan.lens) * plan.isd_nbrs
     # bincount adds in edge order: sources ascending, CSR order within a row
     sums = np.bincount(plan.bins, weights=weights, minlength=plan.cand.size)
     zc = np.zeros(plan.cand.size)
     zc[plan.act_pos] = vals
-    return plan.cand, zc, p.hp * zc - p.hm * sums, plan.at_seed
+    return plan, zc, p.hp * zc - p.hm * sums
 
 
 def _gradient_at(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
-    """The candidates of the point z (``vals`` at ``act``), z at them and
-    grad f(z) = Qz - alpha D^{-1/2} e_v at them."""
-    cand, zc, grad, at_seed = _gather(g, p, act, vals)
-    grad[at_seed] -= p.alpha * g.inv_sqrt_degrees[p.seed]
-    return cand, zc, grad
+    """The plan of the point z (``vals`` at ``act``), z at its candidates
+    and grad f(z) = Qz - alpha D^{-1/2} e_v at them."""
+    plan, zc, grad = _gather(g, p, act, vals)
+    grad[plan.at_seed] -= p.alpha * g.inv_sqrt_degrees[p.seed]
+    return plan, zc, grad
 
 
-def _soft_threshold(g: Graph, p: ProblemParams, nodes: np.ndarray, u: np.ndarray) -> tuple:
-    """Weighted soft threshold of the values ``u`` at ``nodes``: shrink each
-    by c*alpha*rho*sqrt(d_i). Returns the mask of entries that survive
-    (an entry exactly on its threshold does not) and their shrunk values."""
-    thresholds = p.reg_level * g.sqrt_degrees[nodes]
+def _soft_threshold(p: ProblemParams, sqrt_deg: np.ndarray, u: np.ndarray) -> tuple:
+    """Weighted soft threshold of the values ``u`` at nodes whose sqrt(d_i)
+    are ``sqrt_deg``: shrink each by c*alpha*rho*sqrt(d_i). Returns the mask
+    of entries that survive (an entry exactly on its threshold does not) and
+    their shrunk values."""
+    thresholds = p.reg_level * sqrt_deg
     mag = np.abs(u)
     keep = mag > thresholds
     return keep, np.sign(u[keep]) * (mag[keep] - thresholds[keep])
@@ -310,20 +328,24 @@ def prox_grad_step(
     step 1/L, equal to ``prox(forward_map(z))`` bit for bit.
 
     Returns the sorted support of x, the values on it, and the fixed-point
-    residual ||z - x||_inf, which is ``kkt_residual`` at z.
+    residual ||z - x||_inf, which is ``kkt_residual`` at z. When supp(x)
+    equals supp(z), the support returned is the gather plan's read-only copy
+    of ``z_act``, and a step from it finds the plan by identity.
     """
-    cand, zc, grad = _gradient_at(g, p, z_act, z_vals)
-    keep, vals = _soft_threshold(g, p, cand, zc - grad)
+    plan, zc, grad = _gradient_at(g, p, z_act, z_vals)
+    keep, vals = _soft_threshold(p, plan.sqrt_cand, zc - grad)
     # the candidates cover supp(z) and supp(x); both are 0 elsewhere
-    x = np.zeros(cand.size)
+    x = np.zeros(zc.size)
     x[keep] = vals
-    return cand[keep], vals, float(np.max(np.abs(zc - x)))
+    # comparing the masks' bytes costs less than np.array_equal on short ones
+    act = plan.act if keep.tobytes() == plan.in_act.tobytes() else plan.cand[keep]
+    return act, vals, float(np.abs(zc - x).max())
 
 
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     """grad f at x; support is contained in supp(x), its neighbors, and {v}."""
-    cand, _, grad = _gradient_at(g, p, *x.arrays())
-    return SparseVector.from_arrays(cand, grad)
+    plan, _, grad = _gradient_at(g, p, *x.arrays())
+    return SparseVector.from_arrays(plan.cand, grad)
 
 
 def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
@@ -333,14 +355,14 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
     support.
     """
     nodes, vals = w.arrays()
-    keep, shrunk = _soft_threshold(g, p, nodes, vals)
+    keep, shrunk = _soft_threshold(p, g.sqrt_degrees[nodes], vals)
     return SparseVector.from_arrays(nodes[keep], shrunk)
 
 
 def forward_map(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     """u(x) = x - grad f(x), the gradient step at the unit step 1/L."""
-    cand, xc, grad = _gradient_at(g, p, *x.arrays())
-    return SparseVector.from_arrays(cand, xc - grad)
+    plan, xc, grad = _gradient_at(g, p, *x.arrays())
+    return SparseVector.from_arrays(plan.cand, xc - grad)
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
@@ -355,13 +377,13 @@ def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
     The quadratic and l1 terms are each summed over supp(x) in ascending node
     order.
     """
-    cand, xc, qx, at_seed = _gather(g, p, *x.arrays())
+    plan, xc, qx = _gather(g, p, *x.arrays())
     at = np.flatnonzero(xc)  # supp(x): its values are never zero
     xs = xc[at]
     quad = _sum_in_order(xs * (0.5 * qx[at]))
-    l1 = _sum_in_order(g.sqrt_degrees[cand[at]] * np.abs(xs))
+    l1 = _sum_in_order(plan.sqrt_cand[at] * np.abs(xs))
     seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
-    return quad - seed_term * float(xc[at_seed]) + p.reg_level * l1
+    return quad - seed_term * float(xc[plan.at_seed]) + p.reg_level * l1
 
 
 def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector) -> float:

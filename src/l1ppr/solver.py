@@ -28,6 +28,12 @@ n-length array is the gather core's position scratch, kept per graph in
 a solve's support stops changing, which the iterates of a proximal-gradient
 method do after finitely many steps, its steps reuse that plan and read no
 adjacency row.
+
+A step that leaves its input's support unchanged returns the plan's own
+support array. While the support stands, FISTA extrapolates y_k on the value
+arrays of x_k and x_{k-1} as they are, aligned on the one support; only when
+supp(x_k) differs from supp(x_{k-1}) does it place both on their union. The
+ledger's volumes are summed once per support array, not once per iteration.
 """
 
 from __future__ import annotations
@@ -154,6 +160,9 @@ def solve(
                        spurious_vol=None if spurious_baseline is None else array("q"))
 
     x_act, x_vals = prev_act, prev_vals = np.empty(0, dtype=np.int64), np.empty(0)
+    volume = _per_array(lambda act: int(degrees[act].sum()))
+    if spurious_baseline is not None:
+        spurious = _per_array(lambda act: int(degrees[act[~spurious_baseline.contains(act)]].sum()))
     t_act, t_vals, r = prox_grad_step(g, p, x_vals, x_act)
     for k in range(cfg.max_iter):
         if r <= cfg.eps:
@@ -164,25 +173,29 @@ def solve(
             y_act, y_vals = x_act, x_vals
             xn_act, xn_vals = t_act, t_vals
         else:
-            union = np.union1d(x_act, prev_act)
-            xu = _place(union, x_act, x_vals)
-            merged = xu + beta * (xu - _place(union, prev_act, prev_vals))
-            if not np.isfinite(merged).all():
+            if x_act is prev_act or x_act.tobytes() == prev_act.tobytes():
+                # the support stands: the values are aligned
+                y_act, xu, pu = x_act, x_vals, prev_vals
+            else:
+                y_act = np.union1d(x_act, prev_act)
+                xu, pu = _place(y_act, x_act, x_vals), _place(y_act, prev_act, prev_vals)
+            y_vals = xu + beta * (xu - pu)
+            if not np.isfinite(y_vals).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-            nz = merged != 0.0
-            y_act, y_vals = union[nz], merged[nz]
+            nz = y_vals != 0.0
+            if not nz.all():
+                y_act, y_vals = y_act[nz], y_vals[nz]
             xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act)
         if not np.isfinite(xn_vals).all():
             raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
 
         t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act)
 
-        trace.vol_supp_y.append(int(degrees[y_act].sum()))
-        trace.vol_supp_x_next.append(int(degrees[xn_act].sum()))
+        trace.vol_supp_y.append(volume(y_act))
+        trace.vol_supp_x_next.append(volume(xn_act))
         trace.residual.append(r)
         if spurious_baseline is not None:
-            outside = xn_act[~spurious_baseline.contains(xn_act)]
-            trace.spurious_vol.append(int(degrees[outside].sum()))
+            trace.spurious_vol.append(spurious(xn_act))
         if full:
             trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
 
@@ -192,6 +205,20 @@ def solve(
     trace.converged = r <= cfg.eps
     trace.final_residual = r
     return Solution(SparseVector.from_arrays(x_act, x_vals), trace, NodeSet(x_act))
+
+
+def _per_array(fn):
+    """``fn`` of one array, computed again only when called with another
+    array object than the last call's; the solver never writes into the
+    support arrays it passes."""
+    last = [None, None]
+
+    def call(a):
+        if a is not last[0]:
+            last[:] = a, fn(a)
+        return last[1]
+
+    return call
 
 
 def _place(union: np.ndarray, act: np.ndarray, vals: np.ndarray) -> np.ndarray:

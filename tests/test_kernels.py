@@ -107,6 +107,62 @@ def test_rows_read_once_per_support_change(method, monkeypatch):
     assert len(rows) == changes < len(keys) / 2, (len(rows), changes, len(keys))
 
 
+def test_fista_places_values_only_when_the_support_changes(monkeypatch):
+    """FISTA extrapolates on the iterates' aligned values while the support
+    stands: it places them on a union only in iterations where supp(x_k)
+    differs from supp(x_{k-1})."""
+    import l1ppr.solver as solver
+
+    steps, placed = [], []
+    step, place = solver.prox_grad_step, solver._place
+
+    def counted_step(g, p, z_vals, z_act):
+        steps.append(None)
+        return step(g, p, z_vals, z_act)
+
+    def recorded_place(union, act, vals):
+        placed.append((len(steps) - 1) // 2)  # one step from zero, then two per iteration
+        return place(union, act, vals)
+
+    monkeypatch.setattr(solver, "prox_grad_step", counted_step)
+    monkeypatch.setattr(solver, "_place", recorded_place)
+    sol = solve(clique_ring(100), ProblemParams(0.2, 1e-4, 3), SolverConfig(eps=1e-8, trace_level="full"))
+    supports = [b""] + [x_act.tobytes() for _, _, x_act, _ in sol.trace.snapshots]  # x_0 = 0
+    changed = {k for k in range(1, sol.trace.iterations) if supports[k] != supports[k - 1]}
+    assert set(placed) <= changed, (sorted(set(placed)), sorted(changed))
+    assert len(set(placed)) < sol.trace.iterations / 2, (len(set(placed)), sol.trace.iterations)
+
+
+def test_step_on_an_unchanged_support_returns_the_plan_array():
+    """A step whose support stands returns the read-only support array it was
+    given, once that array is the plan's: the next step finds the plan by
+    identity."""
+    g, p = clique_ring(100), ProblemParams(0.2, 1e-4, 3)
+    act, vals, _ = prox_grad_step(g, p, np.zeros(0), np.empty(0, dtype=np.int64))
+    for _ in range(100):
+        out_act, out_vals, _ = prox_grad_step(g, p, vals, act)
+        if out_act is act:
+            break
+        act, vals = out_act, out_vals
+    assert out_act is act and not act.flags.writeable
+    assert np.array_equal(act, objective._STATE[g]["plan"].act)
+
+
+def test_writable_support_is_not_taken_as_the_plan():
+    """The plan keeps its own copy of the support: a step from a caller's
+    array that was changed in place since the last step gives the
+    reference's step, not the old plan's."""
+    g, p = clique_ring(100), ProblemParams(0.2, 1e-4, 3)
+    act, vals = np.array([1, 3, 5]), np.array([0.1, -0.2, 0.3])
+    prox_grad_step(g, p, vals, act)
+    act[2] = 6
+    got = prox_grad_step(g, p, vals, act)
+    z = SparseVector.from_arrays(act, vals)
+    assert SparseVector.from_arrays(*got[:2]) == prox(g, p, forward_map(g, p, z))
+    assert got[2] == kkt_residual(g, p, z)
+    assert objective._STATE[g]["plan"].act is not act
+
+
 def test_plan_hit_equals_cold_step_and_reference(monkeypatch):
     """A step, and each objective function, at the support of the last call
     but with new values reuses the plan and gives what a step on a graph
@@ -143,10 +199,16 @@ def test_plan_misses_on_another_seed_support_or_graph(monkeypatch):
         "another seed": (g, ProblemParams(0.2, 1e-4, 4), act),
         "another support of the same length": (g, p, np.array([1, 3, 6])),
         "a copy of the graph": (dataclasses.replace(g), p, act),
+        # None: the plan's own copy of act, which a step finds by identity
+        "the plan's own support under another seed": (g, ProblemParams(0.2, 1e-4, 4), None),
     }
     for name, (g2, p2, act2) in cases.items():
         prox_grad_step(g, p, vals, act)
         read = len(rows)
+        if act2 is None:
+            act2 = objective._STATE[g]["plan"].act
+            assert prox_grad_step(g, p, vals, act2)[2] == kkt_residual(g, p, SparseVector.from_arrays(act, vals))
+            assert len(rows) == read, name
         assert prox_grad_step(g, p, vals, act)[2] == kkt_residual(g, p, SparseVector.from_arrays(act, vals))
         assert len(rows) == read, name
         got = prox_grad_step(g2, p2, vals, act2)

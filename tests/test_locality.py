@@ -17,6 +17,13 @@ must be equal at the two sizes up to a slack: one n-length float buffer at
 10^6 nodes is 8 MB, far past it. The only n-length array is the int64
 position scratch, which a graph's first solve allocates once.
 
+A random graph padded with a component its solves cannot reach, at ids
+interleaved with its own in an order-preserving way, must solve bit for bit
+as the graph alone: the gather core adds in a fixed order of node ids, so
+neither the extra nodes nor the shifted ids may change a result. A
+relabeling that does not keep the order is not covered; it changes the
+accumulation order, and with it the low bits.
+
 O(n) by design, and so not covered here: ``SparseVector.to_dense`` and
 ``build_from_edges``.
 """
@@ -27,6 +34,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from l1ppr import (
     NodeSet,
@@ -164,3 +173,40 @@ def test_audit_is_independent_of_n(graphs, solutions, name):
         if layout == "relabeled":
             assert big == small
         assert abs(big_peak - small_peak) < PEAK_SLACK, layout
+
+
+def _random_edges(rng, n):
+    """A random tree on range(n) plus up to 2n random extra edges."""
+    tree = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    extra = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+    return np.concatenate((np.array(tree, dtype=np.int64).reshape(-1, 2), extra))
+
+
+@given(case_seed=st.integers(0, 2**32 - 1))
+def test_unreachable_padding_changes_no_bit(case_seed):
+    """Solving G, or G padded with a random component at interleaved ids
+    (G's ids keep their order), gives the same support under the id map, the
+    same value bytes, iterations, ledger and residual bytes, by both
+    methods."""
+    rng = np.random.default_rng(case_seed)
+    n, m = int(rng.integers(5, 40)), int(rng.integers(2, 200))
+    g_edges, h_edges = _random_edges(rng, n), _random_edges(rng, m)
+    g, _ = build_from_edges(g_edges)
+    at = np.sort(rng.choice(n + m, n, replace=False))  # G's ids in the padded graph
+    rest = rng.permutation(np.setdiff1d(np.arange(n + m), at))
+    padded, remap = build_from_edges(np.concatenate((at[g_edges], rest[h_edges])))
+    assert g.n == n and np.array_equal(remap, np.arange(n + m))
+    alpha = float(rng.choice([0.05, 0.2, 0.5, 1.0]))
+    rho = float(10.0 ** rng.uniform(-5, -1))
+    seed = int(rng.integers(0, n))
+    for method in ("ista", "fista"):
+        cfg = SolverConfig(method=method, eps=1e-9)
+        alone = solve(g, ProblemParams(alpha, rho, seed), cfg)
+        pad = solve(padded, ProblemParams(alpha, rho, int(at[seed])), cfg)
+        nodes, vals = alone.x.arrays()
+        pad_nodes, pad_vals = pad.x.arrays()
+        assert np.array_equal(at[nodes], pad_nodes), method
+        assert vals.tobytes() == pad_vals.tobytes(), method
+        ta, tb = alone.trace, pad.trace
+        assert (ta.iterations, ta.total_work) == (tb.iterations, tb.total_work), method
+        assert ta.residual.tobytes() == tb.residual.tobytes(), method
