@@ -25,10 +25,10 @@ from dataclasses import fields
 import numpy as np
 
 from .diagnostics import check_no_percolation, slacks
-from .graph import _MAX_ID, NodeSet, _find, volume
+from .graph import NodeSet, volume
 from .objective import REG_FACTORS, ProblemParams, SettingError
 from .solver import METHODS, SolverConfig, solve
-from .sweep import SweepSpec, _fmt, load_edgelist, log_grid, run_sweep, write_rows_csv
+from .sweep import SweepSpec, _fmt, _map_original_ids, load_edgelist, log_grid, run_sweep, write_rows_csv
 from .synth import SynthParams, generate, path_instance, star_instance
 
 __all__ = ["main"]
@@ -42,17 +42,6 @@ def _fail(msg: str, code: int = 2) -> int:
 def _reason(exc: Exception) -> str:
     """Message of an input error; a MemoryError raised by Python itself has none."""
     return str(exc) or "out of memory"
-
-
-def _map_original_ids(remap: np.ndarray, nodes: list[int], what: str) -> list[int]:
-    """Translate original edge-list ids to compact graph ids (``remap`` is
-    strictly increasing)."""
-    # an id outside int64 becomes -1, which no graph holds
-    query = np.array([node if 0 <= node <= _MAX_ID else -1 for node in nodes], dtype=np.int64)
-    found, at = _find(remap, query)
-    if not found.all():
-        raise ValueError(f"{what} {nodes[int(np.argmin(found))]} not present in the graph")
-    return at.tolist()
 
 
 # rows per formatted block of an edge-list write

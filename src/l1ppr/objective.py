@@ -15,9 +15,10 @@ prox-gradient step ``prox_grad_step`` share one gather core, ``_gather``: it
 reads the adjacency rows of supp(x) only and returns the candidates supp(x) +
 N(supp(x)) + {v} with (Qx) at each of them, so every one of these costs
 O(vol(supp(x))). Its accumulation order is fixed (sources in ascending node
-order, CSR row order within a source). ``prox`` and the step share one
-weighted soft threshold, ``_soft_threshold``, and ``kkt_residual`` is the
-residual the step returns. The dict-based
+order, CSR row order within a source). ``prox``, the step and FISTA's
+step from the forward maps in ``l1ppr.solver`` share one weighted soft
+threshold, ``_soft_threshold``, and ``kkt_residual`` is the residual the
+step returns. The dict-based
 implementations these functions replaced live on in ``tests/reference.py``,
 and the tests check the two bit for bit.
 
@@ -322,24 +323,28 @@ def prox_grad_step(
     p: ProblemParams,
     z_vals: np.ndarray,
     z_act: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
     """One fused prox-gradient step from the point z that is ``z_vals`` at
     the sorted, distinct nodes ``z_act``: x = prox(z - grad f(z)), the unit
     step 1/L, equal to ``prox(forward_map(z))`` bit for bit.
 
-    Returns the sorted support of x, the values on it, and the fixed-point
-    residual ||z - x||_inf, which is ``kkt_residual`` at z. When supp(x)
-    equals supp(z), the support returned is the gather plan's read-only copy
-    of ``z_act``, and a step from it finds the plan by identity.
+    Returns the sorted support of x, the values on it, the fixed-point
+    residual ||z - x||_inf, which is ``kkt_residual`` at z, and the forward
+    map u(z) = z - grad f(z) that the step thresholded: the gather plan's
+    read-only candidate array and u(z) at each candidate, ``forward_map`` at
+    z bit for bit with its zeros kept. When supp(x) equals supp(z), the
+    support returned is the plan's read-only copy of ``z_act``, and a step
+    from it finds the plan by identity.
     """
     plan, zc, grad = _gradient_at(g, p, z_act, z_vals)
-    keep, vals = _soft_threshold(p, plan.sqrt_cand, zc - grad)
+    u = zc - grad
+    keep, vals = _soft_threshold(p, plan.sqrt_cand, u)
     # the candidates cover supp(z) and supp(x); both are 0 elsewhere
     x = np.zeros(zc.size)
     x[keep] = vals
     # comparing the masks' bytes costs less than np.array_equal on short ones
     act = plan.act if keep.tobytes() == plan.in_act.tobytes() else plan.cand[keep]
-    return act, vals, float(np.abs(zc - x).max())
+    return act, vals, float(np.abs(zc - x).max()), plan.cand, u
 
 
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:

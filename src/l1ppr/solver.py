@@ -12,14 +12,21 @@ Iterations start from x_{-1} = x_0 = 0. The residual at x_k is tested
 against eps once, at the top of iteration k, so a zero start that already
 meets it charges nothing; the global iteration cap ends the loop otherwise.
 
-The ledger is the modeled cost; the kernel calls are the actual one. FISTA
-makes two per iteration (the step from y_k, then the residual step from
-x_{k+1}). Without momentum the step T(x_k) that the previous residual check
-computed is exactly x_{k+1}, and ISTA makes one. Every step is
-:func:`l1ppr.objective.prox_grad_step`, which also returns the residual at
-its input point; the stopping residual is the one from the step at x_{k+1},
-so ``trace.final_residual`` equals ``kkt_residual`` of the returned iterate
-exactly.
+The ledger is the modeled cost; the kernel calls are the actual one. Both
+methods make one per iteration, the residual step from x_{k+1}, which is
+:func:`l1ppr.objective.prox_grad_step`; it also returns the residual at its
+input point, so ``trace.final_residual`` equals ``kkt_residual`` of the
+returned iterate exactly. Without momentum the step T(x_k) that the previous
+residual check computed is exactly x_{k+1}. FISTA forms x_{k+1} = T(y_k)
+without a step from y_k: f is quadratic, so the forward map
+u(z) = z - grad f(z) is affine and
+
+    u(y_k) = u(x_k) + beta (u(x_k) - u(x_{k-1})),
+
+and the residual steps from x_k and x_{k-1} return both maps on the right.
+FISTA soft-thresholds that u(y_k). It still forms y_k, whose support the
+ledger charges and full traces record, although no kernel reads it; the
+ledger is the method's, not the kernel's.
 
 Iterates stay in their (sorted nodes, values) array form throughout, so a
 solve's wall clock follows the volume of its iterates, not n. The only
@@ -30,10 +37,13 @@ method do after finitely many steps, its steps reuse that plan and read no
 adjacency row.
 
 A step that leaves its input's support unchanged returns the plan's own
-support array. While the support stands, FISTA extrapolates y_k on the value
-arrays of x_k and x_{k-1} as they are, aligned on the one support; only when
-supp(x_k) differs from supp(x_{k-1}) does it place both on their union. The
-ledger's volumes are summed once per support array, not once per iteration.
+support array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
+supp(T(x_k)), so the next step finds the plan by identity. While the support
+stands, FISTA extrapolates on the value arrays of x_k and x_{k-1} as they
+are, aligned on the one support, and on their forward maps, aligned on the
+plan's one candidate array; only when the arrays differ does it place both
+on their union. The ledger's volumes, and sqrt(d) at the candidates, are
+computed once per array, not once per iteration.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .objective import (
     ProblemParams,
     SettingError,
     SparseVector,
+    _soft_threshold,
     objective_value,
     prox_grad_step,
 )
@@ -161,9 +172,11 @@ def solve(
 
     x_act, x_vals = prev_act, prev_vals = np.empty(0, dtype=np.int64), np.empty(0)
     volume = _per_array(lambda act: int(degrees[act].sum()))
+    sqrt_deg = _per_array(lambda cand: g.sqrt_degrees[cand])
     if spurious_baseline is not None:
         spurious = _per_array(lambda act: int(degrees[act[~spurious_baseline.contains(act)]].sum()))
-    t_act, t_vals, r = prox_grad_step(g, p, x_vals, x_act)
+    t_act, t_vals, r, u_cand, u = prox_grad_step(g, p, x_vals, x_act)
+    prev_cand, prev_u = u_cand, u  # u(x_{-1}) = u(x_0)
     for k in range(cfg.max_iter):
         if r <= cfg.eps:
             break
@@ -172,24 +185,29 @@ def solve(
             # step the last residual check computed.
             y_act, y_vals = x_act, x_vals
             xn_act, xn_vals = t_act, t_vals
+            if not np.isfinite(xn_vals).all():
+                raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
         else:
-            if x_act is prev_act or x_act.tobytes() == prev_act.tobytes():
-                # the support stands: the values are aligned
-                y_act, xu, pu = x_act, x_vals, prev_vals
-            else:
-                y_act = np.union1d(x_act, prev_act)
-                xu, pu = _place(y_act, x_act, x_vals), _place(y_act, prev_act, prev_vals)
-            y_vals = xu + beta * (xu - pu)
+            y_act, y_vals = _extrapolate(beta, x_act, x_vals, prev_act, prev_vals)
             if not np.isfinite(y_vals).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
             nz = y_vals != 0.0
             if not nz.all():
                 y_act, y_vals = y_act[nz], y_vals[nz]
-            xn_act, xn_vals, _ = prox_grad_step(g, p, y_vals, y_act)
-        if not np.isfinite(xn_vals).all():
-            raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
+            # u is affine, so u(y_k) extrapolates u(x_k) and u(x_{k-1}) as
+            # y_k does x_k and x_{k-1}
+            cand, u_y = _extrapolate(beta, u_cand, u, prev_cand, prev_u)
+            if not np.isfinite(u_y).all():  # the threshold would drop a nan
+                raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
+            keep, xn_vals = _soft_threshold(p, sqrt_deg(cand), u_y)
+            xn_act = cand[keep]
+            if xn_act.tobytes() == t_act.tobytes():
+                # T(x_k) has this support too: take its array, which is the
+                # plan's when it is also supp(x_k), so the step finds the plan
+                # by identity
+                xn_act = t_act
 
-        t_act, t_vals, r = prox_grad_step(g, p, xn_vals, xn_act)
+        t_act, t_vals, r, xn_cand, xn_u = prox_grad_step(g, p, xn_vals, xn_act)
 
         trace.vol_supp_y.append(volume(y_act))
         trace.vol_supp_x_next.append(volume(xn_act))
@@ -199,8 +217,8 @@ def solve(
         if full:
             trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
 
-        prev_act, prev_vals = x_act, x_vals
-        x_act, x_vals = xn_act, xn_vals
+        prev_act, prev_vals, prev_cand, prev_u = x_act, x_vals, u_cand, u
+        x_act, x_vals, u_cand, u = xn_act, xn_vals, xn_cand, xn_u
 
     trace.converged = r <= cfg.eps
     trace.final_residual = r
@@ -219,6 +237,19 @@ def _per_array(fn):
         return last[1]
 
     return call
+
+
+def _extrapolate(beta: float, act: np.ndarray, vals: np.ndarray,
+                 prev_act: np.ndarray, prev_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + beta (a - b) for the points a (``vals`` at ``act``) and b
+    (``prev_vals`` at ``prev_act``), at ``act`` when the two arrays of nodes
+    are equal, at their union otherwise."""
+    if act is prev_act or act.tobytes() == prev_act.tobytes():
+        a, b = vals, prev_vals  # aligned on one array of nodes
+    else:
+        union = np.union1d(act, prev_act)
+        act, a, b = union, _place(union, act, vals), _place(union, prev_act, prev_vals)
+    return act, a + beta * (a - b)
 
 
 def _place(union: np.ndarray, act: np.ndarray, vals: np.ndarray) -> np.ndarray:

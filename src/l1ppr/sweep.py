@@ -23,7 +23,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .graph import _MAX_ID, Graph, NodeSet, parse_snap_edgelist, volume
+from .graph import _MAX_ID, Graph, NodeSet, _find, parse_snap_edgelist, volume
 from .objective import ProblemParams, SettingError
 from .solver import METHODS, NumericalDivergenceError, SolverConfig, solve
 from .synth import RegionPartition, SynthParams, generate
@@ -73,6 +73,17 @@ def load_edgelist(path: str, max_nodes: int | None = None):
         return parse_snap_edgelist(Path(path), max_nodes)
     except OSError as exc:
         raise ValueError(f"cannot read graph file: {exc}") from exc
+
+
+def _map_original_ids(remap: np.ndarray, nodes: list[int], what: str) -> list[int]:
+    """Translate original edge-list ids to compact graph ids (``remap`` is
+    strictly increasing)."""
+    # an id outside int64 becomes -1, which no graph holds
+    query = np.array([node if 0 <= node <= _MAX_ID else -1 for node in nodes], dtype=np.int64)
+    found, at = _find(remap, query)
+    if not found.all():
+        raise ValueError(f"{what} {nodes[int(np.argmin(found))]} not present in the graph")
+    return at.tolist()
 
 
 def sample_seeds(g: Graph, k: int, rng_seed: int) -> NodeSet:
@@ -193,23 +204,28 @@ class SweepResult:
     errors: tuple[SweepError, ...]
 
 
-def _prepare_points(spec: SweepSpec) -> list[tuple[float, Graph, RegionPartition | None]]:
+def _prepare_points(spec: SweepSpec) -> tuple[list[tuple[float, Graph, RegionPartition | None]], np.ndarray | None]:
+    """The (grid value, graph, partition) of each point, and the edge list's
+    compact-to-original id map (None for a synthetic graph)."""
     if spec.edgelist_path is not None:
-        g, _ = load_edgelist(spec.edgelist_path, spec.max_nodes)
-        return [(float(v), g, None) for v in spec.grid]
+        g, remap = load_edgelist(spec.edgelist_path, spec.max_nodes)
+        return [(float(v), g, None) for v in spec.grid], remap
     if not spec.per_point_fresh_graph and spec.sweep_axis != "boundary_size":
         g, part = generate(spec.synth)
-        return [(float(v), g, part) for v in spec.grid]
-    return [(float(v), *generate(spec._point_synth(idx, v))) for idx, v in enumerate(spec.grid)]
+        return [(float(v), g, part) for v in spec.grid], None
+    return [(float(v), *generate(spec._point_synth(idx, v))) for idx, v in enumerate(spec.grid)], None
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run both methods over the grid x seed set; deterministic given spec."""
-    points = _prepare_points(spec)
+    """Run both methods over the grid x seed set; deterministic given spec.
+    On an edge list, seeds are the file's node ids, in the spec and in the
+    rows."""
+    points, remap = _prepare_points(spec)
     if spec.seeds is not None:
         seeds = tuple(int(s) for s in spec.seeds)
     else:
-        seeds = tuple(int(s) for s in sample_seeds(points[0][1], spec.seed_count, spec.base_rng_seed).ids)
+        sampled = sample_seeds(points[0][1], spec.seed_count, spec.base_rng_seed).ids
+        seeds = tuple(int(s) for s in (sampled if remap is None else remap[sampled]))
     rows: list[SweepRow] = []
     errors: list[SweepError] = []
     for value, g, part in points:
@@ -217,7 +233,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for method in METHODS:
             for seed in seeds:
                 try:
-                    sol = solve(g, *spec._run_params(value, seed, method), spurious_baseline=baseline)
+                    node = seed if remap is None else _map_original_ids(remap, [seed], "seed node")[0]
+                    sol = solve(g, *spec._run_params(value, node, method), spurious_baseline=baseline)
                 except (ValueError, NumericalDivergenceError) as exc:
                     errors.append(SweepError(value, method, seed, str(exc)))
                     stats = _ERRORED_RUN

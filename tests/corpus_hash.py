@@ -1,13 +1,18 @@
-"""Hash a fixed corpus of solves, to show that a change keeps every bit.
+"""Hash a fixed corpus of solves, to show what a change keeps.
 
     python3 tests/corpus_hash.py
 
-Solves 1,024 fixed problems and prints their count and one SHA-256 over
-every solution's nodes and value bytes and every trace's residual, ledger
-and spurious-volume columns, counters and snapshots. Two checkouts that
-print the same line solve the corpus bit for bit alike; to compare with a
-commit that lacks this file, copy it into that checkout's ``tests/``. The
-package is imported from ``src/`` of the checkout that holds this file.
+Solves 1,024 fixed problems and prints one line per method: its count of
+solves and two SHA-256s. The "shape" hash covers what a change of rounding
+alone leaves alone: every solve's iterations, convergence flag,
+``total_work``, solution support, ledger and spurious-volume columns, and
+the supports of its snapshots. The "bits" hash covers every bit as well: the
+solution's value bytes, the residual column, the final residual and the
+snapshots' values. Two checkouts that print the same line for a method solve
+its part of the corpus bit for bit alike; equal shape hashes alone mean
+equal trajectories up to rounding. To compare with a commit that lacks this
+file, copy it into that checkout's ``tests/``. The package is imported from
+``src/`` of the checkout that holds this file.
 
 The corpus: 12 random connected graphs of 5-60 nodes, 3 ``generate``
 graphs and a 20-clique on a 200-node ring; on each, 2 seed nodes × α in
@@ -64,7 +69,8 @@ def graphs(rng: np.random.Generator):
 
 def main() -> None:
     rng = np.random.default_rng(20261018)
-    digest = hashlib.sha256()
+    digests = {method: (hashlib.sha256(), hashlib.sha256()) for method in ("ista", "fista")}
+    counts = dict.fromkeys(digests, 0)
     count = 0
     for g, baseline in graphs(rng):
         seeds = rng.choice(g.n, 2, replace=False)
@@ -74,18 +80,28 @@ def main() -> None:
             cfg = SolverConfig(method=method, eps=1e-9, max_iter=5000, trace_level=level)
             sol = solve(g, p, cfg, baseline if count % 2 else None)
             t = sol.trace
-            digest.update(repr((p, cfg, t.iterations, t.total_work, t.converged,
-                                t.final_residual, t.spurious_total)).encode())
-            for a in (*sol.x.arrays(), t.residual, t.vol_supp_y, t.vol_supp_x_next):
-                digest.update(a.tobytes())
+            shape, bits = digests[method]
+            nodes, values = sol.x.arrays()
+            shape.update(repr((p, cfg, t.iterations, t.total_work, t.converged, t.spurious_total)).encode())
+            for a in (nodes, t.vol_supp_y, t.vol_supp_x_next):
+                shape.update(a.tobytes())
             if t.spurious_vol is not None:
-                digest.update(t.spurious_vol.tobytes())
-            for snapshot in t.snapshots:
-                for a in snapshot:
-                    digest.update(a.tobytes())
+                shape.update(t.spurious_vol.tobytes())
+            bits.update(repr((p, cfg, t.iterations, t.total_work, t.converged,
+                              t.final_residual, t.spurious_total)).encode())
+            for a in (nodes, values, t.residual, t.vol_supp_y, t.vol_supp_x_next):
+                bits.update(a.tobytes())
+            if t.spurious_vol is not None:
+                bits.update(t.spurious_vol.tobytes())
+            for y_nodes, y_vals, x_nodes, x_vals in t.snapshots:
+                for a in (y_nodes, x_nodes):
+                    shape.update(a.tobytes())
+                for a in (y_nodes, y_vals, x_nodes, x_vals):
+                    bits.update(a.tobytes())
+            counts[method] += 1
             count += 1
-    print(f"solves {count}")
-    print(f"sha256 {digest.hexdigest()}")
+    for method, (shape, bits) in digests.items():
+        print(f"{method} solves {counts[method]} shape {shape.hexdigest()} bits {bits.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -6,15 +6,20 @@ source). ``l1ppr.objective`` and the step kernel compute the same
 quantities through one vectorised gather core and one vectorised soft
 threshold; the tests check the two against each other bit for bit.
 ``jump_audit`` is the per-node loop that ``l1ppr.diagnostics.jump_audit``
-replaced.
+replaced, and ``two_gather_fista`` the FISTA loop that ``l1ppr.solver.solve``
+ran before it took the step from y_k from the residual steps' forward maps.
 """
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from l1ppr.diagnostics import JumpViolation, slacks
-from l1ppr.graph import Graph
-from l1ppr.objective import ProblemParams, SparseVector, _check_seed
-from l1ppr.solver import SolveTrace
+from l1ppr.graph import Graph, NodeSet
+from l1ppr.objective import ProblemParams, SparseVector, _check_seed, prox_grad_step
+from l1ppr.solver import SolveTrace, fista_momentum
 
 
 def _neighbor_sums(g: Graph, x: SparseVector) -> dict[int, float]:
@@ -118,3 +123,32 @@ def jump_audit(g: Graph, p: ProblemParams, trace: SolveTrace, x_star: SparseVect
             if not lhs > rhs:
                 violations.append(JumpViolation(k, i, lhs, rhs))
     return violations
+
+
+def two_gather_fista(g: Graph, p: ProblemParams, eps: float, max_iter: int,
+                     spurious_baseline: NodeSet | None = None) -> tuple[SparseVector, SolveTrace]:
+    """FISTA with two gathers per iteration: x_{k+1} = T(y_k) from the
+    extrapolated point y_k itself, then the residual step from x_{k+1}.
+    Returns the last iterate and the full trace, ledger as ``solve``'s."""
+    beta = fista_momentum(p.alpha)
+    trace = SolveTrace(level="full", spurious_vol=None if spurious_baseline is None else array("q"))
+    x = prev = SparseVector()
+    r = prox_grad_step(g, p, np.zeros(0), np.empty(0, dtype=np.int64))[2]
+    for _ in range(max_iter):
+        if r <= eps:
+            break
+        nodes = np.union1d(x.support(), prev.support())
+        xv, pv = x.values_at(nodes), prev.values_at(nodes)
+        y = SparseVector.from_arrays(nodes, xv + beta * (xv - pv))
+        x, prev = SparseVector.from_arrays(*prox_grad_step(g, p, y.arrays()[1], y.support())[:2]), x
+        r = prox_grad_step(g, p, x.arrays()[1], x.support())[2]
+        trace.vol_supp_y.append(int(g.degrees[y.support()].sum()))
+        trace.vol_supp_x_next.append(int(g.degrees[x.support()].sum()))
+        trace.residual.append(r)
+        if spurious_baseline is not None:
+            outside = x.support()[~spurious_baseline.contains(x.support())]
+            trace.spurious_vol.append(int(g.degrees[outside].sum()))
+        trace.snapshots.append((*y.arrays(), *x.arrays()))
+    trace.converged = r <= eps
+    trace.final_residual = r
+    return x, trace

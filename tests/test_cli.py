@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +264,52 @@ def test_map_original_ids_between_and_beyond_present_ids():
     for missing in (0, 3, 6, 10, -1, 2**70):
         with pytest.raises(ValueError, match=f"^core node {missing} not present in the graph$"):
             _map_original_ids(remap, [2, missing], "core node")
+
+
+def _cli_outputs(capsys, seeds):
+    """Stdout of both methods' ``solve --trace --solution-out`` and of an
+    edge-list sweep on ``graph.txt`` in the current directory, and the files
+    they write."""
+    got = {}
+    for method in METHODS:
+        assert main(["solve", "graph.txt", "--alpha", "0.3", "--rho", "1e-3", "--eps", "1e-8",
+                     "--method", method, "--seed-node", str(seeds[0]), "--trace", f"{method}.trace.csv",
+                     "--solution-out", f"{method}.x.csv"]) == 0
+        got[f"solve {method}"] = capsys.readouterr().out
+    with open("sweep.cfg", "w", encoding="utf-8") as fh:
+        fh.write("axis = rho\ngrid = 1e-2,1e-3\nalpha = 0.3\neps = 1e-8\nedgelist_path = graph.txt\n"
+                 f"seeds = {','.join(map(str, seeds))}\n")
+    assert main(["sweep", "sweep.cfg", "--out", "sweep.csv"]) == 0
+    got["sweep"] = capsys.readouterr().out
+    for name in sorted(os.listdir(".")):
+        if name.endswith(".csv"):
+            got[name] = Path(name).read_bytes()
+    return got
+
+
+def test_cli_unreachable_padding_changes_no_byte(tmp_path, capsys, monkeypatch):
+    """A graph's edge list and a copy padded with a component the solves
+    cannot reach, at ids that fall between the graph's, give byte-identical
+    solve and sweep outputs: the CLI reads and prints the file's own ids."""
+    g, _ = generate(GEN_PARAMS)
+    edges = g.edge_array()
+    rng = np.random.default_rng(11)
+    m = 40
+    at = np.sort(rng.choice(g.n + m, g.n, replace=False))  # the graph's ids in both files
+    rest = np.setdiff1d(np.arange(g.n + m), at)
+    pad = np.stack((rest[1:], rest[rng.integers(0, np.arange(1, m))]), axis=1)  # a random tree
+    seeds = [int(at[2]), int(at[-1])]
+    assert seeds[1] > rest[0]  # a seed whose compact id the padding shifts
+    outputs = []
+    for name, lines in (("alone", at[edges]), ("padded", np.concatenate((pad, at[edges])))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "graph.txt").write_text("".join(f"{u}\t{v}\n" for u, v in lines.tolist()))
+        monkeypatch.chdir(tmp_path / name)
+        outputs.append(_cli_outputs(capsys, seeds))
+    alone, padded = outputs
+    assert sorted(alone) == sorted(padded)
+    for key in alone:
+        assert alone[key] == padded[key], key
 
 
 def test_check_pass_and_fail(tmp_path, capsys):

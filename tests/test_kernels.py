@@ -20,10 +20,11 @@ def _run_step(g, p, x: SparseVector):
     # the position scratch is written before it is read, so garbage must not
     # matter; with no plan on the graph, the step builds one
     objective._STATE[g] = {"scratch": np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)}
-    out_act, out_vals, residual = prox_grad_step(g, p, vals, act)
+    out_act, out_vals, residual, cand, u = prox_grad_step(g, p, vals, act)
     assert np.all(np.diff(out_act) > 0)
     assert np.all(out_vals != 0.0)
-    return out_act, out_vals, residual
+    assert np.all(np.diff(cand) > 0) and cand.shape == u.shape
+    return out_act, out_vals, residual, SparseVector.from_arrays(cand, u)
 
 
 def random_problem(case_seed):
@@ -43,19 +44,21 @@ def random_problem(case_seed):
 @given(case_seed=st.integers(0, 2**32 - 1))
 def test_step_matches_reference_ops_bitwise(case_seed):
     """The fused kernel must equal prox(forward_map(x)) from the dict-based
-    reference bit for bit, not merely to rounding."""
+    reference bit for bit, not merely to rounding, and the forward map it
+    returns must equal the reference's forward_map(x)."""
     g, p, x = random_problem(case_seed)
-    want = prox(g, p, forward_map(g, p, x))
-    act, vals, residual = _run_step(g, p, x)
+    u = forward_map(g, p, x)
+    act, vals, residual, got_u = _run_step(g, p, x)
     got = SparseVector(dict(zip(act.tolist(), vals.tolist())))
-    assert got == want  # SparseVector equality is exact
+    assert got == prox(g, p, u)  # SparseVector equality is exact
     assert residual == kkt_residual(g, p, x)
+    assert got_u == u
 
 
 def test_step_from_zero_activates_seed_region():
     g, _ = build_from_edges([(0, 1), (1, 2)])
     p = ProblemParams(0.9, 0.01, 0, 1)
-    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
+    act, vals, residual, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
     # u = alpha / sqrt(d_0) at the seed, zero elsewhere
     assert act.tolist() == [0]
     tau0 = p.reg_level * g.sqrt_degrees[0]
@@ -68,7 +71,7 @@ def test_exact_tie_dropped_by_kernel():
     g, _ = build_from_edges([(0, 1)])
     # u_0 = alpha*1; tau_0 = reg*1 -> tie when rho = 1/reg_factor... pick c=1, rho=1
     p = ProblemParams(1.0, 1.0, 0, 1)
-    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
+    act, vals, residual, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
     assert act.size == 0 and vals.size == 0
     assert residual == 0.0
 
@@ -121,7 +124,7 @@ def test_fista_places_values_only_when_the_support_changes(monkeypatch):
         return step(g, p, z_vals, z_act)
 
     def recorded_place(union, act, vals):
-        placed.append((len(steps) - 1) // 2)  # one step from zero, then two per iteration
+        placed.append(len(steps) - 1)  # one step from zero, then one per iteration
         return place(union, act, vals)
 
     monkeypatch.setattr(solver, "prox_grad_step", counted_step)
@@ -138,9 +141,9 @@ def test_step_on_an_unchanged_support_returns_the_plan_array():
     given, once that array is the plan's: the next step finds the plan by
     identity."""
     g, p = clique_ring(100), ProblemParams(0.2, 1e-4, 3)
-    act, vals, _ = prox_grad_step(g, p, np.zeros(0), np.empty(0, dtype=np.int64))
+    act, vals = prox_grad_step(g, p, np.zeros(0), np.empty(0, dtype=np.int64))[:2]
     for _ in range(100):
-        out_act, out_vals, _ = prox_grad_step(g, p, vals, act)
+        out_act, out_vals = prox_grad_step(g, p, vals, act)[:2]
         if out_act is act:
             break
         act, vals = out_act, out_vals
@@ -182,7 +185,8 @@ def test_plan_hit_equals_cold_step_and_reference(monkeypatch):
         assert len(rows) == read
         del objective._STATE[g]
         cold = prox_grad_step(g, p, y.arrays()[1], act)
-        assert [a.tobytes() for a in hit[:2]] == [a.tobytes() for a in cold[:2]] and hit[2] == cold[2]
+        assert [a.tobytes() for a in (*hit[:2], *hit[3:])] == [a.tobytes() for a in (*cold[:2], *cold[3:])]
+        assert hit[2] == cold[2]
         assert len(rows) == read + 1
         assert SparseVector.from_arrays(*hit[:2]) == prox(g, p, forward_map(g, p, y))
         assert hit[2] == kkt_residual(g, p, y)

@@ -20,9 +20,10 @@ position scratch, which a graph's first solve allocates once.
 A random graph padded with a component its solves cannot reach, at ids
 interleaved with its own in an order-preserving way, must solve bit for bit
 as the graph alone: the gather core adds in a fixed order of node ids, so
-neither the extra nodes nor the shifted ids may change a result. A
-relabeling that does not keep the order is not covered; it changes the
-accumulation order, and with it the low bits.
+neither the extra nodes nor the shifted ids may change a result. A random
+relabeling, which does not keep the order, changes the accumulation order
+and with it the low bits; on fixed seeds it must keep the supports,
+iterations and ledger, with values within a few ulps.
 
 O(n) by design, and so not covered here: ``SparseVector.to_dense`` and
 ``build_from_edges``.
@@ -210,3 +211,35 @@ def test_unreachable_padding_changes_no_bit(case_seed):
         ta, tb = alone.trace, pad.trace
         assert (ta.iterations, ta.total_work) == (tb.iterations, tb.total_work), method
         assert ta.residual.tobytes() == tb.residual.tobytes(), method
+
+
+# rounding allowance of a relabeled solve, as a multiple of max|x|
+RELABEL_ULPS = 8 * 2.0**-52
+
+
+@pytest.mark.parametrize("case_seed", range(20))
+def test_relabeling_keeps_supports_and_work(case_seed):
+    """Solving G, or G under a random permutation of its ids, gives the same
+    support under the permutation, the same iterations and ledger, and values
+    within a few ulps of max|x|, by both methods."""
+    rng = np.random.default_rng(case_seed)
+    n = int(rng.integers(5, 40))
+    edges = _random_edges(rng, n)
+    g, _ = build_from_edges(edges)
+    perm = rng.permutation(n)
+    relabeled, remap = build_from_edges(perm[edges])
+    assert np.array_equal(remap, np.arange(n))
+    alpha = float(rng.choice([0.05, 0.2, 0.5, 1.0]))
+    rho = float(10.0 ** rng.uniform(-5, -1))
+    seed = int(rng.integers(0, n))
+    for method in ("ista", "fista"):
+        cfg = SolverConfig(method=method, eps=1e-9)
+        a = solve(g, ProblemParams(alpha, rho, seed), cfg)
+        b = solve(relabeled, ProblemParams(alpha, rho, int(perm[seed])), cfg)
+        nodes, vals = a.x.arrays()
+        order = np.argsort(perm[nodes])
+        assert np.array_equal(perm[nodes][order], b.x.support()), method
+        ta, tb = a.trace, b.trace
+        assert (ta.iterations, ta.total_work) == (tb.iterations, tb.total_work), method
+        scale = float(np.abs(vals).max(initial=0.0))
+        assert np.abs(vals[order] - b.x.arrays()[1]).max(initial=0.0) <= RELABEL_ULPS * scale, method

@@ -164,6 +164,23 @@ def test_bad_seed_becomes_error_row():
         assert not r.converged and r.iters == 0 and math.isnan(r.residual)
 
 
+def test_edgelist_seeds_are_file_ids(tmp_path):
+    """On an edge list the seeds, given or sampled, are the file's node ids:
+    a star on ids 100-104 solves from its hub 100, and an id the file lacks
+    becomes an error row."""
+    path = tmp_path / "star.txt"
+    path.write_text("".join(f"100\t{100 + k}\n" for k in range(1, 5)))
+    spec = SweepSpec(sweep_axis="rho", grid=(0.1,), alpha=0.5, edgelist_path=str(path), seeds=(100, 3))
+    res = run_sweep(spec)
+    assert [e.seed for e in res.errors] == [3, 3]
+    assert "seed node 3 not present in the graph" in res.errors[0].message
+    hub = [r for r in res.rows if r.seed == 100]
+    assert len(hub) == 2 and all(r.converged and r.vol_supp == 4 for r in hub)
+    sampled = run_sweep(SweepSpec(sweep_axis="rho", grid=(0.1,), alpha=0.5, edgelist_path=str(path),
+                                  seeds=None, seed_count=5))
+    assert not sampled.errors and {r.seed for r in sampled.rows} == set(range(100, 105))
+
+
 def test_sampled_seeds_are_deterministic():
     spec = SweepSpec(sweep_axis="rho", grid=(1e-3,), synth=SMALL,
                      seeds=None, seed_count=3, base_rng_seed=5)
