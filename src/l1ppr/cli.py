@@ -22,10 +22,8 @@ import argparse
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .diagnostics import check_no_percolation, slacks
-from .graph import NodeSet, volume
+from .graph import NodeSet, _union, volume
 from .objective import REG_FACTORS, ProblemParams, SettingError
 from .solver import METHODS, SolverConfig, solve
 from .sweep import SweepSpec, _fmt, _map_original_ids, load_edgelist, log_grid, run_sweep, write_rows_csv
@@ -317,7 +315,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     print(f"family={inst.family} m={inst.m} alpha={_fmt(args.alpha)} rho={_fmt(args.rho)}")
     print(f"validity_interval=[{_fmt(lo)}, {_fmt(hi)})")
     print("node,x_closed_form,x_solver")
-    for node in np.union1d(x_formula.support(), sol.x.support()).tolist():
+    for node in _union(x_formula.support(), sol.x.support()).tolist():
         print(f"{node},{_fmt(x_formula.get(node))},{_fmt(sol.x.get(node))}")
     print(f"max_x_deviation={_fmt(x_formula.max_abs_diff(sol.x))}")
     print("node,gamma_closed_form,gamma_solver")

@@ -6,6 +6,14 @@ computations) reads rows only for the nodes it is entitled to touch, which
 keeps edge-access counts proportional to the degree volume of the sets
 involved. :meth:`Graph.neighbors_of` returns a single row, for callers that
 walk one node at a time.
+
+Set operations on node arrays go through ``_distinct`` and ``_union``, which
+sort and keep the first entry of each run of equal ids. numpy 2 runs
+``np.unique`` and ``np.union1d`` through a hash table and then sorts the
+result, which takes several times as long on the arrays of a few dozen to a
+few thousand ids the solver and the audits pass; two sorted arrays, as most
+unions here take, are joined by a stable sort that merges their two runs.
+Ids are integers, so either way gives the same array.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ class NodeSet:
             raise ValueError("node ids must form a one-dimensional sequence")
         if arr.size and int(arr.min()) < 0:
             raise ValueError("node ids must be non-negative")
-        arr = np.unique(arr)
+        arr = _distinct(arr)
         arr.setflags(write=False)
         self._ids = arr
 
@@ -74,7 +82,7 @@ class NodeSet:
         return f"NodeSet({inner})"
 
     def union(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(np.union1d(self._ids, other._ids))
+        return NodeSet(_union(self._ids, other._ids))
 
     def intersection(self, other: "NodeSet") -> "NodeSet":
         return NodeSet(np.intersect1d(self._ids, other._ids, assume_unique=True))
@@ -96,6 +104,31 @@ def _find(ids: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     found = j < ids.size
     found[found] = ids[j[found]] == nodes[found]
     return found, j
+
+
+def _distinct(arr: np.ndarray) -> np.ndarray:
+    """The distinct entries of the int array ``arr`` in ascending order, as
+    a new array: ``np.unique(arr)`` by a sort in place of a hash table."""
+    return _first_of_runs(np.sort(arr))
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct entries of the int arrays ``a`` and ``b`` in ascending
+    order, as a new array: ``np.union1d(a, b)``. A stable sort merges the
+    runs it finds, so two sorted inputs cost a merge."""
+    both = np.concatenate((a, b))
+    both.sort(kind="stable")
+    return _first_of_runs(both)
+
+
+def _first_of_runs(s: np.ndarray) -> np.ndarray:
+    """The first entry of each run of equal entries of the sorted array ``s``."""
+    if s.size < 2:
+        return s
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,6 +357,6 @@ def _rows(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def vertex_boundary(g: Graph, s: NodeSet) -> NodeSet:
     """Nodes outside ``s`` with at least one neighbor inside it."""
     _check_in_range(g, s)
-    touched = np.unique(_rows(g, s.ids)[0])
+    touched = _distinct(_rows(g, s.ids)[0])
     return NodeSet(touched[~s.contains(touched)])
 

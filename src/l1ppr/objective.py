@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _find, _rows
+from .graph import Graph, _find, _rows, _union
 
 __all__ = [
     "SparseVector",
@@ -156,7 +156,7 @@ class SparseVector:
         return out
 
     def max_abs_diff(self, other: "SparseVector") -> float:
-        nodes = np.union1d(self._nodes, other._nodes)
+        nodes = _union(self._nodes, other._nodes)
         return float(np.max(np.abs(self.values_at(nodes) - other.values_at(nodes)), initial=0.0))
 
 

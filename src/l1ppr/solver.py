@@ -41,8 +41,10 @@ support array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
 supp(T(x_k)), so the next step finds the plan by identity. While the support
 stands, FISTA extrapolates on the value arrays of x_k and x_{k-1} as they
 are, aligned on the one support, and on their forward maps, aligned on the
-plan's one candidate array; only when the arrays differ does it place both
-on their union. The ledger's volumes, and sqrt(d) at the candidates, are
+plan's one candidate array. When the arrays differ, it merges the two sorted
+arrays into their union and places on it only a side that does not already
+cover it; most support changes only add nodes, and then the newer side
+covers the union. The ledger's volumes, and sqrt(d) at the candidates, are
 computed once per array, not once per iteration.
 """
 
@@ -55,7 +57,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import Graph, NodeSet
+from .graph import Graph, NodeSet, _union
 from .objective import (
     ProblemParams,
     SettingError,
@@ -243,12 +245,16 @@ def _extrapolate(beta: float, act: np.ndarray, vals: np.ndarray,
                  prev_act: np.ndarray, prev_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a + beta (a - b) for the points a (``vals`` at ``act``) and b
     (``prev_vals`` at ``prev_act``), at ``act`` when the two arrays of nodes
-    are equal, at their union otherwise."""
+    are equal, at their union otherwise. The union is a merge of the two
+    sorted arrays, and a side that covers it, which has its size, is used
+    as it is: only the other side is placed on it."""
     if act is prev_act or act.tobytes() == prev_act.tobytes():
         a, b = vals, prev_vals  # aligned on one array of nodes
     else:
-        union = np.union1d(act, prev_act)
-        act, a, b = union, _place(union, act, vals), _place(union, prev_act, prev_vals)
+        union = _union(act, prev_act)
+        a = vals if act.size == union.size else _place(union, act, vals)
+        b = prev_vals if prev_act.size == union.size else _place(union, prev_act, prev_vals)
+        act = union
     return act, a + beta * (a - b)
 
 

@@ -1,13 +1,18 @@
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from l1ppr.graph import (
     Graph,
     NodeSet,
+    _distinct,
+    _union,
     build_from_edges,
     parse_snap_edgelist,
     vertex_boundary,
@@ -47,6 +52,82 @@ def test_nodeset_ops_match_python_sets(a, b):
     assert set(na.intersection(nb)) == a & b
     assert set(na.difference(nb)) == a - b
     assert na.issubset(nb) == (a <= b)
+
+
+@pytest.mark.parametrize("ids", [[], [4], [1, 2, 5], [5, 2, 1], [3, 3]])
+def test_nodeset_neither_aliases_nor_freezes_its_input(ids):
+    a = np.array(ids, dtype=np.int64)
+    s = NodeSet(a)
+    assert a.flags.writeable and not np.shares_memory(s.ids, a)
+    a[:] = 9
+    assert s.ids.tolist() == sorted(set(ids))
+
+
+_INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+# few distinct values, so runs of equal entries are common, or any int64
+_INT64_ARRAYS = hnp.arrays(np.int64, st.integers(0, 40), elements=st.one_of(st.integers(-3, 3), _INT64))
+_ARRANGEMENTS = {
+    "as drawn": lambda a: a,
+    "sorted": np.sort,
+    "reversed": lambda a: np.sort(a)[::-1],
+    "distinct": np.unique,
+    "all equal": lambda a: np.full_like(a, a[0]) if a.size else a,
+}
+
+
+@given(_INT64_ARRAYS, st.sampled_from(sorted(_ARRANGEMENTS)))
+@example(np.empty(0, dtype=np.int64), "as drawn")
+@example(np.array([-7]), "as drawn")
+def test_distinct_is_np_unique(arr, how):
+    arr = _ARRANGEMENTS[how](arr)
+    got, want = _distinct(arr), np.unique(arr)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert not np.shares_memory(got, arr)
+
+
+@given(
+    _INT64_ARRAYS,
+    _INT64_ARRAYS,
+    st.sampled_from(["as drawn", "disjoint", "nested", "equal"]),
+    st.sampled_from(sorted(_ARRANGEMENTS)),
+    st.booleans(),
+)
+@example(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), "as drawn", "as drawn", False)
+@example(np.array([5]), np.array([5]), "as drawn", "as drawn", False)
+def test_union_is_np_union1d(a, b, pair, how, swap):
+    if pair == "disjoint":
+        b = b[~np.isin(b, a)]
+    elif pair == "nested":
+        b = a[::2]
+    elif pair == "equal":
+        b = a.copy()
+    a, b = _ARRANGEMENTS[how](a), _ARRANGEMENTS[how](b)
+    if swap:
+        a, b = b, a
+    got, want = _union(a, b), np.union1d(a, b)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert not (np.shares_memory(got, a) or np.shares_memory(got, b))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "l1ppr"
+
+
+def test_package_set_operations_take_the_sort_path():
+    """numpy 2 runs np.union1d and a plain np.unique through a hash table;
+    the package's node sets go through graph._distinct and graph._union.
+    An np.unique call must ask for an index, an inverse or counts, which
+    numpy computes by sorting."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")):
+                continue
+            name = node.func.attr
+            returns = any(k.arg and k.arg.startswith("return_") for k in node.keywords)
+            if name == "union1d" or (name == "unique" and not returns):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert not found, found
 
 
 def path_graph(n):

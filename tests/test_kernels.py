@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from l1ppr import objective
 from l1ppr.graph import build_from_edges
 from l1ppr.objective import ProblemParams, SparseVector, prox_grad_step
-from l1ppr.solver import SolverConfig, solve
+from l1ppr.solver import SolverConfig, fista_momentum, solve
 
 from oracle import random_connected_graph
 from reference import forward_map, gradient, kkt_residual, objective_value, prox
@@ -134,6 +134,41 @@ def test_fista_places_values_only_when_the_support_changes(monkeypatch):
     changed = {k for k in range(1, sol.trace.iterations) if supports[k] != supports[k - 1]}
     assert set(placed) <= changed, (sorted(set(placed)), sorted(changed))
     assert len(set(placed)) < sol.trace.iterations / 2, (len(set(placed)), sol.trace.iterations)
+
+
+@pytest.mark.parametrize("act, prev_act, places", [
+    ([1, 4, 7], [1, 4, 7], 0),  # equal
+    ([1, 4, 7, 9], [4, 7], 1),  # nested: the newer side covers the union
+    ([4, 7], [1, 4, 7, 9], 1),  # nested: the older side covers it
+    ([0, 2], [1, 3, 5], 2),  # disjoint
+    ([0, 2, 5], [2, 3], 2),  # overlapping
+])
+def test_extrapolate_places_only_a_side_short_of_the_union(act, prev_act, places, monkeypatch):
+    """_extrapolate equals placing both points on np.union1d, byte for
+    byte, and calls _place only for a side that lacks some node of the
+    union."""
+    import l1ppr.solver as solver
+
+    rng = np.random.default_rng(len(act) * 10 + len(prev_act))
+    act, prev_act = np.array(act), np.array(prev_act)
+    vals, prev_vals = rng.standard_normal(act.size), rng.standard_normal(prev_act.size)
+    union = np.union1d(act, prev_act)
+    a, b = np.zeros(union.size), np.zeros(union.size)
+    a[np.searchsorted(union, act)] = vals
+    b[np.searchsorted(union, prev_act)] = prev_vals
+    beta = fista_momentum(0.2)
+    placed = []
+    place = solver._place
+
+    def recorded_place(union, act, vals):
+        placed.append(act)
+        return place(union, act, vals)
+
+    monkeypatch.setattr(solver, "_place", recorded_place)
+    got_act, got = solver._extrapolate(beta, act, vals, prev_act, prev_vals)
+    assert got_act.tobytes() == union.tobytes()
+    assert got.tobytes() == (a + beta * (a - b)).tobytes()
+    assert len(placed) == places
 
 
 def test_step_on_an_unchanged_support_returns_the_plan_array():

@@ -20,13 +20,17 @@ position scratch, which a graph's first solve allocates once.
 A random graph padded with a component its solves cannot reach, at ids
 interleaved with its own in an order-preserving way, must solve bit for bit
 as the graph alone: the gather core adds in a fixed order of node ids, so
-neither the extra nodes nor the shifted ids may change a result. A random
-relabeling, which does not keep the order, changes the accumulation order
-and with it the low bits; on fixed seeds it must keep the supports,
-iterations and ledger, with values within a few ulps.
+neither the extra nodes nor the shifted ids may change a result. Every audit
+in ``AUDITS`` must then give the same result too, with its node ids mapped,
+and its warm peak must not grow with the padding, which spreads the graph's
+ids. A random relabeling, which does not keep the order, changes the
+accumulation order and with it the low bits; on fixed seeds it must keep the
+supports, iterations and ledger, with values within a few ulps.
 
-O(n) by design, and so not covered here: ``SparseVector.to_dense`` and
-``build_from_edges``.
+Not covered here: ``SparseVector.to_dense`` and ``build_from_edges``, which
+are O(n) by design, and ``SlackReport.far_count``, the number of nodes far
+from the support, which grows with the padding by design (the audits compare
+``slacks`` by its ``gamma``).
 """
 
 import dataclasses
@@ -149,28 +153,45 @@ def test_first_solve_allocates_the_position_scratch_once(graphs):
     assert abs(first - warm - 8 * g.n) <= FIRST_SLACK
 
 
-# name -> call on a graph, its solution and a node set
+# name -> (call on a graph, its problem, a solution and a node set;
+#          the call's result with each node id in it passed through f)
 AUDITS = {
-    "kkt_residual": lambda g, sol, s: kkt_residual(g, P, sol.x),
-    "objective_value": lambda g, sol, s: objective_value(g, P, sol.x),
-    "forward_map": lambda g, sol, s: forward_map(g, P, sol.x),
-    "gradient": lambda g, sol, s: list(gradient(g, P, sol.x).items()),
-    "slacks": lambda g, sol, s: slacks(g, P, sol.x).gamma,
-    "jump_audit": lambda g, sol, s: jump_audit(g, P, sol.trace, sol.x),
-    "verify_confinement": lambda g, sol, s: verify_confinement(g, P, FULL, s, sol.trace),
-    "vertex_boundary": lambda g, sol, s: vertex_boundary(g, s),
-    "check_no_percolation": lambda g, sol, s: check_no_percolation(g, P, s),
+    "kkt_residual": (lambda g, p, sol, s: kkt_residual(g, p, sol.x), lambda r, f: r),
+    "objective_value": (lambda g, p, sol, s: objective_value(g, p, sol.x), lambda r, f: r),
+    "forward_map": (
+        lambda g, p, sol, s: forward_map(g, p, sol.x),
+        lambda r, f: (f(r.support()).tolist(), r.arrays()[1].tobytes()),
+    ),
+    "gradient": (
+        lambda g, p, sol, s: list(gradient(g, p, sol.x).items()),
+        lambda r, f: [(int(f(i)), v) for i, v in r],
+    ),
+    "slacks": (lambda g, p, sol, s: slacks(g, p, sol.x).gamma, lambda r, f: {int(f(i)): v for i, v in r.items()}),
+    "jump_audit": (
+        lambda g, p, sol, s: jump_audit(g, p, sol.trace, sol.x),
+        lambda r, f: [(v.k, int(f(v.node)), v.lhs, v.rhs) for v in r],
+    ),
+    "verify_confinement": (
+        lambda g, p, sol, s: verify_confinement(g, p, FULL, s, sol.trace),
+        lambda r, f: (r.confined, {k: f(v.ids).tolist() for k, v in r.violations.items()},
+                      r.max_spurious_vol, r.cum_spurious_vol),
+    ),
+    "vertex_boundary": (lambda g, p, sol, s: vertex_boundary(g, s), lambda r, f: f(r.ids).tolist()),
+    "check_no_percolation": (
+        lambda g, p, sol, s: check_no_percolation(g, p, s),
+        lambda r, f: (r.holds, None if r.worst_node is None else int(f(r.worst_node)), r.worst_ratio),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", AUDITS)
 def test_audit_is_independent_of_n(graphs, solutions, name):
-    audit = AUDITS[name]
+    audit = AUDITS[name][0]
     for layout, gs in graphs.items():
         sols = solutions[layout]
         sets = [CLIQUE] * len(gs) if layout == "relabeled" else [sol.support for sol in sols]
         (small_peak, small), (big_peak, big) = _warm_peaks(
-            gs, lambda i, g: audit(g, sols[i], sets[i]))
+            gs, lambda i, g: audit(g, P, sols[i], sets[i]))
         if layout == "relabeled":
             assert big == small
         assert abs(big_peak - small_peak) < PEAK_SLACK, layout
@@ -211,6 +232,53 @@ def test_unreachable_padding_changes_no_bit(case_seed):
         ta, tb = alone.trace, pad.trace
         assert (ta.iterations, ta.total_work) == (tb.iterations, tb.total_work), method
         assert ta.residual.tobytes() == tb.residual.tobytes(), method
+
+
+# node counts of the components that pad a graph in the audit test
+PADDINGS = (100, 20_000)
+
+
+def _random_tree_edges(rng, n):
+    """A random tree on range(n) plus n random extra edges, built without a
+    loop over the nodes."""
+    parents = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+    tree = np.stack((parents, np.arange(1, n, dtype=np.int64)), axis=1)
+    return np.concatenate((tree, rng.integers(0, n, size=(n, 2))))
+
+
+@pytest.mark.parametrize("case_seed", range(10))
+def test_unreachable_padding_changes_no_audit(case_seed):
+    """Every audit gives the same result, under the id map, on a random
+    graph G and on G padded with an unreachable component at ids
+    interleaved with G's in order; and its warm traced peak is the same, up
+    to PEAK_SLACK, under paddings of 100 and 20,000 nodes, which spread G's
+    ids up to about 20,000. Only the peaks see an allocation sized by the
+    largest id a call touches."""
+    rng = np.random.default_rng(case_seed)
+    n = int(rng.integers(5, 40))
+    g_edges = _random_edges(rng, n)
+    g, _ = build_from_edges(g_edges)
+    seed = int(rng.integers(0, n))
+    alpha, rho = float(rng.choice([0.05, 0.2, 0.5])), float(10.0 ** rng.uniform(-3, -1))
+    padded = []
+    for m in PADDINGS:
+        at = np.sort(rng.choice(n + m, n, replace=False))  # G's ids in the padded graph
+        rest = rng.permutation(np.setdiff1d(np.arange(n + m), at))
+        pad, remap = build_from_edges(np.concatenate((at[g_edges], rest[_random_tree_edges(rng, m)])))
+        assert g.n == n and np.array_equal(remap, np.arange(n + m))
+        padded.append((pad, at))
+    problems = [ProblemParams(alpha, rho, int(at[seed])) for _, at in padded]
+    sols = [solve(pad, p, FULL) for (pad, _), p in zip(padded, problems)]
+    sets = [NodeSet([p.seed]) for p in problems]
+    p = ProblemParams(alpha, rho, seed)
+    sol = solve(g, p, FULL)
+    assert sol.trace.converged
+    for name, (audit, mapped) in AUDITS.items():
+        want = [mapped(audit(g, p, sol, NodeSet([seed])), at.__getitem__) for _, at in padded]
+        runs = _warm_peaks([pad for pad, _ in padded], lambda i, h: audit(h, problems[i], sols[i], sets[i]))
+        assert [mapped(out, lambda ids: ids) for _, out in runs] == want, name
+        (small_peak, _), (big_peak, _) = runs
+        assert abs(big_peak - small_peak) < PEAK_SLACK, name
 
 
 # rounding allowance of a relabeled solve, as a multiple of max|x|
