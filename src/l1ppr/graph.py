@@ -54,6 +54,16 @@ class NodeSet:
         arr.setflags(write=False)
         self._ids = arr
 
+    @classmethod
+    def _adopt(cls, ids: np.ndarray) -> "NodeSet":
+        """The set of ``ids``, a strictly increasing int64 array that no one
+        else writes to, which the set takes as it is and freezes: the
+        constructor's conversion, checks, sort and dedup are skipped."""
+        out = cls.__new__(cls)
+        ids.setflags(write=False)
+        out._ids = ids
+        return out
+
     @property
     def ids(self) -> np.ndarray:
         """Strictly increasing int64 array of members (read-only)."""
@@ -82,13 +92,13 @@ class NodeSet:
         return f"NodeSet({inner})"
 
     def union(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(_union(self._ids, other._ids))
+        return NodeSet._adopt(_union(self._ids, other._ids))
 
     def intersection(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(np.intersect1d(self._ids, other._ids, assume_unique=True))
+        return NodeSet._adopt(np.intersect1d(self._ids, other._ids, assume_unique=True))
 
     def difference(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(np.setdiff1d(self._ids, other._ids, assume_unique=True))
+        return NodeSet._adopt(np.setdiff1d(self._ids, other._ids, assume_unique=True))
 
     def issubset(self, other: "NodeSet") -> bool:
         if not len(self):
@@ -358,5 +368,5 @@ def vertex_boundary(g: Graph, s: NodeSet) -> NodeSet:
     """Nodes outside ``s`` with at least one neighbor inside it."""
     _check_in_range(g, s)
     touched = _distinct(_rows(g, s.ids)[0])
-    return NodeSet(touched[~s.contains(touched)])
+    return NodeSet._adopt(touched[~s.contains(touched)])
 

@@ -323,18 +323,20 @@ def prox_grad_step(
     p: ProblemParams,
     z_vals: np.ndarray,
     z_act: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
     """One fused prox-gradient step from the point z that is ``z_vals`` at
     the sorted, distinct nodes ``z_act``: x = prox(z - grad f(z)), the unit
     step 1/L, equal to ``prox(forward_map(z))`` bit for bit.
 
     Returns the sorted support of x, the values on it, the fixed-point
-    residual ||z - x||_inf, which is ``kkt_residual`` at z, and the forward
-    map u(z) = z - grad f(z) that the step thresholded: the gather plan's
-    read-only candidate array and u(z) at each candidate, ``forward_map`` at
-    z bit for bit with its zeros kept. When supp(x) equals supp(z), the
-    support returned is the plan's read-only copy of ``z_act``, and a step
-    from it finds the plan by identity.
+    residual ||z - x||_inf, which is ``kkt_residual`` at z, and the frame of
+    z the step worked in: the gather plan's read-only candidate array, z at
+    each candidate (``z_vals`` at ``z_act``, +0.0 at the other candidates)
+    and the forward map u(z) = z - grad f(z) that the step thresholded,
+    ``forward_map`` at z bit for bit with its zeros kept. The candidates
+    cover supp(z) and supp(x). When supp(x) equals supp(z), the support
+    returned is the plan's read-only copy of ``z_act``, and a step from it
+    finds the plan by identity.
     """
     plan, zc, grad = _gradient_at(g, p, z_act, z_vals)
     u = zc - grad
@@ -344,7 +346,7 @@ def prox_grad_step(
     x[keep] = vals
     # comparing the masks' bytes costs less than np.array_equal on short ones
     act = plan.act if keep.tobytes() == plan.in_act.tobytes() else plan.cand[keep]
-    return act, vals, float(np.abs(zc - x).max()), plan.cand, u
+    return act, vals, float(np.abs(zc - x).max()), plan.cand, zc, u
 
 
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:

@@ -29,23 +29,26 @@ ledger charges and full traces record, although no kernel reads it; the
 ledger is the method's, not the kernel's.
 
 Iterates stay in their (sorted nodes, values) array form throughout, so a
-solve's wall clock follows the volume of its iterates, not n. The only
-n-length array is the gather core's position scratch, kept per graph in
-:mod:`l1ppr.objective` with the plan of the last support a step read. Once
-a solve's support stops changing, which the iterates of a proximal-gradient
-method do after finitely many steps, its steps reuse that plan and read no
-adjacency row.
+solve's wall clock follows the volume of its iterates, not n. Each step
+also returns the frame of its input point: the plan's candidate array and
+the point and its forward map at it. The only n-length array is the gather
+core's position scratch, kept per graph in :mod:`l1ppr.objective` with the
+plan of the last support a step read. Once a solve's support stops
+changing, which the iterates of a proximal-gradient method do after
+finitely many steps, its steps reuse that plan and read no adjacency row.
 
-A step that leaves its input's support unchanged returns the plan's own
-support array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
-supp(T(x_k)), so the next step finds the plan by identity. While the support
-stands, FISTA extrapolates on the value arrays of x_k and x_{k-1} as they
-are, aligned on the one support, and on their forward maps, aligned on the
-plan's one candidate array. When the arrays differ, it merges the two sorted
-arrays into their union and places on it only a side that does not already
-cover it; most support changes only add nodes, and then the newer side
-covers the union. The ledger's volumes, and sqrt(d) at the candidates, are
-computed once per array, not once per iteration.
+FISTA extrapolates y_k and u(y_k) together, in one call, from the frames of
+x_k and x_{k-1}. While the support stands, both frames are on the plan's
+one candidate array and their values are aligned as they are. When the
+candidate arrays differ, it merges them into their union and places a
+frame's two value arrays on it only when its candidates do not already
+cover it; most support changes only add nodes, and then the newer frame
+covers the union. vol(supp y_k) is the degree sum over the nonzero entries
+of y_k in the frame; the volume of a support, and sqrt(d) at the
+candidates, are computed once per array, not once per iteration. A step
+that leaves its input's support unchanged returns the plan's own support
+array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
+supp(T(x_k)), so the next step finds the plan by identity.
 """
 
 from __future__ import annotations
@@ -172,13 +175,13 @@ def solve(
     trace = SolveTrace(level=cfg.trace_level,
                        spurious_vol=None if spurious_baseline is None else array("q"))
 
-    x_act, x_vals = prev_act, prev_vals = np.empty(0, dtype=np.int64), np.empty(0)
+    x_act, x_vals = np.empty(0, dtype=np.int64), np.empty(0)
     volume = _per_array(lambda act: int(degrees[act].sum()))
     sqrt_deg = _per_array(lambda cand: g.sqrt_degrees[cand])
     if spurious_baseline is not None:
         spurious = _per_array(lambda act: int(degrees[act[~spurious_baseline.contains(act)]].sum()))
-    t_act, t_vals, r, u_cand, u = prox_grad_step(g, p, x_vals, x_act)
-    prev_cand, prev_u = u_cand, u  # u(x_{-1}) = u(x_0)
+    t_act, t_vals, r, cand, z, u = prox_grad_step(g, p, x_vals, x_act)
+    prev_cand, prev_z, prev_u = cand, z, u  # x_{-1} = x_0
     for k in range(cfg.max_iter):
         if r <= cfg.eps:
             break
@@ -186,32 +189,32 @@ def solve(
             # Without momentum y_k == x_k, so x_{k+1} = T(x_k) is the
             # step the last residual check computed.
             y_act, y_vals = x_act, x_vals
+            vol_y = volume(y_act)
             xn_act, xn_vals = t_act, t_vals
             if not np.isfinite(xn_vals).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
         else:
-            y_act, y_vals = _extrapolate(beta, x_act, x_vals, prev_act, prev_vals)
-            if not np.isfinite(y_vals).all():
-                raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-            nz = y_vals != 0.0
-            if not nz.all():
-                y_act, y_vals = y_act[nz], y_vals[nz]
             # u is affine, so u(y_k) extrapolates u(x_k) and u(x_{k-1}) as
             # y_k does x_k and x_{k-1}
-            cand, u_y = _extrapolate(beta, u_cand, u, prev_cand, prev_u)
-            if not np.isfinite(u_y).all():  # the threshold would drop a nan
+            y_cand, y, u_y = _extrapolate(beta, cand, z, u, prev_cand, prev_z, prev_u)
+            if not (np.isfinite(y).all() and np.isfinite(u_y).all()):  # the threshold would drop a nan
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
-            keep, xn_vals = _soft_threshold(p, sqrt_deg(cand), u_y)
-            xn_act = cand[keep]
+            nz = y != 0.0
+            vol_y = int(degrees[y_cand[nz]].sum())
+            if full:
+                y_act, y_vals = y_cand[nz], y[nz]
+            keep, xn_vals = _soft_threshold(p, sqrt_deg(y_cand), u_y)
+            xn_act = y_cand[keep]
             if xn_act.tobytes() == t_act.tobytes():
                 # T(x_k) has this support too: take its array, which is the
                 # plan's when it is also supp(x_k), so the step finds the plan
                 # by identity
                 xn_act = t_act
 
-        t_act, t_vals, r, xn_cand, xn_u = prox_grad_step(g, p, xn_vals, xn_act)
+        prev_cand, prev_z, prev_u = cand, z, u
+        t_act, t_vals, r, cand, z, u = prox_grad_step(g, p, xn_vals, xn_act)
 
-        trace.vol_supp_y.append(volume(y_act))
+        trace.vol_supp_y.append(vol_y)
         trace.vol_supp_x_next.append(volume(xn_act))
         trace.residual.append(r)
         if spurious_baseline is not None:
@@ -219,12 +222,11 @@ def solve(
         if full:
             trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
 
-        prev_act, prev_vals, prev_cand, prev_u = x_act, x_vals, u_cand, u
-        x_act, x_vals, u_cand, u = xn_act, xn_vals, xn_cand, xn_u
+        x_act, x_vals = xn_act, xn_vals
 
     trace.converged = r <= cfg.eps
     trace.final_residual = r
-    return Solution(SparseVector.from_arrays(x_act, x_vals), trace, NodeSet(x_act))
+    return Solution(SparseVector.from_arrays(x_act, x_vals), trace, NodeSet._adopt(x_act))
 
 
 def _per_array(fn):
@@ -241,28 +243,31 @@ def _per_array(fn):
     return call
 
 
-def _extrapolate(beta: float, act: np.ndarray, vals: np.ndarray,
-                 prev_act: np.ndarray, prev_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a + beta (a - b) for the points a (``vals`` at ``act``) and b
-    (``prev_vals`` at ``prev_act``), at ``act`` when the two arrays of nodes
-    are equal, at their union otherwise. The union is a merge of the two
-    sorted arrays, and a side that covers it, which has its size, is used
-    as it is: only the other side is placed on it."""
-    if act is prev_act or act.tobytes() == prev_act.tobytes():
-        a, b = vals, prev_vals  # aligned on one array of nodes
-    else:
-        union = _union(act, prev_act)
-        a = vals if act.size == union.size else _place(union, act, vals)
-        b = prev_vals if prev_act.size == union.size else _place(union, prev_act, prev_vals)
-        act = union
-    return act, a + beta * (a - b)
+def _extrapolate(beta: float, cand: np.ndarray, z: np.ndarray, u: np.ndarray,
+                 prev_cand: np.ndarray, prev_z: np.ndarray, prev_u: np.ndarray) -> tuple:
+    """The frame of y = z + beta (z - z') from the frames ``(cand, z, u)``
+    of z and ``(prev_cand, prev_z, prev_u)`` of z': its candidates, y at
+    them and u(y) = u + beta (u - u') at them, u being affine. The
+    candidates are ``cand`` when the two candidate arrays are equal and
+    their union otherwise. The union is a merge of the two sorted arrays,
+    and a frame whose candidates cover it, which have its size, is used as
+    it is: only the other frame is placed on it."""
+    if cand is not prev_cand and cand.tobytes() != prev_cand.tobytes():
+        union = _union(cand, prev_cand)
+        if cand.size != union.size:
+            z, u = _place(union, cand, z, u)
+        if prev_cand.size != union.size:
+            prev_z, prev_u = _place(union, prev_cand, prev_z, prev_u)
+        cand = union
+    return cand, z + beta * (z - prev_z), u + beta * (u - prev_u)
 
 
-def _place(union: np.ndarray, act: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The point that is ``vals`` at ``act`` (a subset of the sorted array
-    ``union``), as values at ``union``."""
-    out = np.zeros(union.size)
-    out[np.searchsorted(union, act)] = vals
+def _place(union: np.ndarray, cand: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The value arrays ``z`` and ``u`` at ``cand`` (a subset of the sorted
+    array ``union``) as the two rows of values at ``union``, +0.0
+    elsewhere."""
+    out = np.zeros((2, union.size))
+    out[:, np.searchsorted(union, cand)] = z, u
     return out
 
 

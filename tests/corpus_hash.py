@@ -19,7 +19,8 @@ graphs and a 20-clique on a 200-node ring; on each, 2 seed nodes × α in
 {0.05, 0.2, 0.5, 1} × ``reg_factor`` 1 and 2 × both methods × both trace
 levels, with ρ log-uniform in [1e-5, 1e-1]. Every other solve reports
 spurious volumes against a baseline set (the core of a ``generate`` graph,
-otherwise a random half of the nodes). Not collected by pytest.
+otherwise a random half of the nodes). Not collected by pytest itself;
+``tests/test_corpus.py`` checks its lines against the recorded ones.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def graphs(rng: np.random.Generator):
     yield _clique_ring(200), NodeSet(range(20))
 
 
-def main() -> None:
+def lines() -> list[str]:
+    """The printed lines, one per method."""
     rng = np.random.default_rng(20261018)
     digests = {method: (hashlib.sha256(), hashlib.sha256()) for method in ("ista", "fista")}
     counts = dict.fromkeys(digests, 0)
@@ -100,8 +102,12 @@ def main() -> None:
                     bits.update(a.tobytes())
             counts[method] += 1
             count += 1
-    for method, (shape, bits) in digests.items():
-        print(f"{method} solves {counts[method]} shape {shape.hexdigest()} bits {bits.hexdigest()}")
+    return [f"{method} solves {counts[method]} shape {shape.hexdigest()} bits {bits.hexdigest()}"
+            for method, (shape, bits) in digests.items()]
+
+
+def main() -> None:
+    print("\n".join(lines()))
 
 
 if __name__ == "__main__":

@@ -47,10 +47,12 @@ def test_nodeset_ids_read_only():
     st.sets(st.integers(0, 40)),
 )
 def test_nodeset_ops_match_python_sets(a, b):
+    """The operations' results are sorted, distinct, int64 and read-only,
+    like the constructor's, which they skip."""
     na, nb = NodeSet(a), NodeSet(b)
-    assert set(na.union(nb)) == a | b
-    assert set(na.intersection(nb)) == a & b
-    assert set(na.difference(nb)) == a - b
+    for got, want in ((na.union(nb), a | b), (na.intersection(nb), a & b), (na.difference(nb), a - b)):
+        assert list(got) == sorted(want)
+        assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
     assert na.issubset(nb) == (a <= b)
 
 
@@ -313,7 +315,9 @@ def test_vertex_boundary_against_set_reference(pairs, members):
     inside = {compact[i] for i in members if i in compact}
     boundary = {j for i in inside for j in adj[i]} - inside
     s = NodeSet(inside)
-    assert vertex_boundary(g, s) == NodeSet(boundary)
+    got = vertex_boundary(g, s)
+    assert got == NodeSet(boundary)
+    assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
 
 
 @given(st.integers(2, 25), st.integers(0, 60), st.integers(0, 2**32 - 1))

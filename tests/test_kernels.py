@@ -20,11 +20,11 @@ def _run_step(g, p, x: SparseVector):
     # the position scratch is written before it is read, so garbage must not
     # matter; with no plan on the graph, the step builds one
     objective._STATE[g] = {"scratch": np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)}
-    out_act, out_vals, residual, cand, u = prox_grad_step(g, p, vals, act)
+    out_act, out_vals, residual, cand, z, u = prox_grad_step(g, p, vals, act)
     assert np.all(np.diff(out_act) > 0)
     assert np.all(out_vals != 0.0)
-    assert np.all(np.diff(cand) > 0) and cand.shape == u.shape
-    return out_act, out_vals, residual, SparseVector.from_arrays(cand, u)
+    assert np.all(np.diff(cand) > 0) and cand.shape == z.shape == u.shape
+    return out_act, out_vals, residual, cand, z, SparseVector.from_arrays(cand, u)
 
 
 def random_problem(case_seed):
@@ -44,21 +44,24 @@ def random_problem(case_seed):
 @given(case_seed=st.integers(0, 2**32 - 1))
 def test_step_matches_reference_ops_bitwise(case_seed):
     """The fused kernel must equal prox(forward_map(x)) from the dict-based
-    reference bit for bit, not merely to rounding, and the forward map it
-    returns must equal the reference's forward_map(x)."""
+    reference bit for bit, not merely to rounding, and the frame it returns
+    must hold x at its candidates, +0.0 off supp(x), and the reference's
+    forward_map(x)."""
     g, p, x = random_problem(case_seed)
     u = forward_map(g, p, x)
-    act, vals, residual, got_u = _run_step(g, p, x)
+    act, vals, residual, cand, z, got_u = _run_step(g, p, x)
     got = SparseVector(dict(zip(act.tolist(), vals.tolist())))
     assert got == prox(g, p, u)  # SparseVector equality is exact
     assert residual == kkt_residual(g, p, x)
     assert got_u == u
+    assert z.tobytes() == x.values_at(cand).tobytes()  # bytes tell -0.0 from +0.0
+    assert np.isin(x.support(), cand).all()
 
 
 def test_step_from_zero_activates_seed_region():
     g, _ = build_from_edges([(0, 1), (1, 2)])
     p = ProblemParams(0.9, 0.01, 0, 1)
-    act, vals, residual, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
+    act, vals, residual, _, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
     # u = alpha / sqrt(d_0) at the seed, zero elsewhere
     assert act.tolist() == [0]
     tau0 = p.reg_level * g.sqrt_degrees[0]
@@ -71,7 +74,7 @@ def test_exact_tie_dropped_by_kernel():
     g, _ = build_from_edges([(0, 1)])
     # u_0 = alpha*1; tau_0 = reg*1 -> tie when rho = 1/reg_factor... pick c=1, rho=1
     p = ProblemParams(1.0, 1.0, 0, 1)
-    act, vals, residual, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
+    act, vals, residual, _, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
     assert act.size == 0 and vals.size == 0
     assert residual == 0.0
 
@@ -111,9 +114,9 @@ def test_rows_read_once_per_support_change(method, monkeypatch):
 
 
 def test_fista_places_values_only_when_the_support_changes(monkeypatch):
-    """FISTA extrapolates on the iterates' aligned values while the support
-    stands: it places them on a union only in iterations where supp(x_k)
-    differs from supp(x_{k-1})."""
+    """FISTA extrapolates on the frames' aligned values while the support
+    stands: it places them on a union of candidates only in iterations where
+    supp(x_k) differs from supp(x_{k-1})."""
     import l1ppr.solver as solver
 
     steps, placed = [], []
@@ -123,9 +126,9 @@ def test_fista_places_values_only_when_the_support_changes(monkeypatch):
         steps.append(None)
         return step(g, p, z_vals, z_act)
 
-    def recorded_place(union, act, vals):
+    def recorded_place(union, cand, z, u):
         placed.append(len(steps) - 1)  # one step from zero, then one per iteration
-        return place(union, act, vals)
+        return place(union, cand, z, u)
 
     monkeypatch.setattr(solver, "prox_grad_step", counted_step)
     monkeypatch.setattr(solver, "_place", recorded_place)
@@ -138,36 +141,42 @@ def test_fista_places_values_only_when_the_support_changes(monkeypatch):
 
 @pytest.mark.parametrize("act, prev_act, places", [
     ([1, 4, 7], [1, 4, 7], 0),  # equal
-    ([1, 4, 7, 9], [4, 7], 1),  # nested: the newer side covers the union
-    ([4, 7], [1, 4, 7, 9], 1),  # nested: the older side covers it
+    ([1, 4, 7, 9], [4, 7], 1),  # nested: the newer frame covers the union
+    ([4, 7], [1, 4, 7, 9], 1),  # nested: the older frame covers it
     ([0, 2], [1, 3, 5], 2),  # disjoint
     ([0, 2, 5], [2, 3], 2),  # overlapping
 ])
 def test_extrapolate_places_only_a_side_short_of_the_union(act, prev_act, places, monkeypatch):
-    """_extrapolate equals placing both points on np.union1d, byte for
-    byte, and calls _place only for a side that lacks some node of the
-    union."""
+    """_extrapolate equals placing both frames' z and u on np.union1d, byte
+    for byte, and calls _place only for a frame that lacks some node of the
+    union. The frames' candidate arrays are ``act`` and ``prev_act``."""
     import l1ppr.solver as solver
 
     rng = np.random.default_rng(len(act) * 10 + len(prev_act))
-    act, prev_act = np.array(act), np.array(prev_act)
-    vals, prev_vals = rng.standard_normal(act.size), rng.standard_normal(prev_act.size)
-    union = np.union1d(act, prev_act)
-    a, b = np.zeros(union.size), np.zeros(union.size)
-    a[np.searchsorted(union, act)] = vals
-    b[np.searchsorted(union, prev_act)] = prev_vals
+    cand, prev_cand = np.array(act), np.array(prev_act)
+    union = np.union1d(cand, prev_cand)
     beta = fista_momentum(0.2)
+    frame, prev_frame, want = [], [], []
+    for _ in ("z", "u"):
+        vals, prev_vals = rng.standard_normal(cand.size), rng.standard_normal(prev_cand.size)
+        a, b = np.zeros(union.size), np.zeros(union.size)
+        a[np.searchsorted(union, cand)] = vals
+        b[np.searchsorted(union, prev_cand)] = prev_vals
+        frame.append(vals)
+        prev_frame.append(prev_vals)
+        want.append(a + beta * (a - b))
     placed = []
     place = solver._place
 
-    def recorded_place(union, act, vals):
-        placed.append(act)
-        return place(union, act, vals)
+    def recorded_place(union, cand, z, u):
+        placed.append(cand)
+        return place(union, cand, z, u)
 
     monkeypatch.setattr(solver, "_place", recorded_place)
-    got_act, got = solver._extrapolate(beta, act, vals, prev_act, prev_vals)
-    assert got_act.tobytes() == union.tobytes()
-    assert got.tobytes() == (a + beta * (a - b)).tobytes()
+    got_cand, got_y, got_u = solver._extrapolate(beta, cand, *frame, prev_cand, *prev_frame)
+    assert got_cand.tobytes() == union.tobytes()
+    assert got_y.tobytes() == want[0].tobytes()
+    assert got_u.tobytes() == want[1].tobytes()
     assert len(placed) == places
 
 

@@ -141,30 +141,35 @@ def _faulty_step(fault):
     call on.
 
     With ``"inf"`` they are infinite. ISTA's check on x_{k+1}, the step's
-    values, catches that; FISTA's check on u(y_k), which it extrapolates from
-    the steps' forward maps, does. With ``"overflow"`` they are +-1.5e308 on
-    alternate calls: every iterate and forward map is finite, but FISTA's
-    extrapolation u + beta (u - u_prev) is not (at alpha 0.2 its momentum
-    takes 1.5e308 past the largest double), which the check on u(y_k)
+    values, catches that; FISTA's check on y_k and u(y_k), which it
+    extrapolates from the steps' frames, does. With ``"overflow"`` they are
+    +-1.5e308 on alternate calls: every iterate and forward map is finite,
+    but FISTA's extrapolation u + beta (u - u_prev) is not (at alpha 0.2 its
+    momentum takes 1.5e308 past the largest double), which the same check
     catches. ISTA extrapolates nothing, so it runs on these finite iterates
-    to the iteration cap.
+    to the iteration cap. With ``"point"`` the forward map stays right and
+    the point z the step returns at its candidates is +-1.5e308 instead:
+    FISTA's y_k overflows while u(y_k) stays finite, so only the check's y
+    half catches it, and ISTA, which reads no z, runs to the cap.
     """
     calls = []
 
     def step(g, p, z_vals, z_act):
-        act, vals, r, cand, u = prox_grad_step(g, p, z_vals, z_act)
+        act, vals, r, cand, z, u = prox_grad_step(g, p, z_vals, z_act)
         calls.append(None)
         if len(calls) < 3:
-            return act, vals, r, cand, u
+            return act, vals, r, cand, z, u
         bad = np.inf if fault == "inf" else (1.5e308 if len(calls) % 2 else -1.5e308)
-        return act, np.full(vals.size, bad), r, cand, np.full(u.size, bad)
+        if fault == "point":
+            return act, vals, r, cand, np.full(z.size, bad), u
+        return act, np.full(vals.size, bad), r, cand, z, np.full(u.size, bad)
 
     return step
 
 
 # the iteration at which each fault trips the divergence check; ISTA's
-# finite overflow trips none
-DIVERGES_AT = {("fista", "inf"): 2, ("fista", "overflow"): 2, ("ista", "inf"): 2}
+# finite overflow and bad point trip none
+DIVERGES_AT = {("fista", "inf"): 2, ("fista", "overflow"): 2, ("fista", "point"): 2, ("ista", "inf"): 2}
 FAULT_CAP = 10
 
 
@@ -182,8 +187,9 @@ def test_divergence_raises(monkeypatch):
         monkeypatch.setattr(solver, "prox_grad_step", _faulty_step(fault))
         with pytest.raises(NumericalDivergenceError, match=f"^numerical divergence at iteration {k}$"):
             solve(g, p, SolverConfig(method=method, eps=1e-10, max_iter=FAULT_CAP))
-    monkeypatch.setattr(solver, "prox_grad_step", _faulty_step("overflow"))
-    _assert_runs_to_cap(solve(g, p, SolverConfig(method="ista", eps=1e-10, max_iter=FAULT_CAP)))
+    for fault in ("overflow", "point"):
+        monkeypatch.setattr(solver, "prox_grad_step", _faulty_step(fault))
+        _assert_runs_to_cap(solve(g, p, SolverConfig(method="ista", eps=1e-10, max_iter=FAULT_CAP)))
 
 
 def test_iteration_cap_reported_not_converged():
@@ -288,7 +294,7 @@ def test_workspace_clean_after_divergence(method, monkeypatch):
 
     g = clique_ring(1000)
     p = ProblemParams(0.2, 1e-4, 3)
-    for fault in ("inf", "overflow"):
+    for fault in ("inf", "overflow", "point"):
         monkeypatch.setattr(solver, "prox_grad_step", _faulty_step(fault))
         cfg = SolverConfig(method=method, eps=1e-10, max_iter=FAULT_CAP)
         if (method, fault) in DIVERGES_AT:
@@ -355,6 +361,25 @@ def test_kernel_calls_per_iteration(method, monkeypatch):
     assert sol.trace.iterations > 5
     assert len(calls) == sol.trace.iterations + 1
     assert sum(calls) == sum(sol.trace.vol_supp_x_next)
+
+
+@pytest.mark.parametrize("method, per_iteration", [("ista", 0), ("fista", 1)])
+def test_fista_extrapolates_once_per_iteration(method, per_iteration, monkeypatch):
+    """FISTA forms y_k and u(y_k) in one _extrapolate call per iteration;
+    ISTA, which takes y_k = x_k, makes none."""
+    import l1ppr.solver as solver
+
+    calls = []
+    extrapolate = solver._extrapolate
+
+    def counted(*args):
+        calls.append(None)
+        return extrapolate(*args)
+
+    monkeypatch.setattr(solver, "_extrapolate", counted)
+    sol = solve(clique_ring(100), ProblemParams(0.2, 1e-4, 3), SolverConfig(method=method, eps=1e-8))
+    assert sol.trace.iterations > 5
+    assert len(calls) == per_iteration * sol.trace.iterations
 
 
 # rounding allowance of a FISTA solve against the two-gather loop, as a
