@@ -68,6 +68,9 @@ class SlackReport:
     i_large_near: NodeSet
 
     def slack_at(self, i: int) -> float:
+        n = len(self.active) + len(self.gamma) + self.far_count
+        if not 0 <= i < n:
+            raise ValueError(f"node {i} out of range for graph with n={n}")
         if i in self.active:
             raise ValueError(f"node {i} is active; slack is defined for inactive nodes")
         return self.gamma.get(i, self.far_slack)
@@ -94,7 +97,7 @@ def slacks(g: Graph, p: ProblemParams, x_star: SparseVector) -> SlackReport:
     if bad.size:
         i, v = int(cand[on][bad[0]]), float(viol[bad[0]])
         raise ValueError(f"not a minimizer: active node {i} violates stationarity by {v:.3e}")
-    active = NodeSet(cand[on])
+    active = NodeSet._adopt(cand[on])
     near = ~on & (grad != 0.0)
     ids, gi, lam = cand[near], grad[near], lam[near]
     bad = np.flatnonzero((gi > _MINIMIZER_TOL) | (gi < -lam - _MINIMIZER_TOL))
@@ -113,8 +116,8 @@ def slacks(g: Graph, p: ProblemParams, x_star: SparseVector) -> SlackReport:
         candidates.append(lvl)
     min_slack = min(candidates) if candidates else math.inf
     thr = p.alpha * p.rho
-    i_small = NodeSet(ids[gam < thr])
-    i_large_near = NodeSet(ids[gam >= thr])
+    i_small = NodeSet._adopt(ids[gam < thr])
+    i_large_near = NodeSet._adopt(ids[gam >= thr])
     return SlackReport(
         active=active,
         gamma=gamma,
@@ -215,6 +218,13 @@ class ConfinementReport:
 def verify_confinement(
     g: Graph, p: ProblemParams, cfg: SolverConfig, s: NodeSet, trace: SolveTrace
 ) -> ConfinementReport:
+    """Replay the full ``trace`` against the candidate set ``s``.
+
+    The report maps each iteration k whose iterate supp(x_{k+1}) leaves
+    s ∪ ∂s to the nodes that escaped, and carries the per-iteration maximum
+    and the total of vol(supp(x_{k+1}) \\ s). ``p`` and ``cfg`` are unused;
+    they stay in the signature for existing callers.
+    """
     if trace.level != "full":
         raise ValueError("full trace required")
     allowed = s.union(vertex_boundary(g, s))
@@ -224,7 +234,7 @@ def verify_confinement(
     for k, (_, _, nodes, _) in enumerate(trace.snapshots):
         escaped = nodes[~allowed.contains(nodes)]
         if escaped.size:
-            violations[k] = NodeSet(escaped)
+            violations[k] = NodeSet._adopt(escaped)
         spurious = nodes[~s.contains(nodes)]
         vol = int(g.degrees[spurious].sum())
         cum_sp += vol

@@ -45,7 +45,7 @@ class NodeSet:
         if isinstance(ids, NodeSet):
             self._ids = ids._ids
             return
-        arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64)
+        arr = _as_ids(ids if isinstance(ids, np.ndarray) else list(ids))
         if arr.ndim != 1:
             raise ValueError("node ids must form a one-dimensional sequence")
         if arr.size and int(arr.min()) < 0:
@@ -104,6 +104,16 @@ class NodeSet:
         if not len(self):
             return True
         return bool(np.isin(self._ids, other._ids, assume_unique=True).all())
+
+
+def _as_ids(ids) -> np.ndarray:
+    """The node ids ``ids`` as an int64 array. Raises ValueError unless they
+    have an integer dtype (bools and floats are not truncated to ids); an
+    empty input is allowed, whatever its dtype."""
+    arr = np.asarray(ids)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"node ids must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _find(ids: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +216,7 @@ def build_from_edges(
     compacted, and the returned int64 array maps each compact id back to the
     original id (``remap[new] == original``).
     """
-    if isinstance(edge_list, np.ndarray):
-        arr = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
-    else:
-        arr = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+    arr = _as_ids(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list)).reshape(-1, 2)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("node indices must be non-negative")
     arr = arr[arr[:, 0] != arr[:, 1]]

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _find, _rows, _union
+from .graph import Graph, _as_ids, _find, _rows, _union
 
 __all__ = [
     "SparseVector",
@@ -101,10 +101,10 @@ class SparseVector:
 
     @classmethod
     def from_arrays(cls, nodes: np.ndarray, values: np.ndarray) -> "SparseVector":
-        """Vector with ``values[t]`` at ``nodes[t]`` (distinct nodes, in any
-        order); exact zeros are dropped."""
+        """Vector with ``values[t]`` at ``nodes[t]`` (distinct integer nodes,
+        in any order); exact zeros are dropped."""
         out = cls.__new__(cls)
-        out._set(np.asarray(nodes, dtype=np.int64), np.asarray(values, dtype=np.float64))
+        out._set(_as_ids(nodes), np.asarray(values, dtype=np.float64))
         return out
 
     def support(self) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Iterable
@@ -35,13 +34,11 @@ __all__ = [
     "SweepRow",
     "SweepError",
     "SweepResult",
-    "TradeoffRow",
     "log_grid",
     "derive_rng_seed",
     "load_edgelist",
     "sample_seeds",
     "run_sweep",
-    "tradeoff_ratios",
     "write_rows_csv",
 ]
 
@@ -253,50 +250,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                                      **stats))
     rows.sort(key=lambda r: (r.value, r.method, r.seed))
     return SweepResult(tuple(rows), tuple(errors))
-
-
-@dataclass(frozen=True)
-class TradeoffRow:
-    value: float
-    seed: int
-    iter_ratio: float
-    per_iter_ratio: float
-    work_ratio: float
-
-
-def tradeoff_ratios(rows: Iterable[SweepRow]) -> list[TradeoffRow]:
-    """Per (value, seed) decomposition of the accelerated/plain work ratio
-    into an iteration-count ratio times a per-iteration-work ratio.
-
-    Pairs with a missing counterpart or a zero-iteration run are skipped with
-    a warning. The identity work_ratio = iter_ratio * per_iter_ratio is
-    checked to 1e-12 relative.
-    """
-    by_key: dict[tuple[float, int, str], SweepRow] = {}
-    for r in rows:
-        by_key[(r.value, r.seed, r.method)] = r
-    pairs = sorted({(v, s) for (v, s, _) in by_key})
-    out = []
-    for value, seed in pairs:
-        ri = by_key.get((value, seed, "ista"))
-        rf = by_key.get((value, seed, "fista"))
-        if ri is None or rf is None:
-            warnings.warn(f"unmatched methods at value={value}, seed={seed}; skipping")
-            continue
-        if ri.iters == 0 or rf.iters == 0 or ri.total_work == 0:
-            warnings.warn(
-                f"degenerate run at value={value}, seed={seed} (zero iterations or work); skipping"
-            )
-            continue
-        iter_ratio = rf.iters / ri.iters
-        per_iter_ratio = (rf.total_work / rf.iters) / (ri.total_work / ri.iters)
-        work_ratio = rf.total_work / ri.total_work
-        if abs(work_ratio - iter_ratio * per_iter_ratio) > 1e-12 * abs(work_ratio):
-            raise AssertionError(
-                f"ratio identity broken at value={value}, seed={seed}"
-            )
-        out.append(TradeoffRow(value, seed, iter_ratio, per_iter_ratio, work_ratio))
-    return out
 
 
 def _fmt(x: float) -> str:

@@ -17,6 +17,10 @@ from l1ppr.solver import METHODS, SolverConfig
 from l1ppr.sweep import SweepResult, SweepSpec, load_edgelist, run_sweep, write_rows_csv
 from l1ppr.synth import SynthParams, generate
 
+# the child processes import the package from the source tree, installed or not
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
 GEN_FLAGS = ["--core-size", "5", "--boundary-size", "10", "--exterior-size", "12",
              "--c-bnd", "2", "--deg-b", "4", "--deg-ext", "6"]
 GEN_PARAMS = SynthParams(core_size=5, boundary_size=10, exterior_size=12,
@@ -748,7 +752,7 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "l1ppr.cli", "analytic", "--family", "star",
          "--m", "2", "--alpha", "0.5", "--rho", "0.2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert "family=star m=2" in proc.stdout
@@ -767,7 +771,7 @@ def test_analytic_size_beyond_memory_exits_2(family):
         " '--alpha', '0.5', '--rho', '1e-13']))\n"
     )
     # one BLAS thread: each one reserves address space for its buffers
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = {**SRC_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -68,6 +68,16 @@ def test_path_slacks_far_nodes_exact():
     assert rep1.i_small.ids.tolist() == [1]
 
 
+def test_slack_at_rejects_nodes_outside_the_graph():
+    g, _ = build_from_edges([(0, 1), (1, 2), (2, 3)])
+    p = ProblemParams(0.5, 0.01, 0)
+    rep = slacks(g, p, solve(g, p, SolverConfig(eps=1e-12)).x)
+    assert len(rep.active) + len(rep.gamma) + rep.far_count == g.n
+    for i in (-1, g.n, 99):
+        with pytest.raises(ValueError, match="out of range"):
+            rep.slack_at(i)
+
+
 def test_slacks_reject_non_minimizers():
     g = star_instance(4).graph
     p = ProblemParams(0.5, 0.1, 0, 1)

@@ -36,6 +36,13 @@ def test_nodeset_rejects_negative_and_2d():
         NodeSet(np.zeros((2, 2), dtype=np.int64))
 
 
+def test_nodeset_rejects_non_integer_ids():
+    for ids in ([1.5, 2.0], [True, False], np.array([0.0, 3.0])):
+        with pytest.raises(ValueError, match="integers"):
+            NodeSet(ids)
+    assert len(NodeSet([])) == 0 and len(NodeSet(np.array([]))) == 0
+
+
 def test_nodeset_ids_read_only():
     s = NodeSet([1, 2])
     with pytest.raises(ValueError):
@@ -159,6 +166,12 @@ def test_build_rejects_empty_and_negative():
         build_from_edges([(2, 2)])
     with pytest.raises(ValueError, match="non-negative"):
         build_from_edges([(-1, 2)])
+
+
+def test_build_rejects_non_integer_ids():
+    for edges in ([(0.5, 1)], np.array([[0.0, 1.0]]), [(True, False)]):
+        with pytest.raises(ValueError, match="integers"):
+            build_from_edges(edges)
 
 
 def test_csr_invariants():

@@ -126,6 +126,13 @@ def test_sparse_vector_matches_dict_model(pairs, other_pairs, as_mapping, probe,
     assert diff == want and type(diff) is float
 
 
+def test_from_arrays_rejects_non_integer_nodes():
+    for nodes in (np.array([0.5, 2.0]), [True, False]):
+        with pytest.raises(ValueError, match="integers"):
+            SparseVector.from_arrays(nodes, np.array([1.0, 2.0]))
+    assert len(SparseVector.from_arrays([], [])) == 0
+
+
 def test_params_validation():
     ProblemParams(1.0, 0.1, 0, 2)  # alpha = 1 allowed
     for bad in (

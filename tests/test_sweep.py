@@ -4,14 +4,12 @@ import math
 import pytest
 
 from l1ppr.sweep import (
-    SweepRow,
     SweepSpec,
     derive_rng_seed,
     load_edgelist,
     log_grid,
     run_sweep,
     sample_seeds,
-    tradeoff_ratios,
     write_rows_csv,
 )
 from l1ppr.synth import SynthParams, generate
@@ -188,32 +186,6 @@ def test_sampled_seeds_are_deterministic():
     res2 = run_sweep(spec)
     assert res1.rows == res2.rows
     assert len({r.seed for r in res1.rows}) == 3
-
-
-def _row(value, method, seed, iters, work):
-    return SweepRow(axis="rho", value=value, method=method, seed=seed,
-                    iters=iters, total_work=work, converged=True,
-                    residual=1e-7, vol_supp=4, spurious_vol=0,
-                    work_per_iter=work / iters if iters else 0.0)
-
-
-def test_tradeoff_identity_and_skips():
-    rows = [
-        _row(1.0, "ista", 0, 10, 100),
-        _row(1.0, "fista", 0, 5, 80),
-        _row(2.0, "ista", 0, 8, 60),               # no fista partner
-        _row(3.0, "ista", 0, 4, 40),
-        _row(3.0, "fista", 0, 0, 0),               # degenerate
-    ]
-    with pytest.warns(UserWarning) as rec:
-        out = tradeoff_ratios(rows)
-    messages = " | ".join(str(w.message) for w in rec)
-    assert "unmatched" in messages and "degenerate" in messages
-    assert len(out) == 1
-    t = out[0]
-    assert t.value == 1.0 and t.iter_ratio == 0.5
-    assert t.per_iter_ratio == pytest.approx(1.6)
-    assert t.work_ratio == pytest.approx(t.iter_ratio * t.per_iter_ratio)
 
 
 def test_csv_format_and_reruns_byte_identical(tmp_path):
