@@ -69,6 +69,8 @@ class SlackReport:
 
     def slack_at(self, i: int) -> float:
         n = len(self.active) + len(self.gamma) + self.far_count
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"node {i!r} is not an integer")
         if not 0 <= i < n:
             raise ValueError(f"node {i} out of range for graph with n={n}")
         if i in self.active:

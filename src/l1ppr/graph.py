@@ -4,8 +4,7 @@ The package reads adjacency through ``_rows``, which gathers the rows of a
 whole node array at once; everything downstream (gradients, boundary
 computations) reads rows only for the nodes it is entitled to touch, which
 keeps edge-access counts proportional to the degree volume of the sets
-involved. :meth:`Graph.neighbors_of` returns a single row, for callers that
-walk one node at a time.
+involved.
 
 Set operations on node arrays go through ``_distinct`` and ``_union``, which
 sort and keep the first entry of each run of equal ids. numpy 2 runs
@@ -45,11 +44,9 @@ class NodeSet:
         if isinstance(ids, NodeSet):
             self._ids = ids._ids
             return
-        arr = _as_ids(ids if isinstance(ids, np.ndarray) else list(ids))
+        arr = _as_ids(ids)
         if arr.ndim != 1:
             raise ValueError("node ids must form a one-dimensional sequence")
-        if arr.size and int(arr.min()) < 0:
-            raise ValueError("node ids must be non-negative")
         arr = _distinct(arr)
         arr.setflags(write=False)
         self._ids = arr
@@ -94,12 +91,6 @@ class NodeSet:
     def union(self, other: "NodeSet") -> "NodeSet":
         return NodeSet._adopt(_union(self._ids, other._ids))
 
-    def intersection(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet._adopt(np.intersect1d(self._ids, other._ids, assume_unique=True))
-
-    def difference(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet._adopt(np.setdiff1d(self._ids, other._ids, assume_unique=True))
-
     def issubset(self, other: "NodeSet") -> bool:
         if not len(self):
             return True
@@ -107,13 +98,17 @@ class NodeSet:
 
 
 def _as_ids(ids) -> np.ndarray:
-    """The node ids ``ids`` as an int64 array. Raises ValueError unless they
-    have an integer dtype (bools and floats are not truncated to ids); an
-    empty input is allowed, whatever its dtype."""
-    arr = np.asarray(ids)
+    """The node ids ``ids``, an array or any iterable, as an int64 array.
+    Raises ValueError unless they have an integer dtype (bools and floats are
+    not truncated to ids) and lie in [0, 2**63 - 1]; an empty input is
+    allowed, whatever its dtype."""
+    arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"node ids must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    out = arr.astype(np.int64, copy=False)  # a uint64 id past int64 wraps below zero
+    if out.size and int(out.min()) < 0:
+        raise ValueError("node ids must be non-negative and fit in int64")
+    return out
 
 
 def _find(ids: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,21 +162,9 @@ class Graph:
     sqrt_degrees: np.ndarray      # float64, sqrt(d_i)
     inv_sqrt_degrees: np.ndarray  # float64, 1/sqrt(d_i)
 
-    def neighbors_of(self, node: int) -> np.ndarray:
-        """Sorted neighbor row of ``node`` (a read-only view)."""
-        return self.neighbors[self.row_offsets[node]:self.row_offsets[node + 1]]
-
-    def degree(self, node: int) -> int:
-        return int(self.degrees[node])
-
     @property
     def edge_count(self) -> int:
         return int(self.neighbors.size) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors_of(u)
-        i = int(np.searchsorted(row, v))
-        return i < row.size and int(row[i]) == int(v)
 
     def equals(self, other: "Graph") -> bool:
         return (
@@ -196,10 +179,6 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets))
         keep = src < self.neighbors
         return np.stack((src[keep], self.neighbors[keep]), axis=1)
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Each undirected edge once, as (u, v) with u < v, in sorted order."""
-        return map(tuple, self.edge_array().tolist())
 
 
 _MAX_ID = np.iinfo(np.int64).max
@@ -216,9 +195,7 @@ def build_from_edges(
     compacted, and the returned int64 array maps each compact id back to the
     original id (``remap[new] == original``).
     """
-    arr = _as_ids(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list)).reshape(-1, 2)
-    if arr.size and int(arr.min()) < 0:
-        raise ValueError("node indices must be non-negative")
+    arr = _as_ids(edge_list).reshape(-1, 2)
     arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.size == 0:
         raise ValueError("empty graph")

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -69,42 +69,45 @@ class SparseVector:
 
     Held as two read-only arrays, as :class:`l1ppr.graph.NodeSet` holds its
     ids: strictly increasing int64 nodes and the float64 values at them.
-    Values that round to exact 0.0 are purged at construction; there is no
-    epsilon pruning anywhere (dropping small-but-nonzero entries would
-    silently change support volumes, and those are the measured quantity).
+
+    Every vector is built by :meth:`from_arrays` from a one-dimensional
+    array of distinct, non-negative integer nodes in any order and an array
+    of as many values; anything else raises ValueError. ``SparseVector(m)``
+    is ``from_arrays(list(m), list(m.values()))`` for a mapping ``m``.
+    Values that are exact 0.0 are dropped; there is no epsilon pruning
+    anywhere (dropping small-but-nonzero entries would silently change
+    support volumes, and those are the measured quantity).
     """
 
     __slots__ = ("_nodes", "_values")
 
-    def __init__(self, data: Mapping[int, float] | Iterable[tuple[int, float]] | None = None):
-        # a later value for a node replaces an earlier one, unless it is zero
-        d: dict[int, float] = {}
-        if data is not None:
-            items = data.items() if isinstance(data, Mapping) else data
-            for k, val in items:
-                val = float(val)
-                if val != 0.0:
-                    d[int(k)] = val
-        self._set(np.fromiter(d, np.int64, len(d)), np.fromiter(d.values(), np.float64, len(d)))
+    def __init__(self, data: Mapping[int, float] | None = None):
+        data = {} if data is None else data
+        self._set(list(data), list(data.values()))
 
-    def _set(self, nodes: np.ndarray, values: np.ndarray) -> None:
-        keep = np.flatnonzero(values != 0.0)
-        keep = keep[np.argsort(nodes[keep])]
-        nodes, values = nodes[keep], values[keep]  # copies: the caller keeps its arrays
+    def _set(self, nodes, values) -> None:
+        nodes = _as_ids(nodes)
+        values = np.asarray(values, dtype=np.float64)
+        if nodes.ndim != 1 or values.shape != nodes.shape:
+            raise ValueError(f"nodes must be one-dimensional with one value each, "
+                             f"got shapes {nodes.shape} and {values.shape}")
+        order = np.argsort(nodes)
+        nodes, values = nodes[order], values[order]  # copies: the caller keeps its arrays
+        dup = nodes[1:] == nodes[:-1]
+        if dup.any():
+            raise ValueError(f"duplicate node {int(nodes[1:][dup][0])}")
+        keep = values != 0.0
+        nodes, values = nodes[keep], values[keep]
         nodes.setflags(write=False)
         values.setflags(write=False)
         self._nodes, self._values = nodes, values
-
-    @classmethod
-    def from_dense(cls, arr: np.ndarray) -> "SparseVector":
-        return cls.from_arrays(np.arange(len(arr)), arr)
 
     @classmethod
     def from_arrays(cls, nodes: np.ndarray, values: np.ndarray) -> "SparseVector":
         """Vector with ``values[t]`` at ``nodes[t]`` (distinct integer nodes,
         in any order); exact zeros are dropped."""
         out = cls.__new__(cls)
-        out._set(_as_ids(nodes), np.asarray(values, dtype=np.float64))
+        out._set(nodes, values)
         return out
 
     def support(self) -> np.ndarray:
@@ -149,11 +152,6 @@ class SparseVector:
     def items(self) -> Iterator[tuple[int, float]]:
         """(node, value) pairs in ascending node order."""
         return zip(self._nodes.tolist(), self._values.tolist())
-
-    def to_dense(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        out[self._nodes] = self._values
-        return out
 
     def max_abs_diff(self, other: "SparseVector") -> float:
         nodes = _union(self._nodes, other._nodes)
@@ -288,6 +286,8 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
         _check_seed(g, p)
         key = (p.seed, act.size, act.tobytes())  # the size tells int widths apart
         if plan is None or plan.key != key:
+            if act.size and act[-1] >= g.n:  # act is sorted
+                raise ValueError(f"node {int(act[-1])} out of range for graph with n={g.n}")
             plan = None
             state.pop("plan", None)  # so that two plans never coexist
             plan = state["plan"] = _build_plan(g, p.seed, act, key, state)

@@ -226,7 +226,7 @@ class AnalyticInstance:
             val = 2.0 * alpha * (1.0 - rho * self.m) / ((1.0 + alpha) * math.sqrt(self.m))
         else:
             val = 2.0 * alpha * (1.0 - rho) / (1.0 + alpha)
-        return SparseVector({self.seed: val})
+        return SparseVector.from_arrays([self.seed], [val])
 
     def slack_formula(self, alpha: float, rho: float) -> dict[int, float]:
         """Closed-form degree-normalized slack for every inactive node."""

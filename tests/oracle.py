@@ -30,8 +30,7 @@ def build_dense(g: Graph, p: ProblemParams, check_spectrum: bool = True) -> Dens
         raise ValueError(f"dense oracle capped at {SIZE_CAP} nodes, got {g.n}")
     n = g.n
     adj = np.zeros((n, n))
-    for u in range(n):
-        adj[u, g.neighbors_of(u)] = 1.0
+    adj[np.repeat(np.arange(n), np.diff(g.row_offsets)), g.neighbors] = 1.0
     isd = g.inv_sqrt_degrees
     q = p.hp * np.eye(n) - p.hm * (isd[:, None] * adj * isd[None, :])
     if check_spectrum:

@@ -28,7 +28,7 @@ def _neighbor_sums(g: Graph, x: SparseVector) -> dict[int, float]:
     acc: dict[int, float] = {}
     for j, xj in x.items():
         push = xj * isd[j]
-        for i in map(int, g.neighbors_of(j)):
+        for i in g.neighbors[g.row_offsets[j]:g.row_offsets[j + 1]].tolist():
             acc[i] = acc.get(i, 0.0) + push * isd[i]
     return acc
 

@@ -76,6 +76,10 @@ def test_slack_at_rejects_nodes_outside_the_graph():
     for i in (-1, g.n, 99):
         with pytest.raises(ValueError, match="out of range"):
             rep.slack_at(i)
+    for i in (1.5, 2.0, True, np.float64(3.0), "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            rep.slack_at(i)
+    assert rep.slack_at(np.int64(3)) == rep.slack_at(3)
 
 
 def test_slacks_reject_non_minimizers():
@@ -96,7 +100,7 @@ def test_slacks_consistency_on_random_instances():
         sol = solve(g, p, SolverConfig(method="ista", eps=1e-12))
         rep = slacks(g, p, sol.x)
         dp = build_dense(g, p, check_spectrum=False)
-        grad = dense_gradient(dp, sol.x.to_dense(g.n))
+        grad = dense_gradient(dp, sol.x.values_at(np.arange(g.n)))
         isd = g.inv_sqrt_degrees
         inactive = [i for i in range(g.n) if i not in rep.active]
         assert len(rep.active) + len(rep.gamma) + rep.far_count == g.n
@@ -196,16 +200,17 @@ def test_no_percolation_matches_per_node_definition(seed, n, alpha):
     s = NodeSet(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     p = ProblemParams(alpha, float(rng.uniform(1e-3, 1.0)), 0, 1)
     inside = set(s.ids.tolist())
-    bnd = {j for i in inside for j in g.neighbors_of(i).tolist()} - inside
+    row = [g.neighbors[g.row_offsets[i]:g.row_offsets[i + 1]].tolist() for i in range(n)]
+    bnd = {j for i in inside for j in row[i]} - inside
     ext = [i for i in range(n) if i not in inside and i not in bnd]
     want = (True, None, 0.0)
     if bnd and ext:
         coef = (alpha * p.rho / (2.0 * (1.0 - alpha))) ** 2
-        d_min = float(min(g.degree(j) for j in bnd))
+        d_min = float(min(g.degrees[j] for j in bnd))
         ratios = []
         for i in ext:
-            d = float(g.degree(i))
-            ratios.append(sum(j in bnd for j in g.neighbors_of(i).tolist()) / (coef * d * d * d_min))
+            d = float(g.degrees[i])
+            ratios.append(sum(j in bnd for j in row[i]) / (coef * d * d * d_min))
         w = int(np.argmax(ratios))
         want = (ratios[w] <= 1.0, ext[w] if ratios[w] > 0.0 else None, ratios[w])
     assert tuple(check_no_percolation(g, p, s)) == want

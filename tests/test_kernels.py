@@ -38,7 +38,7 @@ def random_problem(case_seed):
         reg_factor=int(rng.integers(1, 3)),
     )
     dense = rng.standard_normal(n) * (rng.random(n) < 0.4)
-    return g, p, SparseVector.from_dense(dense)
+    return g, p, SparseVector.from_arrays(np.arange(n), dense)
 
 
 @given(case_seed=st.integers(0, 2**32 - 1))

@@ -27,10 +27,10 @@ ids. A random relabeling, which does not keep the order, changes the
 accumulation order and with it the low bits; on fixed seeds it must keep the
 supports, iterations and ledger, with values within a few ulps.
 
-Not covered here: ``SparseVector.to_dense`` and ``build_from_edges``, which
-are O(n) by design, and ``SlackReport.far_count``, the number of nodes far
-from the support, which grows with the padding by design (the audits compare
-``slacks`` by its ``gamma``).
+Not covered here: ``build_from_edges``, which is O(n) by design, and
+``SlackReport.far_count``, the number of nodes far from the support, which
+grows with the padding by design (the audits compare ``slacks`` by its
+``gamma``).
 """
 
 import dataclasses

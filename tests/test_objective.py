@@ -30,27 +30,24 @@ def test_sparse_vector_purges_exact_zeros():
     assert v.support().tolist() == [0, 2]
     assert 1 not in v
     assert v.get(1) == 0.0
-    assert v == SparseVector([(2, -2.0), (0, 1.0)])
+    assert v == SparseVector.from_arrays([2, 0], [-2.0, 1.0])
     assert len(v) == 2
+    assert len(SparseVector.from_arrays([], [])) == 0
 
 
 def test_sparse_vector_dense_round_trip():
     arr = np.array([0.0, 1.5, 0.0, -2.0])
-    v = SparseVector.from_dense(arr)
+    v = SparseVector.from_arrays(np.arange(4), arr)
     assert v.support().tolist() == [1, 3]
-    assert np.array_equal(v.to_dense(4), arr)
+    assert np.array_equal(v.values_at(np.arange(4)), arr)
     assert v.max_abs_diff(SparseVector()) == 2.0
     assert SparseVector().max_abs_diff(SparseVector()) == 0.0
 
 
-def _dict_model(pairs):
-    """What a SparseVector built from ``pairs`` holds, as a plain dict: a
-    later value for a node replaces an earlier one unless it is zero."""
-    d = {}
-    for k, val in pairs:
-        if float(val) != 0.0:
-            d[int(k)] = float(val)
-    return dict(sorted(d.items()))
+def _dict_model(mapping):
+    """What ``SparseVector(mapping)`` holds, as a plain dict: the nonzero
+    entries in ascending node order."""
+    return {k: float(val) for k, val in sorted(mapping.items()) if float(val) != 0.0}
 
 
 _entries = st.lists(
@@ -66,20 +63,18 @@ _entries = st.lists(
 @given(
     pairs=_entries,
     other_pairs=_entries,
-    as_mapping=st.booleans(),
     probe=st.lists(st.integers(-2, 14), max_size=6),
     order_seed=st.integers(0, 2**32 - 1),
 )
-@example(pairs=[], other_pairs=[], as_mapping=False, probe=[0], order_seed=0)
+@example(pairs=[], other_pairs=[], probe=[0], order_seed=0)
 @example(pairs=[(3, 1.0), (1, -0.0), (3, 0.0), (1, 2.0)], other_pairs=[(1, 2.0)],
-         as_mapping=False, probe=[1, 2, 3], order_seed=1)
-def test_sparse_vector_matches_dict_model(pairs, other_pairs, as_mapping, probe, order_seed):
+         probe=[1, 2, 3], order_seed=1)
+def test_sparse_vector_matches_dict_model(pairs, other_pairs, probe, order_seed):
     """Every public method of SparseVector against a plain dict holding the
-    same entries: values and Python types, on vectors built from a mapping,
-    from (node, value) pairs with repeated nodes, from unsorted arrays with
-    exact zeros, and from a dense array."""
-    model = _dict_model(dict(pairs).items() if as_mapping else pairs)
-    v = SparseVector(dict(pairs) if as_mapping else pairs)
+    same entries: values and Python types, on vectors built from a mapping
+    and from unsorted arrays with exact zeros."""
+    model = _dict_model(dict(pairs))
+    v = SparseVector(dict(pairs))
     keys = list(model)
 
     assert len(v) == len(model)
@@ -101,23 +96,17 @@ def test_sparse_vector_matches_dict_model(pairs, other_pairs, as_mapping, probe,
         assert (k in v) == (k in model)
     assert v.values_at(np.array(probe, dtype=np.int64)).tolist() == [model.get(k, 0.0) for k in probe]
 
-    n = 15
-    dense = np.zeros(n)
-    dense[keys] = list(model.values())
-    assert np.array_equal(v.to_dense(n), dense)
-    assert SparseVector.from_dense(dense) == v
-
     # from_arrays: the entries in a shuffled order, with exact zeros at other nodes
     rng = np.random.default_rng(order_seed)
-    zeros = [k for k in range(n) if k not in model][: int(rng.integers(0, 4))]
+    zeros = [k for k in range(15) if k not in model][: int(rng.integers(0, 4))]
     all_nodes = np.array(keys + zeros, dtype=np.int64)
     all_vals = np.array(list(model.values()) + [rng.choice([0.0, -0.0]) for _ in zeros])
     order = rng.permutation(all_nodes.size)
     assert SparseVector.from_arrays(all_nodes[order], all_vals[order]) == v
     assert list(SparseVector.from_arrays(all_nodes[order], all_vals[order]).items()) == items
 
-    other_model = _dict_model(other_pairs)
-    w = SparseVector(other_pairs)
+    other_model = _dict_model(dict(other_pairs))
+    w = SparseVector(dict(other_pairs))
     assert (v == w) == (model == other_model)
     assert v == SparseVector(model) and v != model
     diff = v.max_abs_diff(w)
@@ -126,11 +115,28 @@ def test_sparse_vector_matches_dict_model(pairs, other_pairs, as_mapping, probe,
     assert diff == want and type(diff) is float
 
 
-def test_from_arrays_rejects_non_integer_nodes():
-    for nodes in (np.array([0.5, 2.0]), [True, False]):
-        with pytest.raises(ValueError, match="integers"):
-            SparseVector.from_arrays(nodes, np.array([1.0, 2.0]))
-    assert len(SparseVector.from_arrays([], [])) == 0
+@pytest.mark.parametrize("nodes, values, match", [
+    (np.array([0.5, 2.0]), [1.0, 2.0], "integers"),
+    ([True, False], [1.0, 2.0], "integers"),
+    ({0.5: 1.0, 1: 2.0}, None, "integers"),
+    ({True: 2.0}, None, "integers"),
+    ({np.float64(3.7): 1.0}, None, "integers"),
+    ({2**64: 1.0}, None, "integers"),
+    ({-2: 0.3}, None, "non-negative"),
+    ({2**63: 1.0}, None, "non-negative"),
+    ([4, -1], [1.0, 2.0], "non-negative"),
+    ([1, 2], [1.0], "one value each"),
+    ([[1, 2]], [[1.0, 2.0]], "one-dimensional"),
+    ([3, 1, 3], [1.0, 2.0, 5.0], "duplicate node 3"),
+    ([3, 3], [0.0, 1.0], "duplicate node 3"),
+], ids=["float", "bool", "float-key", "bool-key", "np-float-key", "key-past-uint64",
+        "negative-key", "key-past-int64", "negative", "short-values", "2d", "duplicate",
+        "duplicate-zero"])
+def test_sparse_vector_rejects_bad_nodes(nodes, values, match):
+    """Both constructors reject what is not a distinct, non-negative int64
+    node with one value; a dict stands for ``SparseVector(mapping)``."""
+    with pytest.raises(ValueError, match=match):
+        SparseVector(nodes) if values is None else SparseVector.from_arrays(nodes, values)
 
 
 def test_params_validation():
@@ -163,6 +169,12 @@ def test_gradient_seed_out_of_range():
     g = star(2)
     with pytest.raises(ValueError, match="out of range"):
         gradient(g, ProblemParams(0.5, 0.1, 9, 1), SparseVector())
+    # so is a support node at or past n, for every function that reads rows
+    p = ProblemParams(0.5, 0.1, 0, 1)
+    for fn in (gradient, objective_value, kkt_residual, forward_map):
+        for node in (g.n, 9):
+            with pytest.raises(ValueError, match=f"node {node} out of range for graph with n=3"):
+                fn(g, p, SparseVector({1: 0.5, node: 1.0}))
 
 
 def test_gradient_hand_computed_on_edge():
@@ -204,15 +216,15 @@ def test_gradient_and_objective_match_dense(case_seed):
         reg_factor=int(rng.integers(1, 3)),
     )
     dense_x = rng.standard_normal(n) * rng.integers(0, 2, size=n)
-    x = SparseVector.from_dense(dense_x)
+    x = SparseVector.from_arrays(np.arange(n), dense_x)
     dp = build_dense(g, p, check_spectrum=False)
 
-    gr = gradient(g, p, x).to_dense(n)
-    want = dense_gradient(dp, x.to_dense(n))
+    gr = gradient(g, p, x).values_at(np.arange(n))
+    want = dense_gradient(dp, dense_x)
     assert np.max(np.abs(gr - want)) <= 1e-12
 
     fx = objective_value(g, p, x)
-    assert fx == pytest.approx(dense_objective(dp, x.to_dense(n)), abs=1e-11)
+    assert fx == pytest.approx(dense_objective(dp, dense_x), abs=1e-11)
 
 
 def test_forward_map_is_x_minus_grad():
@@ -253,7 +265,7 @@ def _reference_case(case_seed, reg_factor, density, seed_in_support):
     )
     dense = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n) * (rng.random(n) < density)
     dense[p.seed] = rng.standard_normal() if seed_in_support else 0.0
-    return g, p, SparseVector.from_dense(dense)
+    return g, p, SparseVector.from_arrays(np.arange(n), dense)
 
 
 def _with_ties(g, p, x):

@@ -108,7 +108,7 @@ def test_matches_dense_oracle_small():
     p = ProblemParams(0.4, 0.03, 1, 2)
     want = dense_solve(build_dense(g, p))
     sol = solve(g, p, SolverConfig(method="fista", eps=1e-12))
-    assert np.max(np.abs(sol.x.to_dense(g.n) - want)) <= 1e-9
+    assert np.max(np.abs(sol.x.values_at(np.arange(g.n)) - want)) <= 1e-9
 
 
 def test_work_ledger_replays_from_snapshots():
