@@ -12,14 +12,17 @@ their own:
                  against the solver.
 
 Exit codes: 0 success, 1 condition violated (check) or errored sweep runs,
-2 usage/input error, 3 iteration cap hit. All floats print with 12
-significant digits so outputs diff cleanly.
+2 usage/input error, 3 iteration cap hit. The commands raise; ``main`` turns
+every input or I/O error of any command (a ``ValueError``, ``OSError`` or
+``MemoryError``) into exit code 2 and one ``error: ...`` line on stderr. All
+floats print with 12 significant digits so outputs diff cleanly.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 from .diagnostics import check_no_percolation, slacks
@@ -32,14 +35,19 @@ from .synth import SynthParams, generate, path_instance, star_instance
 __all__ = ["main"]
 
 
-def _fail(msg: str, code: int = 2) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
-
-
 def _reason(exc: Exception) -> str:
     """Message of an input error; a MemoryError raised by Python itself has none."""
     return str(exc) or "out of memory"
+
+
+@contextmanager
+def _writing(what: str):
+    """Re-raise an OSError of the block as the input error ``cannot write
+    <what>: ...``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {what}: {exc}") from exc
 
 
 # rows per formatted block of an edge-list write
@@ -49,13 +57,10 @@ _WRITE_ROWS = 1 << 16
 # ---------------------------------------------------------------- gen
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        params = SynthParams(**{key: getattr(args, key) for key in _SYNTH_KEYS})
-        g, part = generate(params)
-    except (ValueError, MemoryError) as exc:
-        return _fail(_reason(exc))
+    params = SynthParams(**{key: getattr(args, key) for key in _SYNTH_KEYS})
+    g, part = generate(params)
     partition_path = args.partition_out or args.out + ".partition.csv"
-    try:
+    with _writing("output"):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(f"# synthetic block graph: nodes={g.n} edges={g.edge_count}\n")
             fh.write(
@@ -71,8 +76,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             for name, ns in (("core", part.core), ("boundary", part.boundary), ("exterior", part.exterior)):
                 for node in ns.ids.tolist():
                     fh.write(f"{node},{name}\n")
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
     print(f"wrote {g.n} nodes, {g.edge_count} edges to {args.out}")
     print(f"wrote partition to {partition_path}")
     return 0
@@ -81,13 +84,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g, remap = load_edgelist(args.graph, args.max_nodes)
-        (seed,) = _map_original_ids(remap, [args.seed_node], "seed node")
-        p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=seed, reg_factor=args.reg_factor)
-        cfg = SolverConfig(method=args.method, eps=args.eps, max_iter=args.max_iter)
-    except (ValueError, MemoryError) as exc:
-        return _fail(_reason(exc))
+    g, remap = load_edgelist(args.graph, args.max_nodes)
+    (seed,) = _map_original_ids(remap, [args.seed_node], "seed node")
+    p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=seed, reg_factor=args.reg_factor)
+    cfg = SolverConfig(method=args.method, eps=args.eps, max_iter=args.max_iter)
     sol = solve(g, p, cfg)
     tr = sol.trace
     print(
@@ -97,7 +97,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"converged={'true' if tr.converged else 'false'} iterations={tr.iterations} total_work={tr.total_work}")
     print(f"residual={_fmt(tr.final_residual)}")
     print(f"support_size={len(sol.support)} support_volume={volume(g, sol.support)}")
-    try:
+    with _writing("output"):
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
@@ -109,8 +109,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 fh.write("node,value\n")
                 for i, xi in sol.x.items():
                     fh.write(f"{remap[i]},{_fmt(xi)}\n")
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
     return 0 if tr.converged else 3
 
 
@@ -138,13 +136,9 @@ def _read_core_set(path: str) -> list[int]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        g, remap = load_edgelist(args.graph, args.max_nodes)
-        core_orig = _read_core_set(args.core_set)
-        core = NodeSet(_map_original_ids(remap, core_orig, "core node"))
-        p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=0, reg_factor=args.reg_factor)
-    except (OSError, ValueError, MemoryError) as exc:
-        return _fail(_reason(exc))
+    g, remap = load_edgelist(args.graph, args.max_nodes)
+    core = NodeSet(_map_original_ids(remap, _read_core_set(args.core_set), "core node"))
+    p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=0, reg_factor=args.reg_factor)
     if len(core) == 0:
         print("warning: empty core set; boundary is empty and the condition holds vacuously", file=sys.stderr)
     report = check_no_percolation(g, p, core)
@@ -267,19 +261,9 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = _spec_from_config(_parse_config(args.spec))
-    except (OSError, ValueError, MemoryError) as exc:
-        return _fail(_reason(exc))
-    try:
-        result = run_sweep(spec)
-    except (OSError, ValueError, MemoryError) as exc:
-        return _fail(_reason(exc))
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_rows_csv(result.rows, fh)
-    except OSError as exc:
-        return _fail(f"cannot write CSV: {exc}")
+    result = run_sweep(_spec_from_config(_parse_config(args.spec)))
+    with _writing("CSV"), open(args.out, "w", encoding="utf-8", newline="") as fh:
+        write_rows_csv(result.rows, fh)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     if result.errors:
         for err in result.errors:
@@ -295,22 +279,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- analytic
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    try:
-        inst = star_instance(args.m) if args.family == "star" else path_instance(args.m)
-        x_formula = inst.solution_formula(args.alpha, args.rho)
-        gamma_formula = inst.slack_formula(args.alpha, args.rho)
-        p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=inst.seed, reg_factor=1)
-        # plain iteration identifies the support exactly even at the
-        # breakpoint, where momentum leaves dust on the zero-slack nodes
-        cfg = SolverConfig(method="ista", eps=args.eps, max_iter=200000)
-    except (ValueError, MemoryError) as exc:
-        return _fail(_reason(exc))
+    inst = star_instance(args.m) if args.family == "star" else path_instance(args.m)
+    x_formula = inst.solution_formula(args.alpha, args.rho)
+    gamma_formula = inst.slack_formula(args.alpha, args.rho)
+    p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=inst.seed, reg_factor=1)
+    # plain iteration identifies the support exactly even at the
+    # breakpoint, where momentum leaves dust on the zero-slack nodes
+    cfg = SolverConfig(method="ista", eps=args.eps, max_iter=200000)
     g = inst.graph
     sol = solve(g, p, cfg)
     try:
         report = slacks(g, p, sol.x)
     except ValueError as exc:  # eps too loose for the KKT check
-        return _fail(f"solver result at eps={_fmt(args.eps)} fails the slack check: {exc}")
+        raise ValueError(f"solver result at eps={_fmt(args.eps)} fails the slack check: {exc}") from exc
     lo, hi = inst.valid_interval(args.alpha)
     print(f"family={inst.family} m={inst.m} alpha={_fmt(args.alpha)} rho={_fmt(args.rho)}")
     print(f"validity_interval=[{_fmt(lo)}, {_fmt(hi)})")
@@ -386,7 +367,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

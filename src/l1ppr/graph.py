@@ -21,7 +21,7 @@ import io
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -187,7 +187,8 @@ _MAX_ID = np.iinfo(np.int64).max
 def build_from_edges(
     edge_list: Iterable[tuple[int, int]] | np.ndarray,
 ) -> tuple[Graph, np.ndarray]:
-    """Build a graph from raw (u, v) pairs.
+    """Build a graph from raw (u, v) pairs: an (m, 2) array or a list of
+    pairs; any other nonempty shape raises ``ValueError``.
 
     Input pairs may repeat, appear in either orientation, or be self-loops;
     duplicates and self-loops are dropped and the edge set is symmetrized.
@@ -195,7 +196,10 @@ def build_from_edges(
     compacted, and the returned int64 array maps each compact id back to the
     original id (``remap[new] == original``).
     """
-    arr = _as_ids(edge_list).reshape(-1, 2)
+    arr = _as_ids(edge_list)
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise ValueError(f"edges must be (u, v) pairs of shape (m, 2), got shape {arr.shape}")
+    arr = arr.reshape(-1, 2)
     arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.size == 0:
         raise ValueError("empty graph")
@@ -237,38 +241,28 @@ def build_from_edges(
 
 
 def parse_snap_edgelist(
-    source: os.PathLike | TextIO | Iterable[str], max_nodes: int | None = None
+    path: str | os.PathLike, max_nodes: int | None = None
 ) -> tuple[Graph, np.ndarray]:
-    """Parse a whitespace-separated edge list ('#' lines are comments).
-
-    ``source`` is the path of a UTF-8 file (an ``os.PathLike``), a text
-    stream, or any other iterable of lines. Returns the compacted graph
-    together with the compact-to-original id map, so results can be reported
-    in the file's own node numbering.
+    """Parse the whitespace-separated edge list in the UTF-8 file at ``path``
+    ('#' lines are comments). Returns the compacted graph together with the
+    compact-to-original id map, so results can be reported in the file's own
+    node numbering.
 
     With ``max_nodes`` set, only the first ``max_nodes`` distinct node ids in
     file order (``u`` before ``v`` within a line) are kept, and edges touching
     any other id are dropped. Every line is still checked.
 
-    A path or a stream (anything with ``read``) is read whole and parsed by
-    ``np.loadtxt``; given a path, numpy reads the file in blocks, about twice
-    as fast as line by line from a stream. The line scan decides instead,
-    with its errors and line numbers, whenever the two could disagree: a
-    ``#`` inside a line that is not a comment, a ``loadtxt`` error or
-    warning, or a result that is not a nonempty two-column array of
-    non-negative ids. Other iterables of lines go straight to the line scan.
+    ``np.loadtxt`` parses the file, reading it in blocks, about twice as fast
+    as line by line. The line scan decides instead, with its errors and line
+    numbers, whenever the two could disagree: a ``#`` inside a line that is
+    not a comment, a ``loadtxt`` error or warning, or a result that is not a
+    nonempty two-column array of non-negative ids.
     """
-    if isinstance(source, os.PathLike):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-        edges = _loadtxt_edges(text, source)
-    elif hasattr(source, "read"):
-        text = source.read()
-        edges = _loadtxt_edges(text, io.StringIO(text))
-    else:
-        text, edges = None, None
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    edges = _loadtxt_edges(text, path)
     if edges is None:
-        edges = _scan_edges(source if text is None else io.StringIO(text))
+        edges = _scan_edges(io.StringIO(text))
     if max_nodes is not None:
         ids, first = np.unique(edges.ravel(), return_index=True)
         kept = ids[np.argsort(first)[: max(max_nodes, 0)]]
@@ -276,16 +270,17 @@ def parse_snap_edgelist(
     return build_from_edges(edges)
 
 
-def _loadtxt_edges(text: str, fname: os.PathLike | TextIO) -> np.ndarray | None:
-    """The (u, v) rows of ``text``, read by ``np.loadtxt`` from ``fname``
-    (which holds the same text), or None where the line scan has to decide."""
+def _loadtxt_edges(text: str, path: str | os.PathLike) -> np.ndarray | None:
+    """The (u, v) rows of ``text``, read by ``np.loadtxt`` from the file at
+    ``path`` (which holds the same text), or None where the line scan has to
+    decide."""
     if _has_inline_comment(text):
         return None  # loadtxt would keep the part of the line before the '#'
     try:
         with warnings.catch_warnings():
             # numpy 1.2x only warns on a token such as 1.0, and truncates it
             warnings.simplefilter("error")
-            edges = np.loadtxt(fname, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
     except (ValueError, OverflowError, Warning):
         return None
     if edges.shape[1] != 2 or edges.size == 0 or int(edges.min()) < 0:

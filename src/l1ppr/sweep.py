@@ -182,9 +182,10 @@ class SweepRow:
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
-# statistics of a run whose solve raised
+# statistics of a run whose solve raised: nothing was measured, so the
+# residual is nan and the spurious volume empty
 _ERRORED_RUN = dict(iters=0, total_work=0, converged=False, residual=float("nan"),
-                    vol_supp=0, spurious_vol=0, work_per_iter=0.0)
+                    vol_supp=0, spurious_vol=None, work_per_iter=0.0)
 
 
 @dataclass(frozen=True)

@@ -742,6 +742,27 @@ def test_analytic_bad_eps(capsys, eps):
     assert capsys.readouterr() == ("", f"error: {ANALYTIC_EPS_ERRORS[eps]}\n")
 
 
+@pytest.mark.parametrize("command, stubbed", [
+    ("solve", "solve"), ("check", "check_no_percolation"), ("analytic", "solve"),
+])
+def test_library_error_after_parsing_exits_2(command, stubbed, tmp_path, capsys, monkeypatch):
+    """An input error that the library raises once the arguments have been
+    parsed ends as exit code 2 and one error line, as a parse error does."""
+    def rejects(*args, **kwargs):
+        raise ValueError("rejected by the library")
+
+    monkeypatch.setattr(cli, stubbed, rejects)
+    core = tmp_path / "core.txt"
+    core.write_text("2\n")
+    argv = {
+        "solve": ["solve", write_six_path(tmp_path), "--seed-node", "2"],
+        "check": ["check", write_six_path(tmp_path), "--core-set", str(core)],
+        "analytic": ["analytic", "--family", "star", "--m", "4"],
+    }[command]
+    rc = main([*argv, "--alpha", "0.5", "--rho", "0.1"])
+    assert (rc, capsys.readouterr()) == (2, ("", "error: rejected by the library\n"))
+
+
 def test_argparse_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing required arguments

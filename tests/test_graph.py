@@ -1,5 +1,4 @@
 import ast
-import io
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from l1ppr import graph
 from l1ppr.graph import (
     Graph,
     NodeSet,
@@ -165,6 +165,11 @@ def test_build_rejects_empty_and_negative():
         build_from_edges([(2, 2)])
     with pytest.raises(ValueError, match="non-negative"):
         build_from_edges([(-1, 2)])
+    # ids are never paired across rows: only (m, 2) pairs make edges
+    with pytest.raises(ValueError, match=r"shape \(m, 2\), got shape \(2, 3\)"):
+        build_from_edges(np.array([[0, 1, 2], [3, 4, 5]]))
+    with pytest.raises(ValueError, match=r"shape \(m, 2\), got shape \(3,\)"):
+        build_from_edges([0, 1, 2])
 
 
 def test_build_rejects_non_integer_ids():
@@ -192,17 +197,22 @@ def test_iter_edges_round_trip():
     assert len(g.edge_array()) == g.edge_count
 
 
-def test_parse_snap_comments_and_errors():
-    text = "# comment\n\n0 1\n1\t2\n"
-    g, remap = parse_snap_edgelist(io.StringIO(text))
+def test_parse_snap_comments_and_errors(tmp_path):
+    path = tmp_path / "edges.txt"
+
+    def parse(text):
+        path.write_text(text)
+        return parse_snap_edgelist(path)
+
+    g, remap = parse("# comment\n\n0 1\n1\t2\n")
     assert g.n == 3 and g.edge_count == 2
 
     with pytest.raises(ValueError, match="line 2"):
-        parse_snap_edgelist(io.StringIO("0 1\n0 1 2\n"))
+        parse("0 1\n0 1 2\n")
     with pytest.raises(ValueError, match="line 3.*non-integer"):
-        parse_snap_edgelist(io.StringIO("0 1\n# fine\n0 x\n"))
+        parse("0 1\n# fine\n0 x\n")
     with pytest.raises(ValueError, match="empty graph"):
-        parse_snap_edgelist(io.StringIO("# nothing\n"))
+        parse("# nothing\n")
 
 
 _INT64_MAX = 2**63 - 1
@@ -223,23 +233,24 @@ _BAD_LINE = st.one_of(
 
 
 def _parse(text, max_nodes, tmp_path):
-    """(graph, remap) or the error message: by np.loadtxt from a stream and
-    from a file path, and by the line scan from a list of lines. The first
-    two must agree with the third."""
+    """(graph, remap) or the error message of parsing ``text`` from a file,
+    which must agree with the line scan alone (``np.loadtxt`` stubbed out)."""
     path = tmp_path / "edges.txt"
     path.write_bytes(text.encode())
     out = []
-    for source in (io.StringIO(text), path, io.StringIO(text).readlines()):
-        try:
-            out.append(parse_snap_edgelist(source, max_nodes))
-        except ValueError as exc:
-            out.append(str(exc))
-    fast, from_file, scan = out
+    for scan_only in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if scan_only:
+                mp.setattr(graph, "_loadtxt_edges", lambda text, path: None)
+            try:
+                out.append(parse_snap_edgelist(path, max_nodes))
+            except ValueError as exc:
+                out.append(str(exc))
+    fast, scan = out
     if isinstance(scan, str):
-        assert fast == from_file == scan
+        assert fast == scan
     else:
-        for g, remap in (fast, from_file):
-            assert g.equals(scan[0]) and np.array_equal(remap, scan[1])
+        assert fast[0].equals(scan[0]) and np.array_equal(fast[1], scan[1])
     return fast
 
 

@@ -165,7 +165,8 @@ def test_bad_seed_becomes_error_row():
 def test_edgelist_seeds_are_file_ids(tmp_path):
     """On an edge list the seeds, given or sampled, are the file's node ids:
     a star on ids 100-104 solves from its hub 100, and an id the file lacks
-    becomes an error row."""
+    becomes an error row. Without a baseline no row has a spurious volume,
+    an error row included."""
     path = tmp_path / "star.txt"
     path.write_text("".join(f"100\t{100 + k}\n" for k in range(1, 5)))
     spec = SweepSpec(sweep_axis="rho", grid=(0.1,), alpha=0.5, edgelist_path=str(path), seeds=(100, 3))
@@ -174,6 +175,7 @@ def test_edgelist_seeds_are_file_ids(tmp_path):
     assert "seed node 3 not present in the graph" in res.errors[0].message
     hub = [r for r in res.rows if r.seed == 100]
     assert len(hub) == 2 and all(r.converged and r.vol_supp == 4 for r in hub)
+    assert [r.spurious_vol for r in res.rows] == [None] * 4
     sampled = run_sweep(SweepSpec(sweep_axis="rho", grid=(0.1,), alpha=0.5, edgelist_path=str(path),
                                   seeds=None, seed_count=5))
     assert not sampled.errors and {r.seed for r in sampled.rows} == set(range(100, 105))
