@@ -21,8 +21,9 @@ floats print with 12 significant digits so outputs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 
 from .diagnostics import check_no_percolation, slacks
@@ -50,6 +51,26 @@ def _writing(what: str):
         raise ValueError(f"cannot write {what}: {exc}") from exc
 
 
+@contextmanager
+def _output(path: str, what: str, newline: str | None = None):
+    """``path`` opened for writing, or the input error ``cannot write <what>:
+    ...``. A command opens its outputs before the work that fills them, so
+    an unwritable path fails before that work runs. Writes in the block go
+    through ``_writing``. If the block raises, the file is removed, so no
+    partial output is left behind looking complete."""
+    with _writing(what):
+        fh = open(path, "w", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+            with _writing(what):
+                fh.flush()
+    except BaseException:
+        if os.path.isfile(path):  # not a device or pipe
+            os.remove(path)
+        raise
+
+
 # rows per formatted block of an edge-list write
 _WRITE_ROWS = 1 << 16
 
@@ -60,22 +81,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     params = SynthParams(**{key: getattr(args, key) for key in _SYNTH_KEYS})
     g, part = generate(params)
     partition_path = args.partition_out or args.out + ".partition.csv"
-    with _writing("output"):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# synthetic block graph: nodes={g.n} edges={g.edge_count}\n")
-            fh.write(
-                f"# core={params.core_size} boundary={params.boundary_size} "
-                f"exterior={params.exterior_size}\n"
-            )
-            edges = g.edge_array()
-            for start in range(0, len(edges), _WRITE_ROWS):
-                block = edges[start:start + _WRITE_ROWS]
-                fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
-        with open(partition_path, "w", encoding="utf-8") as fh:
-            fh.write("node,region\n")
-            for name, ns in (("core", part.core), ("boundary", part.boundary), ("exterior", part.exterior)):
-                for node in ns.ids.tolist():
-                    fh.write(f"{node},{name}\n")
+    with _output(args.out, "output") as fh, _output(partition_path, "output") as side, _writing("output"):
+        fh.write(f"# synthetic block graph: nodes={g.n} edges={g.edge_count}\n")
+        fh.write(
+            f"# core={params.core_size} boundary={params.boundary_size} "
+            f"exterior={params.exterior_size}\n"
+        )
+        edges = g.edge_array()
+        for start in range(0, len(edges), _WRITE_ROWS):
+            block = edges[start:start + _WRITE_ROWS]
+            fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
+        side.write("node,region\n")
+        for name, ns in (("core", part.core), ("boundary", part.boundary), ("exterior", part.exterior)):
+            for node in ns.ids.tolist():
+                side.write(f"{node},{name}\n")
     print(f"wrote {g.n} nodes, {g.edge_count} edges to {args.out}")
     print(f"wrote partition to {partition_path}")
     return 0
@@ -88,27 +107,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     (seed,) = _map_original_ids(remap, [args.seed_node], "seed node")
     p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=seed, reg_factor=args.reg_factor)
     cfg = SolverConfig(method=args.method, eps=args.eps, max_iter=args.max_iter)
-    sol = solve(g, p, cfg)
-    tr = sol.trace
-    print(
-        f"method={args.method} alpha={_fmt(args.alpha)} rho={_fmt(args.rho)} "
-        f"reg_factor={args.reg_factor} seed={args.seed_node}"
-    )
-    print(f"converged={'true' if tr.converged else 'false'} iterations={tr.iterations} total_work={tr.total_work}")
-    print(f"residual={_fmt(tr.final_residual)}")
-    print(f"support_size={len(sol.support)} support_volume={volume(g, sol.support)}")
-    with _writing("output"):
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
+    with ExitStack() as outputs:
+        trace_fh = outputs.enter_context(_output(args.trace, "output")) if args.trace else None
+        x_fh = outputs.enter_context(_output(args.solution_out, "output")) if args.solution_out else None
+        sol = solve(g, p, cfg)
+        tr = sol.trace
+        print(
+            f"method={args.method} alpha={_fmt(args.alpha)} rho={_fmt(args.rho)} "
+            f"reg_factor={args.reg_factor} seed={args.seed_node}"
+        )
+        print(f"converged={'true' if tr.converged else 'false'} iterations={tr.iterations} total_work={tr.total_work}")
+        print(f"residual={_fmt(tr.final_residual)}")
+        print(f"support_size={len(sol.support)} support_volume={volume(g, sol.support)}")
+        with _writing("output"):
+            if trace_fh:
+                trace_fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
                 # the solve has no baseline, so the spurious column stays empty
                 for k, (vy, vx, r) in enumerate(zip(tr.vol_supp_y, tr.vol_supp_x_next, tr.residual)):
-                    fh.write(f"{k},{vy},{vx},{vy + vx},{_fmt(r)},\n")
-        if args.solution_out:
-            with open(args.solution_out, "w", encoding="utf-8") as fh:
-                fh.write("node,value\n")
+                    trace_fh.write(f"{k},{vy},{vx},{vy + vx},{_fmt(r)},\n")
+            if x_fh:
+                x_fh.write("node,value\n")
                 for i, xi in sol.x.items():
-                    fh.write(f"{remap[i]},{_fmt(xi)}\n")
+                    x_fh.write(f"{remap[i]},{_fmt(xi)}\n")
     return 0 if tr.converged else 3
 
 
@@ -261,9 +281,11 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    result = run_sweep(_spec_from_config(_parse_config(args.spec)))
-    with _writing("CSV"), open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_rows_csv(result.rows, fh)
+    spec = _spec_from_config(_parse_config(args.spec))
+    with _output(args.out, "CSV", newline="") as fh:
+        result = run_sweep(spec)
+        with _writing("CSV"):
+            write_rows_csv(result.rows, fh)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     if result.errors:
         for err in result.errors:

@@ -24,14 +24,25 @@ and the tests check the two bit for bit.
 
 Points enter and leave as their (sorted nodes, values) arrays; nothing is
 held in an n-length float buffer. The core keeps two things per graph
-(weakly, so they go with the graph), known to ``_gather`` alone: its int64
-position scratch, the only n-length array, whose contents are ignored on
-entry, so it is never reset; and the plan of the last support it read, the
-candidates and the edge-aligned bins and weights that depend on the seed and
-the support only. A call at the seed and support of the previous one, which
-is most steps of a solve once its support settles, reuses the plan: it reads
-no adjacency row and leaves the scratch alone, and does the same products
-and the same per-bin sums in edge order as a call that builds the plan.
+(weakly, so they go with the graph), known to ``_gather`` alone: the plan of
+the last support it read, the candidates and the edge-aligned bins and
+weights that depend on the seed and the support only; and, once a build has
+needed it, its int64 position scratch, the only n-length array, whose
+contents are ignored on entry, so it is never reset.
+
+A build bins each row entry in one of two ways. When the largest candidate
+id is below the number of row entries the build reads, which holds for most
+builds on a graph whose supports read more entries than it has nodes, the
+bin is the node id itself: marking the candidates over that id span costs
+no more than the read, and the per-bin sums are then read at the
+candidates. Otherwise, as on a support whose neighbors reach ids far above
+its volume, the bin is the node's position among the candidates, found by a
+scatter through the position scratch, and the cost stays that of the read.
+Every bin gets the same terms in the same order either way, so the two give
+the same bits. A call at the seed and support of the previous one, which is
+most steps of a solve once its support settles, reuses the plan: it reads no
+adjacency row and leaves the scratch alone, and does the same products and
+the same per-bin sums in edge order as a call that builds the plan.
 
 A support a step returns may be the plan's read-only copy of its input
 support: it is, exactly when the step leaves the support unchanged. A call
@@ -215,9 +226,18 @@ class _Plan(NamedTuple):
     """What the gather core derives from the graph, the seed and the support
     ``act`` alone: its own copy of ``act``, D^{-1/2} at ``act`` and its row
     lengths, then per entry of those rows, in edge order, the bin of its node
-    among the candidates and D^{-1/2} at it, then the candidates, sqrt(d) at
+    and D^{-1/2} at it, the number of bins, then the candidates, sqrt(d) at
     them, which of them are in ``act``, and the positions of ``act`` and of
-    the seed among them. Its arrays are read-only."""
+    the seed among them. Its arrays are read-only.
+
+    A build bins in one of two ways, and every bin gets the same terms in the
+    same order either way. When the largest candidate id is below the number
+    of row entries the build reads, the bins are the node ids themselves:
+    binning over that id span costs no more than the read, and the sums are
+    then read at the candidates. Otherwise a bin is the node's position
+    among the candidates, found through the graph's position scratch, so a
+    support whose neighbors reach ids far above its volume costs no more
+    than that volume."""
 
     key: tuple  # (seed, len(act), act.tobytes())
     act: np.ndarray
@@ -225,6 +245,7 @@ class _Plan(NamedTuple):
     lens: np.ndarray
     bins: np.ndarray
     isd_nbrs: np.ndarray
+    nbins: int
     cand: np.ndarray
     sqrt_cand: np.ndarray
     in_act: np.ndarray
@@ -232,39 +253,56 @@ class _Plan(NamedTuple):
     at_seed: int
 
 
-# Per-graph state of the gather core: a dict holding the int64 position
-# scratch under "scratch" and the plan of the last support under "plan".
-# A call reads the plan once into a local, and a plan is never changed, only
-# replaced, so overlapping calls on one graph each see a whole one. A call
-# that builds a plan takes the scratch out of the dict while in use, so a
-# build that overlaps another allocates its own; a build that raises drops
-# it, and the next one allocates a fresh one.
+# Per-graph state of the gather core: a dict holding the plan of the last
+# support under "plan" and, once a build has binned by position, the int64
+# position scratch under "scratch". A call reads the plan once into a local,
+# and a plan is never changed, only replaced, so overlapping calls on one
+# graph each see a whole one. A build that bins by position takes the scratch
+# out of the dict while in use, so a build that overlaps another allocates
+# its own; a build that raises drops it, and the next one allocates a fresh
+# one.
 _STATE: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
 
 
 def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -> _Plan:
-    pos = state.pop("scratch", None)
-    if pos is None:
-        pos = np.empty(g.n, dtype=np.int64)
     isd = g.inv_sqrt_degrees
     nbrs, lens = _rows(g, act)
-    idx = np.concatenate((act, nbrs, np.array([seed], dtype=np.int64)))
-    # Dedup through the position scratch: exactly one position per distinct
-    # node survives the scatter, whichever write lands last.
-    at = np.arange(idx.size, dtype=np.int64)
-    pos[idx] = at
-    cand = np.sort(idx[pos[idx] == at])
-    pos[cand] = np.arange(cand.size, dtype=np.int64)
-    act_pos = pos[act]
+    # the largest candidate id; the entries are searched only when the seed
+    # and the support's last node are below their count
+    top = max(seed, int(act[-1])) if act.size else seed
+    if top < nbrs.size:
+        top = max(top, int(nbrs.max()))
+    if top < nbrs.size:
+        # bin by node id: mark the candidates over the id span
+        mark = np.bincount(nbrs, minlength=top + 1).astype(bool)
+        mark[act] = True
+        mark[seed] = True
+        cand = np.flatnonzero(mark)
+        bins, nbins = nbrs, top + 1
+        act_pos = np.searchsorted(cand, act)
+        at_seed = int(np.count_nonzero(mark[:seed]))  # the candidates below it
+    else:
+        pos = state.pop("scratch", None)
+        if pos is None:
+            pos = np.empty(g.n, dtype=np.int64)
+        idx = np.concatenate((act, nbrs, np.array([seed], dtype=np.int64)))
+        # Dedup through the position scratch: exactly one position per
+        # distinct node survives the scatter, whichever write lands last.
+        at = np.arange(idx.size, dtype=np.int64)
+        pos[idx] = at
+        cand = np.sort(idx[pos[idx] == at])
+        pos[cand] = np.arange(cand.size, dtype=np.int64)
+        bins, nbins = pos[nbrs], cand.size
+        act_pos = pos[act]
+        at_seed = int(pos[seed])
+        state["scratch"] = pos
     in_act = np.zeros(cand.size, dtype=bool)
     in_act[act_pos] = True
-    arrays = (act.astype(np.int64), isd[act], lens, pos[nbrs], isd[nbrs], cand,
-              g.sqrt_degrees[cand], in_act, act_pos)
-    at_seed = int(pos[seed])
-    state["scratch"] = pos
-    for a in arrays:
+    arrays = (act.astype(np.int64), isd[act], lens, bins, isd[nbrs])
+    cand_arrays = (cand, g.sqrt_degrees[cand], in_act, act_pos)
+    for a in arrays + cand_arrays:
         a.setflags(write=False)
-    return _Plan(key, *arrays, at_seed)
+    return _Plan(key, *arrays, nbins, *cand_arrays, at_seed)
 
 
 def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
@@ -293,7 +331,9 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
             plan = state["plan"] = _build_plan(g, p.seed, act, key, state)
     weights = (vals * plan.isd_act).repeat(plan.lens) * plan.isd_nbrs
     # bincount adds in edge order: sources ascending, CSR order within a row
-    sums = np.bincount(plan.bins, weights=weights, minlength=plan.cand.size)
+    sums = np.bincount(plan.bins, weights=weights, minlength=plan.nbins)
+    if plan.nbins > plan.cand.size:  # binned by node id
+        sums = sums[plan.cand]
     zc = np.zeros(plan.cand.size)
     zc[plan.act_pos] = vals
     return plan, zc, p.hp * zc - p.hm * sums

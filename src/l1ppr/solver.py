@@ -33,7 +33,9 @@ solve's wall clock follows the volume of its iterates, not n. Each step
 also returns the frame of its input point: the plan's candidate array and
 the point and its forward map at it. The only n-length array is the gather
 core's position scratch, kept per graph in :mod:`l1ppr.objective` with the
-plan of the last support a step read. Once a solve's support stops
+plan of the last support a step read; a step allocates it only when its
+plan's candidates reach ids past the row entries it reads, and binning by
+node id needs no n-length array. Once a solve's support stops
 changing, which the iterates of a proximal-gradient method do after
 finitely many steps, its steps reuse that plan and read no adjacency row.
 

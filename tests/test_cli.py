@@ -64,6 +64,14 @@ def test_gen_explicit_partition_path(tmp_path):
     assert (tmp_path / "regions.csv").exists()
 
 
+def test_gen_unwritable_partition_leaves_no_edge_list(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    rc = main(["gen", *GEN_FLAGS, "--out", str(out), "--partition-out", str(tmp_path / "no" / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert not out.exists()
+
+
 def test_gen_invalid_params(tmp_path, capsys):
     out = str(tmp_path / "g.txt")
     rc = main(["gen", "--core-size", "3", "--boundary-size", "20", "--c-bnd", "30",
@@ -207,6 +215,57 @@ def test_solve_input_errors(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and "out.csv" in err
+
+
+def _count_solves(monkeypatch):
+    """Count the calls of ``cli.solve`` and ``cli.run_sweep``."""
+    calls = []
+    for name in ("solve", "run_sweep"):
+        def counted(*args, _run=getattr(cli, name)):
+            calls.append(None)
+            return _run(*args)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_unwritable_output_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    nowhere = str(tmp_path / "no" / "such" / "out.csv")
+    for flag in ("--trace", "--solution-out"):
+        rc = main(["solve", write_star(tmp_path), "--alpha", "0.5", "--rho", "0.1",
+                   "--seed-node", "100", flag, nowhere])
+        assert (rc, capsys.readouterr().out) == (2, "")
+    spec_path = tmp_path / "spec.cfg"
+    spec_path.write_text(SPEC_TEXT)
+    rc = main(["sweep", str(spec_path), "--out", nowhere])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write CSV: ")
+    assert calls == []
+
+
+def test_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch):
+    """A command that fails after opening its outputs removes them, so no
+    partial file is left looking complete."""
+    def rejects(*args):
+        raise ValueError("rejected by the library")
+
+    def breaks_off(rows, fh):
+        fh.write("value,method\n")
+        raise OSError(28, "No space left on device")
+
+    trace, x = tmp_path / "t.csv", tmp_path / "x.csv"
+    monkeypatch.setattr(cli, "solve", rejects)
+    rc = main(["solve", write_star(tmp_path), "--alpha", "0.5", "--rho", "0.1",
+               "--seed-node", "100", "--trace", str(trace), "--solution-out", str(x)])
+    assert (rc, capsys.readouterr().err) == (2, "error: rejected by the library\n")
+    assert not trace.exists() and not x.exists()
+    monkeypatch.setattr(cli, "write_rows_csv", breaks_off)
+    spec_path = tmp_path / "spec.cfg"
+    spec_path.write_text(SPEC_TEXT)
+    out = tmp_path / "o.csv"
+    rc = main(["sweep", str(spec_path), "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (2, "error: cannot write CSV: [Errno 28] No space left on device\n")
+    assert not out.exists()
 
 
 def write_reversed_path(tmp_path):

@@ -320,7 +320,126 @@ def test_objective_functions_leave_workspace_clean():
     with pytest.raises(ValueError, match="out of range"):
         gradient(g, ProblemParams(0.3, 0.05, 99, 1), x)
     forward_map(g, p, x)
-    # all the graph keeps is the gather core's position scratch and one plan
+    # all the graph keeps is one plan; the rows of {0, 3} read 7 entries,
+    # more than the top id 6, so its build bins by id and takes no scratch
     state = objective._STATE[g]
+    assert sorted(state) == ["plan"]
+    # the zero point reads no row, so its build bins by position and
+    # allocates the graph's one int64 position scratch
+    gradient(g, p, SparseVector())
     assert sorted(state) == ["plan", "scratch"]
     assert state["scratch"].dtype == np.int64 and state["scratch"].shape == (g.n,)
+
+
+def _padded_below(g):
+    """``g`` with every id raised by ``shift``, one more than its row entries,
+    and a path over ids 0..shift-1 that no solve on ``g``'s part reaches. The
+    shift keeps the order of ``g``'s ids, so a result there is ``g``'s bit
+    for bit, but every candidate id of a build is at least the number of row
+    entries the build reads."""
+    shift = g.neighbors.size + 1
+    path = np.stack((np.arange(shift - 1), np.arange(1, shift)), axis=1)
+    big, remap = build_from_edges(np.concatenate((g.edge_array() + shift, path)))
+    assert np.array_equal(remap, np.arange(big.n))
+    return big, shift
+
+
+def _binned(g, p):
+    """How the plan on ``g`` bins, "id" or "position", as the rule gives it
+    from the plan's rows and checked against its bins."""
+    import l1ppr.objective as objective
+    from l1ppr.graph import _rows
+
+    plan = objective._STATE[g]["plan"]
+    nbrs, _ = _rows(g, plan.act)
+    top = max(p.seed, int(plan.act.max(initial=0)), int(nbrs.max(initial=0)))
+    if top < nbrs.size:
+        assert plan.nbins == top + 1 and np.array_equal(plan.bins, nbrs)
+        return "id"
+    assert plan.nbins == plan.cand.size and np.array_equal(plan.bins, np.searchsorted(plan.cand, nbrs))
+    return "position"
+
+
+def _same_bits_both_ways(g, big, shift, p, act, vals):
+    """One step from ``vals`` at ``act`` on ``g`` and on its padded copy
+    ``big``, with the objective functions at that point: every output is
+    the same bit for bit, up to the shift of the ids. Returns the step on
+    ``g`` and how each side binned."""
+    from l1ppr.objective import prox_grad_step
+
+    pb = ProblemParams(p.alpha, p.rho, p.seed + shift, p.reg_factor)
+    x, xb = SparseVector.from_arrays(act, vals), SparseVector.from_arrays(act + shift, vals)
+    small = prox_grad_step(g, p, vals, act)
+    small_path = _binned(g, p)
+    padded = prox_grad_step(big, pb, vals, act + shift)
+    paths = small_path, _binned(big, pb)
+    for i in (0, 3):  # the support and the candidates
+        assert np.array_equal(small[i] + shift, padded[i])
+    for i in (1, 4, 5):  # the values, z and u at the candidates
+        assert small[i].tobytes() == padded[i].tobytes()
+    assert small[2].hex() == padded[2].hex()
+    assert objective_value(g, p, x).hex() == objective_value(big, pb, xb).hex()
+    for f in (gradient, forward_map):
+        a, b = f(g, p, x).arrays(), f(big, pb, xb).arrays()
+        assert np.array_equal(a[0] + shift, b[0]) and a[1].tobytes() == b[1].tobytes()
+    return small, paths
+
+
+def test_binning_by_id_and_by_position_give_the_same_bits():
+    """A build bins by node id when the largest candidate id is below the
+    number of row entries it reads, and by position among the candidates
+    otherwise; both give the same bits. On the padded copy every build bins
+    by position."""
+    from l1ppr.synth import SynthParams, generate
+
+    g, _ = generate(SynthParams(core_size=8, boundary_size=20, exterior_size=30,
+                                c_bnd=4, deg_b=6, deg_ext=10))
+    big, shift = _padded_below(g)
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
+    seen = []
+    # the empty support reads no row, so it bins by position on both sides
+    for seed in (0, g.n - 1):
+        _, paths = _same_bits_both_ways(g, big, shift, ProblemParams(0.1, 1e-3, seed), *empty)
+        assert paths == ("position", "position")
+    # ISTA from zero, whose supports grow until the rows they read outnumber
+    # the ids they reach
+    p = ProblemParams(0.05, 1e-4, 3)
+    act, vals = empty
+    for _ in range(12):
+        (act, vals, *_), paths = _same_bits_both_ways(g, big, shift, p, act, vals)
+        seen.append(paths)
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 5, 20, g.n):
+        act = np.sort(rng.choice(g.n, size, replace=False))
+        _, paths = _same_bits_both_ways(g, big, shift, p, act, rng.standard_normal(size))
+        seen.append(paths)
+    # a support whose rows miss the seed, which then joins the candidates
+    # on its own
+    near = g.neighbors[g.row_offsets[p.seed]:g.row_offsets[p.seed + 1]]
+    act = np.sort(rng.choice(np.setdiff1d(np.arange(g.n), np.append(near, p.seed)), 20, replace=False))
+    _, paths = _same_bits_both_ways(g, big, shift, p, act, rng.standard_normal(act.size))
+    assert paths == ("id", "position")
+    assert {small for small, _ in seen} == {"id", "position"}
+    assert {padded for _, padded in seen} == {"position"}
+
+
+def test_binning_switches_where_the_top_id_reaches_the_entries_read():
+    """On a star of m leaves the center's row reads the m ids 1..m, so the
+    support {0} has its top id m equal to the entries read and bins by
+    position; {0, 1} reads one entry more, so its top id is the entries read
+    minus one, and bins by id."""
+    m = 6
+    g = star(m)
+    big, shift = _padded_below(g)
+    p = ProblemParams(0.3, 0.05, 2)
+    for act, want in (([0], "position"), ([0, 1], "id")):
+        act = np.array(act, dtype=np.int64)
+        _, paths = _same_bits_both_ways(g, big, shift, p, act, np.linspace(0.5, 0.2, act.size))
+        assert paths == (want, "position")
+    # a support node above every id its rows reach sets the top itself: with
+    # a leaf m + 1 hung on leaf 1, {0, m + 1} reads m + 1 entries up to id m
+    g, _ = build_from_edges([(0, k) for k in range(1, m + 1)] + [(1, m + 1)])
+    big, shift = _padded_below(g)
+    act = np.array([0, m + 1], dtype=np.int64)
+    _, paths = _same_bits_both_ways(g, big, shift, p, act, np.array([0.5, -0.25]))
+    assert paths == ("position", "position")

@@ -289,7 +289,6 @@ def _same_solution(a, b):
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("method", ["fista", "ista"])
 def test_workspace_clean_after_divergence(method, monkeypatch):
-    import l1ppr.objective as objective
     import l1ppr.solver as solver
 
     g = clique_ring(1000)
@@ -305,19 +304,30 @@ def test_workspace_clean_after_divergence(method, monkeypatch):
     monkeypatch.undo()
     cfg = SolverConfig(method=method, eps=1e-8, trace_level="full")
     _same_solution(solve(g, p, cfg), solve(clique_ring(1000), p, cfg))
-    # all the graph keeps is the kernel's position scratch, which may hold
-    # anything, and the plan of the last support
+    _assert_keeps_one_plan_and_scratch(g)
+
+
+def _assert_keeps_one_plan_and_scratch(g):
+    """All a graph keeps after a solve is the plan of its last support and
+    one int64 position scratch of length n, which may hold anything. Only a
+    build that bins by position allocates the scratch; a solve's first step,
+    from the zero point, reads no row and so bins by position."""
+    import l1ppr.objective as objective
+
     state = objective._STATE[g]
     assert sorted(state) == ["plan", "scratch"]
     assert state["scratch"].dtype == np.int64 and state["scratch"].shape == (g.n,)
 
 
 def test_retained_state_is_one_position_scratch():
-    """What a solve leaves on its graph is one int64 array of length n and the
-    plan of its last support, whose size does not grow with n; the iterates
-    themselves are never copied into n-length buffers."""
+    """What a solve leaves on its graph is at most one int64 array of length
+    n, the position scratch, and the plan of its last support, whose size
+    does not grow with n; the iterates themselves are never copied into
+    n-length buffers."""
     import gc
     import tracemalloc
+
+    import l1ppr.objective as objective
 
     p, cfg = ProblemParams(0.2, 1e-4, 3), SolverConfig(eps=1e-8)
     solve(clique_ring(100), p, cfg)  # numpy imports some modules on first use
@@ -329,7 +339,8 @@ def test_retained_state_is_one_position_scratch():
             base = tracemalloc.get_traced_memory()[0]
             solve(g, p, cfg)
             gc.collect()
-            return tracemalloc.get_traced_memory()[0] - base - 8 * g.n
+            scratch = objective._STATE[g].get("scratch")
+            return tracemalloc.get_traced_memory()[0] - base - (0 if scratch is None else scratch.nbytes)
         finally:
             tracemalloc.stop()
 
@@ -423,8 +434,6 @@ def test_concurrent_solves_on_one_graph():
     import sys
     import threading
 
-    import l1ppr.objective as objective
-
     g = clique_ring(1000)
     jobs = [(ProblemParams(0.2, 1e-4, s), SolverConfig(method=m, eps=1e-8, trace_level="full"))
             for s in range(8) for m in ("fista", "ista")]
@@ -449,8 +458,7 @@ def test_concurrent_solves_on_one_graph():
     for a, b in zip(got, want):
         _same_solution(a, b)
     # overlapping steps allocate scratches of their own; the graph keeps one
-    pos = objective._STATE[g]["scratch"]
-    assert isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.shape == (g.n,)
+    _assert_keeps_one_plan_and_scratch(g)
 
 
 def test_concurrent_solves_and_objective_calls_on_one_graph():
