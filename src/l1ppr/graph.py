@@ -195,42 +195,64 @@ def build_from_edges(
     Nodes that end up with zero degree do not get an index: node ids are
     compacted, and the returned int64 array maps each compact id back to the
     original id (``remap[new] == original``).
+
+    The caller's array is read, never written, and no returned array shares
+    its memory. A build skips each copy that would drop nothing: the pairs
+    are copied only when there is a self-loop, the ids are ranked only when
+    those in ``[0, max]`` have a gap, and the sorted key is gathered only
+    when a pair repeats. The key, one int64 per directed pair, is filled in
+    place and becomes ``neighbors``; beside the input and the output, the
+    build holds at its peak one scratch array of that length, the source of
+    each pair.
     """
     arr = _as_ids(edge_list)
     if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
         raise ValueError(f"edges must be (u, v) pairs of shape (m, 2), got shape {arr.shape}")
     arr = arr.reshape(-1, 2)
-    arr = arr[arr[:, 0] != arr[:, 1]]
+    if (arr[:, 0] == arr[:, 1]).any():
+        arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.size == 0:
         raise ValueError("empty graph")
     ids = arr.ravel()
+    del arr
     top = int(ids.max())
     if top < ids.size:
         # every `gen` file's ids are dense in [0, n): compact them by
-        # presence, in an array no longer than the input
+        # presence, in an array no longer than the input, and only if an id
+        # below the largest is missing
         seen = np.zeros(top + 1, dtype=bool)
         seen[ids] = True
         present = np.flatnonzero(seen)
-        rank = np.cumsum(seen, dtype=np.int64)
-        rank -= 1
-        compact = rank[ids]
-        del seen, rank
+        if present.size <= top:
+            rank = np.cumsum(seen, dtype=np.int64)
+            rank -= 1
+            ids = rank[ids]
+            del rank
+        del seen
     else:
-        present, compact = np.unique(ids, return_inverse=True)
+        present, ids = np.unique(ids, return_inverse=True)
     n = int(present.size)
     if n > _MAX_ID // n:
         raise ValueError(f"{n} distinct nodes overflow the int64 edge key")
-    cu, cv = compact.reshape(-1, 2).T
     # One int64 key per directed pair, sorted: rows in order, each row's
     # neighbors ascending. A plain sort beats np.unique on this key.
-    key = np.concatenate((cu * n + cv, cv * n + cu))
-    del cu, cv, compact
+    cu, cv = ids.reshape(-1, 2).T
+    key = np.empty(ids.size, dtype=np.int64)
+    fwd, rev = key.reshape(2, -1)  # its halves: the pairs as given, reversed
+    np.multiply(cu, n, out=fwd)
+    fwd += cv
+    np.multiply(cv, n, out=rev)
+    rev += cu
+    del cu, cv, ids, fwd, rev
     key.sort()
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    neighbors = key % n
-    key //= n  # now the source of each pair
-    degrees = np.bincount(key, minlength=n).astype(np.int64)
-    del key
+    if (key[1:] == key[:-1]).any():
+        key = _first_of_runs(key)
+    src = key // n
+    degrees = np.bincount(src, minlength=n).astype(np.int64, copy=False)
+    src *= n
+    key -= src  # now the neighbor of each pair
+    del src
+    neighbors = key
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=row_offsets[1:])
     sqrt_degrees = np.sqrt(degrees.astype(np.float64))

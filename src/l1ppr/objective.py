@@ -39,10 +39,12 @@ candidates. Otherwise, as on a support whose neighbors reach ids far above
 its volume, the bin is the node's position among the candidates, found by a
 scatter through the position scratch, and the cost stays that of the read.
 Every bin gets the same terms in the same order either way, so the two give
-the same bits. A call at the seed and support of the previous one, which is
-most steps of a solve once its support settles, reuses the plan: it reads no
-adjacency row and leaves the scratch alone, and does the same products and
-the same per-bin sums in edge order as a call that builds the plan.
+the same bits. The zero point reads no row; its one candidate is the seed,
+and it takes no scratch. A call at the seed and support of the previous
+one, which is most steps of a solve once its support settles, reuses the
+plan: it reads no adjacency row and leaves the scratch alone, and does the
+same products and the same per-bin sums in edge order as a call that
+builds the plan.
 
 A support a step returns may be the plan's read-only copy of its input
 support: it is, exactly when the step leaves the support unchanged. A call
@@ -237,7 +239,8 @@ class _Plan(NamedTuple):
     then read at the candidates. Otherwise a bin is the node's position
     among the candidates, found through the graph's position scratch, so a
     support whose neighbors reach ids far above its volume costs no more
-    than that volume."""
+    than that volume. The zero point's one candidate is the seed, its one
+    bin."""
 
     key: tuple  # (seed, len(act), act.tobytes())
     act: np.ndarray
@@ -267,12 +270,17 @@ _STATE: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
 def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -> _Plan:
     isd = g.inv_sqrt_degrees
     nbrs, lens = _rows(g, act)
-    # the largest candidate id; the entries are searched only when the seed
-    # and the support's last node are below their count
+    # the largest candidate id; the rows' largest, each one's last entry,
+    # are searched only when the seed and the support's last node are below
+    # the count of entries read
     top = max(seed, int(act[-1])) if act.size else seed
     if top < nbrs.size:
-        top = max(top, int(nbrs.max()))
-    if top < nbrs.size:
+        top = max(top, int(g.neighbors[g.row_offsets[act + 1] - 1].max()))
+    if not act.size:
+        # the zero point reads no row: its one candidate is the seed
+        cand, bins, nbins = np.array([seed], dtype=np.int64), nbrs, 1
+        act_pos, at_seed = np.zeros(0, dtype=np.int64), 0
+    elif top < nbrs.size:
         # bin by node id: mark the candidates over the id span
         mark = np.bincount(nbrs, minlength=top + 1).astype(bool)
         mark[act] = True

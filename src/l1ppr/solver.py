@@ -33,11 +33,12 @@ solve's wall clock follows the volume of its iterates, not n. Each step
 also returns the frame of its input point: the plan's candidate array and
 the point and its forward map at it. The only n-length array is the gather
 core's position scratch, kept per graph in :mod:`l1ppr.objective` with the
-plan of the last support a step read; a step allocates it only when its
-plan's candidates reach ids past the row entries it reads, and binning by
-node id needs no n-length array. Once a solve's support stops
-changing, which the iterates of a proximal-gradient method do after
-finitely many steps, its steps reuse that plan and read no adjacency row.
+plan of the last support a step read; a step allocates it only when it
+reads rows and its plan's candidates reach ids past the row entries it
+reads, and binning by node id needs no n-length array. Once a solve's
+support stops changing, which the iterates of a proximal-gradient method do
+after finitely many steps, its steps reuse that plan and read no adjacency
+row.
 
 FISTA extrapolates y_k and u(y_k) together, in one call, from the frames of
 x_k and x_{k-1}. While the support stands, both frames are on the plan's

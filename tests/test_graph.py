@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from l1ppr import graph
+from l1ppr import SynthParams, generate, graph
 from l1ppr.graph import (
     Graph,
     NodeSet,
@@ -409,6 +409,85 @@ def test_build_compaction_same_on_both_sides_of_the_dense_guard():
     g, remap = build_from_edges([(0, 10**12), (10**12, 5)])
     h, remap_h = build_from_edges([(0, 2), (2, 1)])  # dense: compacts to itself
     assert g.equals(h) and remap.tolist() == [0, 5, 10**12] and remap_h.tolist() == [0, 1, 2]
+
+
+_GRAPH_ARRAYS = ("row_offsets", "neighbors", "degrees", "sqrt_degrees", "inv_sqrt_degrees")
+
+
+def _same_arrays(a, b):
+    """Whether ``a`` and ``b`` agree in dtype, shape, bytes and write flag."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            and a.flags.writeable == b.flags.writeable)
+
+
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_build_shortcuts_give_the_graph_of_the_full_path(pairs, data):
+    """An edge array with no self-loop, no repeat and gap-free ids skips the
+    pair copy, the id ranking and the key gather. It builds the graph that a
+    self-loop or a reversed repeat, which take the copy or the gather, and
+    ids past the dense guard, which go through ``np.unique``, leave
+    unchanged; so does a gap below the largest id, which the build ranks
+    away. The caller's read-only array is read, never written, and no
+    returned array shares its memory."""
+    distinct = {}
+    for u, v in pairs:
+        if u != v:
+            distinct.setdefault((min(u, v), max(u, v)), (u, v))
+    if not distinct:
+        return
+    _, inverse = np.unique(np.array(list(distinct.values())), return_inverse=True)
+    edges = inverse.reshape(-1, 2).astype(np.int64)  # ids compacted: no gap
+    loop = data.draw(st.integers(0, int(edges.max())))
+    again = data.draw(st.integers(0, len(edges) - 1))
+    gap = data.draw(st.integers(0, int(edges.max())))
+    g, remap = build_from_edges(edges)
+    inputs = {
+        "as drawn": (edges, remap),
+        "self-loop": (np.concatenate((edges, [[loop, loop]])), remap),
+        "reversed repeat": (np.concatenate((edges, edges[again:again + 1, ::-1])), remap),
+        "one gap": (edges + (edges >= gap), remap + (remap >= gap)),
+        "sparse ids": (edges + 10**12, remap + 10**12),
+    }
+    for name, (arr, want_remap) in inputs.items():
+        arr.setflags(write=False)
+        before = arr.copy()
+        h, remap_h = build_from_edges(arr)
+        assert np.array_equal(arr, before), name
+        returned = [getattr(h, a) for a in _GRAPH_ARRAYS] + [remap_h]
+        assert not any(np.shares_memory(arr, a) for a in returned), name
+        assert h.n == g.n, name
+        for a in _GRAPH_ARRAYS:
+            assert _same_arrays(getattr(h, a), getattr(g, a)), (name, a)
+        want_remap.setflags(write=False)
+        assert _same_arrays(remap_h, want_remap), name
+
+
+def test_build_holds_one_edge_length_scratch():
+    """Beyond its input and its output, a build holds at its peak one int64
+    per directed entry, and a few per node: on the ``cli_pipeline`` graph of
+    the benchmark, whose 215,140 directed entries far outnumber its 1,060
+    nodes, the tracemalloc peak less what the build returns stays within
+    8 B per entry plus 64 B per node."""
+    import gc
+    import tracemalloc
+
+    g, _ = generate(SynthParams(exterior_size=400, deg_ext=398))
+    edges = g.edge_array()
+    entries = 2 * len(edges)
+    assert (entries, g.n) == (215_140, 1_060)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h, remap = build_from_edges(edges)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.equals(g)
+    assert peak - held <= 8 * entries + 64 * g.n, (peak - base, held - base)
 
 
 def test_build_from_edges_rejects_key_overflow(monkeypatch):

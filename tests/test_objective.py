@@ -324,9 +324,14 @@ def test_objective_functions_leave_workspace_clean():
     # more than the top id 6, so its build bins by id and takes no scratch
     state = objective._STATE[g]
     assert sorted(state) == ["plan"]
-    # the zero point reads no row, so its build bins by position and
-    # allocates the graph's one int64 position scratch
+    # the zero point reads no row: its plan has the seed as its one
+    # candidate, and its build takes no scratch either
     gradient(g, p, SparseVector())
+    assert sorted(state) == ["plan"]
+    assert state["plan"].cand.tolist() == [0] and state["plan"].nbins == 1
+    # the row of {6} reads 1 entry, not more than the top id 6, so its build
+    # bins by position and allocates the graph's one int64 position scratch
+    gradient(g, p, SparseVector({6: 0.5}))
     assert sorted(state) == ["plan", "scratch"]
     assert state["scratch"].dtype == np.int64 and state["scratch"].shape == (g.n,)
 

@@ -310,8 +310,9 @@ def test_workspace_clean_after_divergence(method, monkeypatch):
 def _assert_keeps_one_plan_and_scratch(g):
     """All a graph keeps after a solve is the plan of its last support and
     one int64 position scratch of length n, which may hold anything. Only a
-    build that bins by position allocates the scratch; a solve's first step,
-    from the zero point, reads no row and so bins by position."""
+    build that bins by position allocates the scratch; on ``clique_ring``
+    the step from a clique seed alone reads its 19 entries, which reach id
+    19, and so bins by position."""
     import l1ppr.objective as objective
 
     state = objective._STATE[g]
