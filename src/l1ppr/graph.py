@@ -230,7 +230,10 @@ def build_from_edges(
             del rank
         del seen
     else:
-        present, ids = np.unique(ids, return_inverse=True)
+        # sparse ids, as SNAP files have: rank each by a search of the
+        # sorted distinct ids, which holds no inverse or permutation
+        present = _distinct(ids)
+        ids = np.searchsorted(present, ids)
     n = int(present.size)
     if n > _MAX_ID // n:
         raise ValueError(f"{n} distinct nodes overflow the int64 edge key")
@@ -359,10 +362,12 @@ def volume(g: Graph, s: NodeSet) -> int:
 def _rows(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjacency rows of the int array ``nodes``, concatenated in order,
     and the length of each."""
-    row_offsets = g.row_offsets
-    lens = row_offsets[nodes + 1] - row_offsets[nodes]
-    shift = np.repeat(row_offsets[nodes] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    return g.neighbors[np.arange(int(lens.sum()), dtype=np.int64) + shift], lens
+    lens = g.degrees[nodes]
+    # entry k of the output, the j-th of node i's row, reads
+    # neighbors[row_offsets[i] + j], and j is k less the entries before the row
+    idx = np.repeat(g.row_offsets[nodes] - np.cumsum(lens) + lens, lens)
+    idx += np.arange(idx.size, dtype=np.int64)
+    return g.neighbors[idx], lens
 
 
 def vertex_boundary(g: Graph, s: NodeSet) -> NodeSet:

@@ -18,7 +18,11 @@ O(vol(supp(x))). Its accumulation order is fixed (sources in ascending node
 order, CSR row order within a source). ``prox``, the step and FISTA's
 step from the forward maps in ``l1ppr.solver`` share one weighted soft
 threshold, ``_soft_threshold``, and ``kkt_residual`` is the residual the
-step returns. The dict-based
+step returns. The threshold returns the shrunk frame, the shrunk value at
+every entry it is given and a signed zero at each it drops, and its callers
+take the values that survive from it by its mask. The step takes x at its
+candidates from that frame, so it fills no zero array, and forms its
+residual in place in it. The dict-based
 implementations these functions replaced live on in ``tests/reference.py``,
 and the tests check the two bit for bit.
 
@@ -224,6 +228,13 @@ def _check_seed(g: Graph, p: ProblemParams) -> None:
         raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
 
 
+def _check_nodes(g: Graph, nodes: np.ndarray) -> None:
+    """Raise ValueError unless the sorted node array ``nodes`` lies in
+    [0, n)."""
+    if nodes.size and nodes[-1] >= g.n:
+        raise ValueError(f"node {int(nodes[-1])} out of range for graph with n={g.n}")
+
+
 class _Plan(NamedTuple):
     """What the gather core derives from the graph, the seed and the support
     ``act`` alone: its own copy of ``act``, D^{-1/2} at ``act`` and its row
@@ -332,19 +343,21 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
         _check_seed(g, p)
         key = (p.seed, act.size, act.tobytes())  # the size tells int widths apart
         if plan is None or plan.key != key:
-            if act.size and act[-1] >= g.n:  # act is sorted
-                raise ValueError(f"node {int(act[-1])} out of range for graph with n={g.n}")
+            _check_nodes(g, act)
             plan = None
             state.pop("plan", None)  # so that two plans never coexist
             plan = state["plan"] = _build_plan(g, p.seed, act, key, state)
-    weights = (vals * plan.isd_act).repeat(plan.lens) * plan.isd_nbrs
+    weights = (vals * plan.isd_act).repeat(plan.lens)
+    weights *= plan.isd_nbrs
     # bincount adds in edge order: sources ascending, CSR order within a row
     sums = np.bincount(plan.bins, weights=weights, minlength=plan.nbins)
     if plan.nbins > plan.cand.size:  # binned by node id
         sums = sums[plan.cand]
     zc = np.zeros(plan.cand.size)
     zc[plan.act_pos] = vals
-    return plan, zc, p.hp * zc - p.hm * sums
+    qz = p.hp * zc
+    qz -= p.hm * sums
+    return plan, zc, qz
 
 
 def _gradient_at(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
@@ -358,12 +371,18 @@ def _gradient_at(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) 
 def _soft_threshold(p: ProblemParams, sqrt_deg: np.ndarray, u: np.ndarray) -> tuple:
     """Weighted soft threshold of the values ``u`` at nodes whose sqrt(d_i)
     are ``sqrt_deg``: shrink each by c*alpha*rho*sqrt(d_i). Returns the mask
-    of entries that survive (an entry exactly on its threshold does not) and
-    their shrunk values."""
-    thresholds = p.reg_level * sqrt_deg
-    mag = np.abs(u)
-    keep = mag > thresholds
-    return keep, np.sign(u[keep]) * (mag[keep] - thresholds[keep])
+    of entries that survive (an entry exactly on its threshold does not, nor
+    does a nan) and the shrunk frame, a new array as long as ``u``: the
+    shrunk value at each entry that survives and +0.0 or -0.0 at each other.
+    Callers take the values that survive as ``frame[keep]``.
+
+    The frame is ``sign(u) * (|u| - t)`` bit for bit where the mask holds,
+    as ``copysign(|u| - t, u)``: ``|u| - t > 0`` exactly when ``|u| > t``,
+    since IEEE subtraction underflows gradually, and ``fmax`` sends the
+    difference of a dropped entry, nan included, to zero."""
+    over = np.abs(u)
+    over -= p.reg_level * sqrt_deg
+    return over > 0.0, np.copysign(np.fmax(over, 0.0), u)
 
 
 def prox_grad_step(
@@ -385,16 +404,22 @@ def prox_grad_step(
     cover supp(z) and supp(x). When supp(x) equals supp(z), the support
     returned is the plan's read-only copy of ``z_act``, and a step from it
     finds the plan by identity.
+
+    x at the candidates is the soft threshold's frame itself, with a signed
+    zero at each dropped entry, so the step fills no zero array and
+    scatters nothing; once the values on supp(x) are taken from it, the
+    residual is formed in place in it.
     """
     plan, zc, grad = _gradient_at(g, p, z_act, z_vals)
     u = zc - grad
-    keep, vals = _soft_threshold(p, plan.sqrt_cand, u)
-    # the candidates cover supp(z) and supp(x); both are 0 elsewhere
-    x = np.zeros(zc.size)
-    x[keep] = vals
+    keep, x = _soft_threshold(p, plan.sqrt_cand, u)
+    vals = x[keep]
     # comparing the masks' bytes costs less than np.array_equal on short ones
     act = plan.act if keep.tobytes() == plan.in_act.tobytes() else plan.cand[keep]
-    return act, vals, float(np.abs(zc - x).max()), plan.cand, zc, u
+    # the candidates cover supp(z) and supp(x); both are 0 elsewhere, and
+    # |z - x| takes no sign from x's signed zeros
+    np.subtract(zc, x, out=x)
+    return act, vals, float(np.abs(x, out=x).max()), plan.cand, zc, u
 
 
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
@@ -410,8 +435,9 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
     support.
     """
     nodes, vals = w.arrays()
+    _check_nodes(g, nodes)
     keep, shrunk = _soft_threshold(p, g.sqrt_degrees[nodes], vals)
-    return SparseVector.from_arrays(nodes[keep], shrunk)
+    return SparseVector.from_arrays(nodes[keep], shrunk[keep])
 
 
 def forward_map(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:

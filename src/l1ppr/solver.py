@@ -206,8 +206,8 @@ def solve(
             vol_y = int(degrees[y_cand[nz]].sum())
             if full:
                 y_act, y_vals = y_cand[nz], y[nz]
-            keep, xn_vals = _soft_threshold(p, sqrt_deg(y_cand), u_y)
-            xn_act = y_cand[keep]
+            keep, xn = _soft_threshold(p, sqrt_deg(y_cand), u_y)
+            xn_act, xn_vals = y_cand[keep], xn[keep]
             if xn_act.tobytes() == t_act.tobytes():
                 # T(x_k) has this support too: take its array, which is the
                 # plan's when it is also supp(x_k), so the step finds the plan

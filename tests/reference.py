@@ -64,6 +64,18 @@ def forward_map(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     return SparseVector(out)
 
 
+def shrink(tau: float, sqrt_deg: float, wi: float) -> float | None:
+    """The soft threshold of one value ``wi`` at a node whose sqrt(d_i) is
+    ``sqrt_deg``, with ``tau`` = c*alpha*rho: the shrunk value, or None when
+    the entry drops (exactly on its threshold, below it, or nan)."""
+    t = tau * float(sqrt_deg)
+    a = abs(wi)
+    if a > t:
+        s = 1.0 if wi > 0.0 else -1.0
+        return s * (a - t)
+    return None
+
+
 def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
     """Weighted soft threshold: shrink each entry by c*alpha*rho*sqrt(d_i);
     entries exactly on the threshold map to zero."""
@@ -71,11 +83,9 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
     tau = p.reg_level
     out: dict[int, float] = {}
     for i, wi in w.items():
-        t = tau * float(sd[i])
-        a = abs(wi)
-        if a > t:
-            s = 1.0 if wi > 0.0 else -1.0
-            out[i] = s * (a - t)
+        v = shrink(tau, sd[i], wi)
+        if v is not None:
+            out[i] = v
     return SparseVector(out)
 
 

@@ -12,12 +12,15 @@ from l1ppr.graph import (
     Graph,
     NodeSet,
     _distinct,
+    _rows,
     _union,
     build_from_edges,
     parse_snap_edgelist,
     vertex_boundary,
     volume,
 )
+
+from oracle import random_connected_graph
 
 
 def test_nodeset_basic():
@@ -343,6 +346,27 @@ def test_vertex_boundary_against_set_reference(pairs, members):
     assert got.ids.dtype == np.int64 and not got.ids.flags.writeable
 
 
+@given(
+    case_seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 2**31), max_size=40),
+    how=st.sampled_from(["as drawn", "sorted", "reversed", "repeated"]),
+)
+@example(case_seed=0, picks=[], how="as drawn")
+def test_rows_is_the_concatenation_of_each_row(case_seed, picks, how):
+    """``_rows`` gives the rows of any node array, empty, unsorted or with
+    repeats, one after another, and the length of each."""
+    rng = np.random.default_rng(case_seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 30)))
+    nodes = np.array([i % g.n for i in picks], dtype=np.int64)
+    nodes = {"as drawn": nodes, "sorted": np.sort(nodes), "reversed": np.sort(nodes)[::-1],
+             "repeated": np.repeat(nodes, 2)}[how]
+    rows = [g.neighbors[g.row_offsets[i]:g.row_offsets[i + 1]] for i in nodes.tolist()]
+    nbrs, lens = _rows(g, nodes)
+    assert nbrs.dtype == lens.dtype == np.int64
+    assert nbrs.tolist() == [int(j) for row in rows for j in row]
+    assert lens.tolist() == [len(row) for row in rows]
+
+
 @given(st.integers(2, 25), st.integers(0, 60), st.integers(0, 2**32 - 1))
 def test_build_from_random_edges_is_symmetric(n, extra, rng_seed):
     rng = np.random.default_rng(rng_seed)
@@ -389,7 +413,8 @@ def test_build_from_edges_against_set_reference(pairs):
 
 def test_build_compaction_same_on_both_sides_of_the_dense_guard():
     """Ids below the input length compact through a presence array, others
-    through np.unique; both give the same graph and the same id map."""
+    through a search of their sorted distinct values; both give the same
+    graph and the same id map."""
     rng = np.random.default_rng(5)
     ids = np.flatnonzero(rng.random(300) < 0.6)  # gapped ids
     edges = rng.choice(ids, size=(400, 2))
@@ -405,7 +430,7 @@ def test_build_compaction_same_on_both_sides_of_the_dense_guard():
         assert sparse_remap.dtype == dense_remap.dtype == np.int64
         assert np.array_equal(sparse_remap, np.unique(far[far[:, 0] != far[:, 1]]))
     assert np.array_equal(dense_remap, np.unique(edges[edges[:, 0] != edges[:, 1]]))
-    # an edge like (0, 10**12) sends a tiny input down the np.unique path
+    # an edge like (0, 10**12) sends a tiny input down the sparse path
     g, remap = build_from_edges([(0, 10**12), (10**12, 5)])
     h, remap_h = build_from_edges([(0, 2), (2, 1)])  # dense: compacts to itself
     assert g.equals(h) and remap.tolist() == [0, 5, 10**12] and remap_h.tolist() == [0, 1, 2]
@@ -428,7 +453,7 @@ def test_build_shortcuts_give_the_graph_of_the_full_path(pairs, data):
     """An edge array with no self-loop, no repeat and gap-free ids skips the
     pair copy, the id ranking and the key gather. It builds the graph that a
     self-loop or a reversed repeat, which take the copy or the gather, and
-    ids past the dense guard, which go through ``np.unique``, leave
+    ids past the dense guard, which take the sparse path, leave
     unchanged; so does a gap below the largest id, which the build ranks
     away. The caller's read-only array is read, never written, and no
     returned array shares its memory."""
@@ -470,7 +495,8 @@ def test_build_holds_one_edge_length_scratch():
     per directed entry, and a few per node: on the ``cli_pipeline`` graph of
     the benchmark, whose 215,140 directed entries far outnumber its 1,060
     nodes, the tracemalloc peak less what the build returns stays within
-    8 B per entry plus 64 B per node."""
+    8 B per entry plus 64 B per node. So does a build of the same edges
+    shifted by 10**12, whose sparse ids are ranked by a search."""
     import gc
     import tracemalloc
 
@@ -478,16 +504,20 @@ def test_build_holds_one_edge_length_scratch():
     edges = g.edge_array()
     entries = 2 * len(edges)
     assert (entries, g.n) == (215_140, 1_060)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        h, remap = build_from_edges(edges)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert h.equals(g)
-    assert peak - held <= 8 * entries + 64 * g.n, (peak - base, held - base)
+    for shift in (0, 10**12):
+        shifted = edges + shift
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h, remap = build_from_edges(shifted)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.equals(g)
+        assert np.array_equal(remap, np.arange(g.n) + shift)
+        assert peak - held <= 8 * entries + 64 * g.n, (shift, peak - base, held - base)
+        del h, remap, shifted
 
 
 def test_build_from_edges_rejects_key_overflow(monkeypatch):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from l1ppr.graph import build_from_edges
 from l1ppr.objective import (
+    REG_FACTORS,
     ProblemParams,
     SparseVector,
+    _soft_threshold,
     forward_map,
     gradient,
     kkt_residual,
@@ -171,7 +173,7 @@ def test_gradient_seed_out_of_range():
         gradient(g, ProblemParams(0.5, 0.1, 9, 1), SparseVector())
     # so is a support node at or past n, for every function that reads rows
     p = ProblemParams(0.5, 0.1, 0, 1)
-    for fn in (gradient, objective_value, kkt_residual, forward_map):
+    for fn in (gradient, objective_value, kkt_residual, forward_map, prox):
         for node in (g.n, 9):
             with pytest.raises(ValueError, match=f"node {node} out of range for graph with n=3"):
                 fn(g, p, SparseVector({1: 0.5, node: 1.0}))
@@ -196,6 +198,43 @@ def test_prox_keeps_strict_and_drops_tie():
     assert out.support().tolist() == [2, 3]  # exact tie at node 1 drops out
     assert out.get(2) == pytest.approx(0.5 * t_leaf, abs=1e-15)
     assert out.get(3) == pytest.approx(-0.5 * t_leaf, abs=1e-15)
+
+
+_SUBNORMAL = st.floats(5e-324, 2.2e-308)
+# sqrt(d) is at least 1 on a graph; 0 and subnormals give zero and subnormal
+# thresholds, as does a subnormal rho
+_SQRT_DEG = st.just(0.0) | _SUBNORMAL | st.floats(1.0, 1e3)
+_U = st.floats() | _SUBNORMAL | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324])
+
+
+@given(
+    alpha=st.floats(5e-324, 1.0),
+    rho=_SUBNORMAL | st.floats(1e-12, 1.0),
+    reg_factor=st.sampled_from(REG_FACTORS),
+    entries=st.lists(st.tuples(_SQRT_DEG, st.sampled_from(["value", "tie", "-tie"]), _U), max_size=12),
+)
+@example(alpha=0.5, rho=5e-324, reg_factor=1,  # the threshold rounds to 0
+         entries=[(1.0, "tie", 0.0), (1.0, "value", 5e-324), (4.0, "value", -0.0), (1.0, "value", math.nan)])
+@example(alpha=1.0, rho=5e-324, reg_factor=2,  # a subnormal threshold
+         entries=[(1.0, "tie", 0.0), (1.0, "-tie", 0.0), (1.0, "value", 1.5e-323), (1.0, "value", -math.inf)])
+def test_soft_threshold_is_the_scalar_rule(alpha, rho, reg_factor, entries):
+    """The mask and the kept values of the vectorised threshold equal the
+    scalar rule of ``reference.prox`` bit for bit, on ties |u| == t, signed
+    zeros, infinities, nan and subnormal values, with zero and subnormal
+    thresholds; every dropped entry of the frame is a zero."""
+    p = ProblemParams(alpha, rho, 0, reg_factor)
+    tau = p.reg_level
+    sqrt_deg = [sd for sd, _, _ in entries]
+    u = [{"value": v, "tie": tau * sd, "-tie": -(tau * sd)}[kind] for sd, kind, v in entries]
+    keep, frame = _soft_threshold(p, np.array(sqrt_deg), np.array(u))
+    assert keep.dtype == bool and frame.dtype == np.float64 and frame.shape == keep.shape == (len(u),)
+    for i, (sd, ui) in enumerate(zip(sqrt_deg, u)):
+        want = reference.shrink(tau, sd, ui)
+        assert bool(keep[i]) == (want is not None), (i, sd, ui)
+        if want is None:
+            assert frame[i] == 0.0, (i, sd, ui)
+        else:
+            assert frame[i].tobytes() == np.float64(want).tobytes(), (i, sd, ui)
 
 
 def test_objective_zero_is_zero():
