@@ -27,7 +27,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 
 from .diagnostics import check_no_percolation, slacks
-from .graph import NodeSet, _union, volume
+from .graph import NodeSet, _data_lines, _union, volume
 from .objective import REG_FACTORS, ProblemParams, SettingError
 from .solver import METHODS, SolverConfig, solve
 from .sweep import SweepSpec, _fmt, _map_original_ids, load_edgelist, log_grid, run_sweep, write_rows_csv
@@ -139,15 +139,10 @@ def _read_core_set(path: str) -> list[int]:
     (keeps the rows labeled core)."""
     nodes: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line == "node,region":
-                continue
-            node_s = line
-            if "," in line:
-                node_s, region = line.split(",", 1)
-                if region.strip() != "core":
-                    continue
+        for lineno, line in _data_lines(fh):
+            node_s, comma, region = line.partition(",")
+            if comma and region.strip() != "core":
+                continue  # the CSV's header, or a node of another region
             try:
                 nodes.append(int(node_s))
             except ValueError as exc:
@@ -158,7 +153,7 @@ def _read_core_set(path: str) -> list[int]:
 def _cmd_check(args: argparse.Namespace) -> int:
     g, remap = load_edgelist(args.graph, args.max_nodes)
     core = NodeSet(_map_original_ids(remap, _read_core_set(args.core_set), "core node"))
-    p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=0, reg_factor=args.reg_factor)
+    p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=0)
     if len(core) == 0:
         print("warning: empty core set; boundary is empty and the condition holds vacuously", file=sys.stderr)
     report = check_no_percolation(g, p, core)
@@ -221,10 +216,7 @@ def _parse_config(path: str) -> dict[str, tuple[int, str]]:
     """``key -> (line number, value)`` from a key = value spec file."""
     out: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _data_lines(fh):
             if "=" not in line:
                 raise ValueError(f"spec line {lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
@@ -367,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--core-set", required=True)
     chk.add_argument("--alpha", type=float, required=True)
     chk.add_argument("--rho", type=float, required=True)
-    chk.add_argument("--reg-factor", type=int, choices=REG_FACTORS, default=2)
     chk.add_argument("--max-nodes", type=int, default=None)
     chk.set_defaults(func=_cmd_check)
 

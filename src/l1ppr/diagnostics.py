@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, NodeSet, _rows, vertex_boundary
-from .objective import ProblemParams, SparseVector, _gradient_at, forward_map
+from .graph import Graph, NodeSet, _check_nodes, _is_int, _rows, vertex_boundary
+from .objective import ProblemParams, SparseVector, _check_alpha, _check_rho, _gradient_at, forward_map
 from .solver import SolveTrace, SolverConfig, solve
 
 __all__ = [
@@ -69,10 +69,9 @@ class SlackReport:
 
     def slack_at(self, i: int) -> float:
         n = len(self.active) + len(self.gamma) + self.far_count
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        if not _is_int(i):
             raise ValueError(f"node {i!r} is not an integer")
-        if not 0 <= i < n:
-            raise ValueError(f"node {i} out of range for graph with n={n}")
+        _check_nodes(n, (i,))
         if i in self.active:
             raise ValueError(f"node {i} is active; slack is defined for inactive nodes")
         return self.gamma.get(i, self.far_slack)
@@ -258,8 +257,8 @@ def degree_cutoff(alpha: float, rho: float) -> float:
     """Degree above which an inactive node stays inactive under the doubled
     penalty: (L*R / (alpha*rho))^2, with L = ``_LIPSCHITZ`` a gradient
     Lipschitz bound and R = ``_RADIUS`` an iterate-radius bound."""
-    if alpha <= 0.0 or rho <= 0.0:
-        raise ValueError("alpha and rho must be positive")
+    _check_alpha(alpha)
+    _check_rho(rho)
     return (_LIPSCHITZ * _RADIUS / (alpha * rho)) ** 2
 
 

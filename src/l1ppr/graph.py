@@ -13,6 +13,13 @@ result, which takes several times as long on the arrays of a few dozen to a
 few thousand ids the solver and the audits pass; two sorted arrays, as most
 unions here take, are joined by a stable sort that merges their two runs.
 Ids are integers, so either way gives the same array.
+
+The input rules on node ids and text are stated here once, for the whole
+package: ``_as_ids`` takes an array of ids (an integer dtype, every id
+non-negative), ``_is_int`` a single id or count (an integer, not a bool),
+``_check_nodes`` holds sorted ids to a graph's [0, n), and ``_data_lines``
+picks the lines of a text input that hold data (neither blank nor a '#'
+comment).
 """
 
 from __future__ import annotations
@@ -92,9 +99,7 @@ class NodeSet:
         return NodeSet._adopt(_union(self._ids, other._ids))
 
     def issubset(self, other: "NodeSet") -> bool:
-        if not len(self):
-            return True
-        return bool(np.isin(self._ids, other._ids, assume_unique=True).all())
+        return bool(other.contains(self._ids).all())
 
 
 def _as_ids(ids) -> np.ndarray:
@@ -109,6 +114,19 @@ def _as_ids(ids) -> np.ndarray:
     if out.size and int(out.min()) < 0:
         raise ValueError("node ids must be non-negative and fit in int64")
     return out
+
+
+def _is_int(x) -> bool:
+    """Whether the scalar ``x`` is an integer, a bool not counted: the rule
+    ``_as_ids`` applies to the dtype of an array."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_nodes(n: int, ids, what: str = "node") -> None:
+    """Raise ValueError unless the ascending ids ``ids`` (a sequence) lie in
+    [0, n), the nodes of a graph with ``n`` nodes."""
+    if len(ids) and not (0 <= ids[0] and ids[-1] < n):
+        raise ValueError(f"{what} {int(ids[0] if ids[0] < 0 else ids[-1])} out of range for graph with n={n}")
 
 
 def _find(ids: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +347,7 @@ def _has_inline_comment(text: str) -> bool:
 def _scan_edges(lines: Iterable[str]) -> np.ndarray:
     """The (u, v) rows, one line at a time; raises on the first bad line."""
     pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _data_lines(lines):
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected two node ids, got {stripped!r}")
@@ -348,14 +363,18 @@ def _scan_edges(lines: Iterable[str]) -> np.ndarray:
     return np.array(pairs, dtype=np.int64)
 
 
-def _check_in_range(g: Graph, s: NodeSet) -> None:
-    if len(s) and int(s.ids[-1]) >= g.n:
-        raise ValueError(f"node index {int(s.ids[-1])} out of range for graph with n={g.n}")
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line of ``lines`` that is
+    neither blank nor a '#' comment, numbering from 1."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
 
 
 def volume(g: Graph, s: NodeSet) -> int:
     """Sum of degrees over ``s``."""
-    _check_in_range(g, s)
+    _check_nodes(g.n, s.ids)
     return int(g.degrees[s.ids].sum())
 
 
@@ -372,7 +391,7 @@ def _rows(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def vertex_boundary(g: Graph, s: NodeSet) -> NodeSet:
     """Nodes outside ``s`` with at least one neighbor inside it."""
-    _check_in_range(g, s)
+    _check_nodes(g.n, s.ids)
     touched = _distinct(_rows(g, s.ids)[0])
     return NodeSet._adopt(touched[~s.contains(touched)])
 

@@ -65,7 +65,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _as_ids, _find, _rows, _union
+from .graph import Graph, _as_ids, _check_nodes, _find, _is_int, _rows, _union
 
 __all__ = [
     "SparseVector",
@@ -188,6 +188,26 @@ class SettingError(ValueError):
         self.fields = fields
 
 
+def _check_ints(settings, *names: str) -> None:
+    """Raise SettingError naming the first of the fields ``names`` of
+    ``settings`` whose value is not an integer."""
+    for name in names:
+        if not _is_int(getattr(settings, name)):
+            raise SettingError(f"{name} must be an integer, got {getattr(settings, name)!r}", name)
+
+
+def _check_alpha(alpha: float) -> None:
+    """Raise SettingError unless the teleportation ``alpha`` lies in (0, 1]."""
+    if not (0.0 < alpha <= 1.0):
+        raise SettingError(f"alpha must lie in (0, 1], got {alpha}", "alpha")
+
+
+def _check_rho(rho: float) -> None:
+    """Raise SettingError unless the penalty ``rho`` is positive (nan is not)."""
+    if not rho > 0.0:
+        raise SettingError(f"rho must be positive, got {rho}", "rho")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Problem instance parameters: teleportation, regularization, seed."""
@@ -198,10 +218,9 @@ class ProblemParams:
     reg_factor: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise SettingError(f"alpha must lie in (0, 1], got {self.alpha}", "alpha")
-        if not self.rho > 0.0:
-            raise SettingError(f"rho must be positive, got {self.rho}", "rho")
+        _check_alpha(self.alpha)
+        _check_rho(self.rho)
+        _check_ints(self, "seed", "reg_factor")
         if self.seed < 0:
             raise SettingError(f"seed node must be non-negative, got {self.seed}", "seed")
         if self.reg_factor not in REG_FACTORS:
@@ -221,18 +240,6 @@ class ProblemParams:
     def reg_level(self) -> float:
         """c * alpha * rho; the per-node threshold is this times sqrt(d_i)."""
         return float(self.reg_factor) * (self.alpha * self.rho)
-
-
-def _check_seed(g: Graph, p: ProblemParams) -> None:
-    if p.seed >= g.n:
-        raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
-
-
-def _check_nodes(g: Graph, nodes: np.ndarray) -> None:
-    """Raise ValueError unless the sorted node array ``nodes`` lies in
-    [0, n)."""
-    if nodes.size and nodes[-1] >= g.n:
-        raise ValueError(f"node {int(nodes[-1])} out of range for graph with n={g.n}")
 
 
 class _Plan(NamedTuple):
@@ -279,6 +286,10 @@ _STATE: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
 
 
 def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -> _Plan:
+    # only a build checks the ids: a call that finds a plan has the seed and
+    # support of one this graph built, and so checked
+    _check_nodes(g.n, (seed,), "seed node")
+    _check_nodes(g.n, act)
     isd = g.inv_sqrt_degrees
     nbrs, lens = _rows(g, act)
     # the largest candidate id; the rows' largest, each one's last entry,
@@ -340,10 +351,8 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
         state = _STATE.setdefault(g, {})
     plan = state.get("plan")
     if plan is None or act is not plan.act or plan.key[0] != p.seed:
-        _check_seed(g, p)
         key = (p.seed, act.size, act.tobytes())  # the size tells int widths apart
         if plan is None or plan.key != key:
-            _check_nodes(g, act)
             plan = None
             state.pop("plan", None)  # so that two plans never coexist
             plan = state["plan"] = _build_plan(g, p.seed, act, key, state)
@@ -435,7 +444,7 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
     support.
     """
     nodes, vals = w.arrays()
-    _check_nodes(g, nodes)
+    _check_nodes(g.n, nodes)
     keep, shrunk = _soft_threshold(p, g.sqrt_degrees[nodes], vals)
     return SparseVector.from_arrays(nodes[keep], shrunk[keep])
 

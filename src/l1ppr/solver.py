@@ -68,6 +68,8 @@ from .objective import (
     ProblemParams,
     SettingError,
     SparseVector,
+    _check_alpha,
+    _check_ints,
     _soft_threshold,
     objective_value,
     prox_grad_step,
@@ -95,8 +97,7 @@ class NumericalDivergenceError(RuntimeError):
 
 def fista_momentum(alpha: float) -> float:
     """Momentum (1 - sqrt(alpha)) / (1 + sqrt(alpha)) for the strongly convex rate."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     r = math.sqrt(alpha)
     return (1.0 - r) / (1.0 + r)
 
@@ -113,6 +114,7 @@ class SolverConfig:
             raise SettingError(f"method must be one of {METHODS}, got {self.method!r}", "method")
         if not self.eps > 0.0:
             raise SettingError(f"eps must be positive, got {self.eps}", "eps")
+        _check_ints(self, "max_iter")
         if self.max_iter < 1:
             raise SettingError(f"max_iter must be at least 1, got {self.max_iter}", "max_iter")
         if self.trace_level not in _TRACE_LEVELS:

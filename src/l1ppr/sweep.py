@@ -23,7 +23,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .graph import _MAX_ID, Graph, NodeSet, _find, parse_snap_edgelist, volume
-from .objective import ProblemParams, SettingError
+from .objective import ProblemParams, SettingError, _check_ints
 from .solver import METHODS, NumericalDivergenceError, SolverConfig, solve
 from .synth import RegionPartition, SynthParams, generate
 
@@ -127,6 +127,7 @@ class SweepSpec:
         if self.per_point_fresh_graph and self.synth is None:
             raise SettingError("fresh per-point graphs require a synthetic graph source",
                                "per_point_fresh_graph", "edgelist_path")
+        _check_ints(self, "seed_count", "base_rng_seed")
         if self.seeds is None and self.seed_count < 1:
             raise SettingError("seed_count must be at least 1", "seed_count")
         # Every run's settings, checked by the classes the runs use: first the
@@ -208,10 +209,11 @@ def _prepare_points(spec: SweepSpec) -> tuple[list[tuple[float, Graph, RegionPar
     if spec.edgelist_path is not None:
         g, remap = load_edgelist(spec.edgelist_path, spec.max_nodes)
         return [(float(v), g, None) for v in spec.grid], remap
-    if not spec.per_point_fresh_graph and spec.sweep_axis != "boundary_size":
-        g, part = generate(spec.synth)
-        return [(float(v), g, part) for v in spec.grid], None
-    return [(float(v), *generate(spec._point_synth(idx, v))) for idx, v in enumerate(spec.grid)], None
+    synth = [spec._point_synth(idx, v) for idx, v in enumerate(spec.grid)]
+    # each distinct setting once, in grid order: points that share their
+    # generator settings share one graph
+    built = {sp: generate(sp) for sp in dict.fromkeys(synth)}
+    return [(float(v), *built[sp]) for v, sp in zip(spec.grid, synth)], None
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

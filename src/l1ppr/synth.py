@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _MAX_ID, Graph, NodeSet, build_from_edges
-from .objective import SettingError, SparseVector
+from .objective import SettingError, SparseVector, _check_alpha, _check_ints
 
 __all__ = [
     "SynthParams",
@@ -46,6 +46,8 @@ class SynthParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_ints(self, "core_size", "boundary_size", "exterior_size", "c_bnd", "deg_b",
+                    "deg_ext", "rng_seed")
         if self.core_size < 1:
             raise SettingError("core_size must be at least 1", "core_size")
         for name in ("boundary_size", "exterior_size", "c_bnd", "deg_b", "deg_ext"):
@@ -198,7 +200,7 @@ class AnalyticInstance:
 
     def rho_breakpoint(self, alpha: float) -> float:
         """Regularization value where the tightest inactive slack hits zero."""
-        self._check_alpha(alpha)
+        _check_alpha(alpha)
         if self.family == "star":
             return (1.0 - alpha) / (2.0 * self.m)
         return (1.0 - alpha) / (3.0 + alpha)
@@ -206,10 +208,6 @@ class AnalyticInstance:
     def valid_interval(self, alpha: float) -> tuple[float, float]:
         hi = 1.0 / self.m if self.family == "star" else 1.0
         return self.rho_breakpoint(alpha), hi
-
-    def _check_alpha(self, alpha: float) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
     def _check(self, alpha: float, rho: float) -> None:
         lo, hi = self.valid_interval(alpha)

@@ -18,8 +18,13 @@ import numpy as np
 
 from l1ppr.diagnostics import JumpViolation, slacks
 from l1ppr.graph import Graph, NodeSet
-from l1ppr.objective import ProblemParams, SparseVector, _check_seed, prox_grad_step
+from l1ppr.objective import ProblemParams, SparseVector, prox_grad_step
 from l1ppr.solver import SolveTrace, fista_momentum
+
+
+def _check_seed(g: Graph, p: ProblemParams) -> None:
+    if p.seed >= g.n:
+        raise ValueError(f"seed node {p.seed} out of range for graph with n={g.n}")
 
 
 def _neighbor_sums(g: Graph, x: SparseVector) -> dict[int, float]:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import l1ppr.cli as cli
 from l1ppr.cli import _map_original_ids, main
+from l1ppr.graph import _scan_edges, parse_snap_edgelist
 from l1ppr.objective import REG_FACTORS, ProblemParams
 from l1ppr.solver import METHODS, SolverConfig
 from l1ppr.sweep import SweepResult, SweepSpec, load_edgelist, run_sweep, write_rows_csv
@@ -122,14 +123,14 @@ def test_gen_flags_are_synth_params_fields():
 def test_solve_flags_default_to_solver_config():
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    choices = {cmd: {a.dest: a.choices for a in commands[cmd]._actions} for cmd in ("solve", "check")}
+    choices = {a.dest: a.choices for a in commands["solve"]._actions}
     args = vars(parser.parse_args(["solve", "g.txt", "--alpha", "0.2", "--rho", "1e-4",
                                    "--seed-node", "0"]))
     cfg, reg_factor = SolverConfig(), ProblemParams(0.2, 1e-4, 0).reg_factor
     assert (args["method"], args["eps"], args["max_iter"]) == (cfg.method, cfg.eps, cfg.max_iter)
     assert args["reg_factor"] == reg_factor
-    assert choices["solve"]["method"] == METHODS
-    assert choices["solve"]["reg_factor"] == choices["check"]["reg_factor"] == REG_FACTORS
+    assert choices["method"] == METHODS
+    assert choices["reg_factor"] == REG_FACTORS
     spec = {f.name: f.default for f in fields(SweepSpec)}
     assert (spec["eps"], spec["reg_factor"], spec["max_iter"]) == (cfg.eps, reg_factor, cfg.max_iter)
 
@@ -380,12 +381,12 @@ def test_check_pass_and_fail(tmp_path, capsys):
     core = tmp_path / "core.txt"
     core.write_text("2\n")
     rc = main(["check", graph, "--core-set", str(core),
-               "--alpha", "0.5", "--rho", "1.45", "--reg-factor", "1"])
+               "--alpha", "0.5", "--rho", "1.45"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "holds=true" in out and "worst_node=0" in out
     rc = main(["check", graph, "--core-set", str(core),
-               "--alpha", "0.5", "--rho", "1.40", "--reg-factor", "1"])
+               "--alpha", "0.5", "--rho", "1.40"])
     assert rc == 1
     assert "holds=false" in capsys.readouterr().out
 
@@ -395,9 +396,31 @@ def test_check_accepts_partition_csv(tmp_path, capsys):
     core = tmp_path / "part.csv"
     core.write_text("node,region\n2,core\n1,boundary\n4,exterior\n")
     rc = main(["check", graph, "--core-set", str(core),
-               "--alpha", "0.5", "--rho", "1.45", "--reg-factor", "1"])
+               "--alpha", "0.5", "--rho", "1.45"])
     assert rc == 0
     assert "worst_node=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("filler", ["", " \t ", "#", "# note", "  \t# indented note"])
+def test_text_readers_take_the_same_lines_as_data(tmp_path, filler):
+    """The edge-list reader, its line scan, the core-set reader and the spec
+    reader skip the same lines and number the lines they read alike."""
+    path = tmp_path / "input.txt"
+    readers = [
+        (parse_snap_edgelist, "0 1", lambda got: got[0].edge_count == 1,
+         "line 4: expected two node ids"),
+        (lambda p: _scan_edges(Path(p).read_text().splitlines(keepends=True)), "0 1",
+         lambda got: got.tolist() == [[0, 1]], "line 4: expected two node ids"),
+        (cli._read_core_set, "2", lambda got: got == [2], "core-set file line 4: not a node id"),
+        (cli._parse_config, "axis = rho", lambda got: got == {"axis": (2, "rho")},
+         "spec line 4: expected key = value"),
+    ]
+    for read, data, check, error in readers:
+        path.write_text(f"{filler}\n{data}\n{filler}\n")
+        assert check(read(str(path)))
+        path.write_text(f"{filler}\n{data}\n{filler}\nx\n")
+        with pytest.raises(ValueError, match=error):
+            read(str(path))
 
 
 def test_check_empty_core_vacuous(tmp_path, capsys):
@@ -542,6 +565,8 @@ def test_sweep_cli_spec_errors(tmp_path, capsys):
         ("axis = rho\ngrid = 1e-3\nseeds = 0,2\nbase_rng_seed = 5\ncore_size = 5\n",
          "error: spec line 4: keys read only with seed_count or per_point_fresh_graph = true: "
          "['base_rng_seed']\n"),
+        ("axis = rho\ngrid = 1e-3\nper_point_fresh_graph = maybe\ncore_size = 5\n",
+         "error: spec line 3: bad per_point_fresh_graph value 'maybe': expected a boolean, got 'maybe'\n"),
         ("axis = rho\ngrid = 1e-3\nbase_rng_seed = 5\nper_point_fresh_graph = no\ncore_size = 5\n",
          "error: spec line 3: keys read only with seed_count or per_point_fresh_graph = true: "
          "['base_rng_seed']\n"),

@@ -16,7 +16,7 @@ from l1ppr.diagnostics import (
     verify_confinement,
 )
 from l1ppr.graph import NodeSet, build_from_edges
-from l1ppr.objective import ProblemParams, SparseVector
+from l1ppr.objective import ProblemParams, SettingError, SparseVector
 from l1ppr.solver import SolverConfig, solve
 from l1ppr.synth import SynthParams, generate, path_instance, star_instance
 
@@ -254,10 +254,12 @@ def test_verify_confinement_trivial_trace():
 def test_degree_cutoff_values():
     assert degree_cutoff(1.0, 1.0) == pytest.approx(20.0)
     assert degree_cutoff(0.5, 0.1) == pytest.approx(20.0 / 0.05 ** 2)
-    with pytest.raises(ValueError):
-        degree_cutoff(0.0, 1.0)
-    with pytest.raises(ValueError):
-        degree_cutoff(0.5, 0.0)
+    # alpha and rho obey the rules ProblemParams holds them to, nan included
+    for alpha, rho, match in ((0.0, 1.0, "alpha must lie in"), (math.nan, 1.0, "alpha must lie in"),
+                              (1.5, 0.1, "alpha must lie in"), (0.5, 0.0, "rho must be positive"),
+                              (0.5, math.nan, "rho must be positive")):
+        with pytest.raises(SettingError, match=match):
+            degree_cutoff(alpha, rho)
 
 
 def test_jump_audit_clean_on_ista():

@@ -46,6 +46,11 @@ def test_nodeset_rejects_non_integer_ids():
     assert len(NodeSet([])) == 0 and len(NodeSet(np.array([]))) == 0
 
 
+def test_nodeset_repr_shows_at_most_eight_ids():
+    assert repr(NodeSet([2, 1])) == "NodeSet([1, 2])"
+    assert repr(NodeSet(range(10))) == "NodeSet([0, 1, 2, 3, 4, 5, 6, 7, '...'])"
+
+
 def test_nodeset_ids_read_only():
     s = NodeSet([1, 2])
     with pytest.raises(ValueError):

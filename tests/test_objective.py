@@ -142,10 +142,10 @@ def test_sparse_vector_rejects_bad_nodes(nodes, values, match):
 
 
 def test_params_validation():
-    ProblemParams(1.0, 0.1, 0, 2)  # alpha = 1 allowed
+    ProblemParams(1.0, 0.1, np.int64(0), 2)  # alpha = 1 allowed
     for bad in (
         dict(alpha=0.0), dict(alpha=1.5), dict(rho=0.0), dict(rho=-1.0),
-        dict(seed=-1), dict(reg_factor=3),
+        dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(reg_factor=3),
     ):
         kwargs = dict(alpha=0.5, rho=0.1, seed=0, reg_factor=1)
         kwargs.update(bad)

@@ -24,7 +24,8 @@ def star(m):
 
 def test_config_validation():
     for bad in (
-        dict(method="gd"), dict(eps=0.0), dict(max_iter=0), dict(trace_level="verbose"),
+        dict(method="gd"), dict(eps=0.0), dict(max_iter=0), dict(max_iter=2.5),
+        dict(max_iter=True), dict(trace_level="verbose"),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)

@@ -1,8 +1,10 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
+import l1ppr.sweep as sweep
 from l1ppr.sweep import (
     SweepSpec,
     derive_rng_seed,
@@ -22,6 +24,23 @@ def star_file(tmp_path, m=4):
     path = tmp_path / "star.txt"
     path.write_text("# star\n" + "".join(f"0\t{k}\n" for k in range(1, m + 1)))
     return str(path)
+
+
+@pytest.mark.parametrize("axis, grid, built, first_of_graph", [
+    ("rho", (1e-3, 1e-2, 1e-1), [10], [0, 0, 0]),
+    ("boundary_size", (10, 10.5, 12, 10), [10, 12], [0, 0, 2, 0]),
+])
+def test_points_that_share_generator_settings_share_one_graph(monkeypatch, axis, grid, built,
+                                                              first_of_graph):
+    """Each distinct generator setting of a sweep is built once, in grid
+    order, and its points share the graph."""
+    calls = []
+    monkeypatch.setattr(sweep, "generate", lambda sp: calls.append(sp) or generate(sp))
+    spec = SweepSpec(sweep_axis=axis, grid=grid, synth=replace(SMALL, exterior_size=0))
+    points, remap = sweep._prepare_points(spec)
+    assert [sp.boundary_size for sp in calls] == built and remap is None
+    graphs = [g for _, g, _ in points]
+    assert [graphs.index(g) for g in graphs] == first_of_graph
 
 
 def test_log_grid():
@@ -99,6 +118,9 @@ def test_spec_validation(tmp_path):
         with pytest.raises(ValueError, match="seed_count must be at least 1"):
             SweepSpec(**{**ok, "seeds": None, "seed_count": count})
     SweepSpec(**{**ok, "seed_count": 0})  # not read with seeds
+    for name, value in (("seed_count", 2.5), ("seed_count", True), ("base_rng_seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SweepSpec(**{**ok, "seeds": None, "per_point_fresh_graph": True, name: value})
 
 
 def test_run_sweep_shape_and_order():

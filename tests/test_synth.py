@@ -62,12 +62,27 @@ def test_params_validation():
         (dict(core_density=0.0), "core_density"),
         (dict(core_size=10, core_density=0.1), "too low"),
         (dict(boundary_size=2**63 - 1060), "exceeds the int64 node-id bound 9223372036854775807"),
+        # a float or bool size, degree or generator seed, named where it is set
+        (dict(core_size=2.5), "core_size must be an integer, got 2.5"),
+        (dict(deg_b=3.5), "deg_b must be an integer"),
+        (dict(boundary_size=10.5), "boundary_size must be an integer"),
+        (dict(core_density=0.5, rng_seed=1.5), "rng_seed must be an integer"),
+        (dict(c_bnd=True), "c_bnd must be an integer, got True"),
     ]
     for overrides, match in cases:
         with pytest.raises(ValueError, match=match):
             SynthParams(**overrides)
     # node ids 0 .. 2**63 - 2 still fit (nothing is generated here)
     assert SynthParams(boundary_size=2**63 - 1061).total_nodes == 2**63 - 1
+
+
+def test_one_node_sparse_core_is_the_clique():
+    """A one-node core has no edge to keep, so its random spanning tree is
+    empty and any density builds the clique's graph."""
+    one = dict(core_size=1, boundary_size=10, exterior_size=0, c_bnd=2, deg_b=4)
+    g_sparse, _ = generate(SynthParams(**one, core_density=0.5))
+    g_clique, _ = generate(SynthParams(**one, core_density=1.0))
+    assert g_sparse.equals(g_clique)
 
 
 def test_isolated_nodes_rejected():
