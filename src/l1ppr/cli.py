@@ -26,6 +26,8 @@ import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 
+import numpy as np
+
 from .diagnostics import check_no_percolation, slacks
 from .graph import NodeSet, _data_lines, _union, volume
 from .objective import REG_FACTORS, ProblemParams, SettingError
@@ -71,8 +73,10 @@ def _output(path: str, what: str, newline: str | None = None):
         raise
 
 
-# rows per formatted block of an edge-list write
-_WRITE_ROWS = 1 << 16
+# directed entries of the CSR rows per formatted block of an edge-list
+# write, so the text and its Python ints stay the same size whatever m is; a
+# longer row is a block of its own
+_WRITE_ENTRIES = 1 << 13
 
 
 # ---------------------------------------------------------------- gen
@@ -87,10 +91,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             f"# core={params.core_size} boundary={params.boundary_size} "
             f"exterior={params.exterior_size}\n"
         )
-        edges = g.edge_array()
-        for start in range(0, len(edges), _WRITE_ROWS):
-            block = edges[start:start + _WRITE_ROWS]
+        lo = 0
+        while lo < g.n:
+            end = g.row_offsets[lo] + _WRITE_ENTRIES
+            hi = max(int(np.searchsorted(g.row_offsets, end, side="right")) - 1, lo + 1)
+            block = g.edge_array(lo, hi)
             fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
+            lo = hi
         side.write("node,region\n")
         for name, ns in (("core", part.core), ("boundary", part.boundary), ("exterior", part.exterior)):
             for node in ns.ids.tolist():

@@ -29,7 +29,7 @@ import numpy as np
 
 from .graph import Graph, NodeSet, _check_nodes, _is_int, _rows, vertex_boundary
 from .objective import ProblemParams, SparseVector, _check_alpha, _check_rho, _gradient_at, forward_map
-from .solver import SolveTrace, SolverConfig, solve
+from .solver import SolveTrace, SolverConfig, _require_full, solve
 
 __all__ = [
     "SlackReport",
@@ -226,8 +226,7 @@ def verify_confinement(
     and the total of vol(supp(x_{k+1}) \\ s). ``p`` and ``cfg`` are unused;
     they stay in the signature for existing callers.
     """
-    if trace.level != "full":
-        raise ValueError("full trace required")
+    _require_full(trace)
     allowed = s.union(vertex_boundary(g, s))
     violations: dict[int, NodeSet] = {}
     max_sp = 0
@@ -283,8 +282,7 @@ def jump_audit(
     further than gamma_i * sqrt(d_i) away from its value at x_star. Returns
     the (expected empty) list of activations that fail this.
     """
-    if trace.level != "full":
-        raise ValueError("full trace required")
+    _require_full(trace)
     report = slacks(g, p, x_star)
     u_star = forward_map(g, p, x_star)
     sd = g.sqrt_degrees

@@ -191,12 +191,17 @@ class Graph:
             and np.array_equal(self.neighbors, other.neighbors)
         )
 
-    def edge_array(self) -> np.ndarray:
+    def edge_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Each undirected edge once, as the row (u, v) with u < v of an int64
-        (m, 2) array, in sorted order."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets))
-        keep = src < self.neighbors
-        return np.stack((src[keep], self.neighbors[keep]), axis=1)
+        (m, 2) array, in sorted order. With ``lo`` and ``hi``, only the edges
+        whose u lies in the rows [lo, hi); the pieces of consecutive row
+        ranges join to the whole array."""
+        hi = self.n if hi is None else hi
+        offsets = self.row_offsets[lo:hi + 1]
+        src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(offsets))
+        nbr = self.neighbors[offsets[0]:offsets[-1]]
+        keep = src < nbr
+        return np.stack((src[keep], nbr[keep]), axis=1)
 
 
 _MAX_ID = np.iinfo(np.int64).max
@@ -219,9 +224,11 @@ def build_from_edges(
     are copied only when there is a self-loop, the ids are ranked only when
     those in ``[0, max]`` have a gap, and the sorted key is gathered only
     when a pair repeats. The key, one int64 per directed pair, is filled in
-    place and becomes ``neighbors``; beside the input and the output, the
-    build holds at its peak one scratch array of that length, the source of
-    each pair.
+    place and becomes ``neighbors``, and the degrees are counted from the
+    ids. So beside the input and the output a build holds one byte per
+    pair (the repeat test) and a few arrays of one entry per node, no
+    edge-length int64 scratch; ids that have to be ranked, as a SNAP file's
+    sparse ids are, are held once more as int64 ranks.
     """
     arr = _as_ids(edge_list)
     if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
@@ -255,6 +262,8 @@ def build_from_edges(
     n = int(present.size)
     if n > _MAX_ID // n:
         raise ValueError(f"{n} distinct nodes overflow the int64 edge key")
+    # each id once per directed pair it starts, so its degree unless a pair repeats
+    degrees = np.bincount(ids, minlength=n).astype(np.int64, copy=False)
     # One int64 key per directed pair, sorted: rows in order, each row's
     # neighbors ascending. A plain sort beats np.unique on this key.
     cu, cv = ids.reshape(-1, 2).T
@@ -268,12 +277,8 @@ def build_from_edges(
     key.sort()
     if (key[1:] == key[:-1]).any():
         key = _first_of_runs(key)
-    src = key // n
-    degrees = np.bincount(src, minlength=n).astype(np.int64, copy=False)
-    src *= n
-    key -= src  # now the neighbor of each pair
-    del src
-    neighbors = key
+        degrees = np.bincount(key // n, minlength=n).astype(np.int64, copy=False)
+    neighbors = np.remainder(key, n, out=key)
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=row_offsets[1:])
     sqrt_degrees = np.sqrt(degrees.astype(np.float64))
@@ -301,6 +306,8 @@ def parse_snap_edgelist(
     not a comment, a ``loadtxt`` error or warning, or a result that is not a
     nonempty two-column array of non-negative ids.
     """
+    if max_nodes is not None and not _is_int(max_nodes):
+        raise ValueError(f"max_nodes must be an integer, got {max_nodes!r}")
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     edges = _loadtxt_edges(text, path)

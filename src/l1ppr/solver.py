@@ -153,6 +153,13 @@ class SolveTrace:
         return None if self.spurious_vol is None else sum(self.spurious_vol)
 
 
+def _require_full(trace: SolveTrace) -> None:
+    """Raise ValueError unless ``trace`` is a full trace, the one level that
+    keeps the iterate snapshots an audit replays."""
+    if trace.level != "full":
+        raise ValueError(f"full trace required, got a {trace.level} trace")
+
+
 @dataclass
 class Solution:
     x: SparseVector
@@ -303,8 +310,7 @@ def rate_envelope(
     F(0) - f_star = -f_star. Requires a full trace (iterate snapshots).
     """
     del cfg
-    if trace.level != "full":
-        raise ValueError("full trace required")
+    _require_full(trace)
     delta0 = 0.0 - f_star
     decay = 1.0 - math.sqrt(p.alpha)
     points = [EnvelopePoint(0, delta0, 2.0 * delta0)]

@@ -128,6 +128,8 @@ class SweepSpec:
             raise SettingError("fresh per-point graphs require a synthetic graph source",
                                "per_point_fresh_graph", "edgelist_path")
         _check_ints(self, "seed_count", "base_rng_seed")
+        if self.max_nodes is not None:
+            _check_ints(self, "max_nodes")
         if self.seeds is None and self.seed_count < 1:
             raise SettingError("seed_count must be at least 1", "seed_count")
         # Every run's settings, checked by the classes the runs use: first the

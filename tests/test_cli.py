@@ -2,7 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,56 @@ def test_gen_explicit_partition_path(tmp_path):
     side = str(tmp_path / "regions.csv")
     assert main(["gen", *GEN_FLAGS, "--out", out, "--partition-out", side]) == 0
     assert (tmp_path / "regions.csv").exists()
+
+
+# GEN_FLAGS with 11-entry exterior rows, each longer than a block of 7
+HUB_FLAGS = [*GEN_FLAGS[:-1], "10"]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("flags, params", [(GEN_FLAGS, GEN_PARAMS),
+                                           (HUB_FLAGS, replace(GEN_PARAMS, deg_ext=10))],
+                         ids=["gen_flags", "hub_rows"])
+def test_gen_writes_the_edge_array_whatever_the_block(tmp_path, capsys, monkeypatch, flags, params, block):
+    """``gen`` writes its rows in blocks of at most ``_WRITE_ENTRIES``
+    directed entries, a longer row alone; at any block size the edge lines
+    are those of the whole ``edge_array()``, formatted at once."""
+    g, _ = generate(params)
+    monkeypatch.setattr(cli, "_WRITE_ENTRIES", block)
+    out = tmp_path / "g.txt"
+    assert main(["gen", *flags, "--out", str(out)]) == 0
+    head1, head2, body = out.read_text().split("\n", 2)
+    assert head1.startswith("# ") and head2.startswith("# ")
+    edges = g.edge_array()
+    assert body == ("%d\t%d\n" * len(edges)) % tuple(edges.ravel().tolist())
+    if flags is HUB_FLAGS:
+        assert int(g.degrees.max()) > 7
+
+
+def test_gen_memory_beyond_the_graph_does_not_grow_with_m(tmp_path, capsys):
+    """On the ``cli_pipeline`` graph of the benchmark (107,570 edges, 1.77 MB
+    of CSR arrays, 0.88 MB of text), the tracemalloc peak of ``gen`` stays
+    within that of ``generate`` alone plus 1 MB: the write holds one block
+    of rows, not the edge list."""
+    import gc
+    import tracemalloc
+
+    def traced_peak(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    params = SynthParams(exterior_size=400, deg_ext=398)
+    argv = ["gen", "--exterior-size", "400", "--deg-ext", "398", "--out", str(tmp_path / "g.txt")]
+    assert main(argv) == 0  # first calls' one-time allocations
+    gen_peak = traced_peak(lambda: main(argv))
+    assert (tmp_path / "g.txt").stat().st_size > 850_000
+    assert gen_peak <= traced_peak(lambda: generate(params)) + 1_000_000
 
 
 def test_gen_unwritable_partition_leaves_no_edge_list(tmp_path, capsys):

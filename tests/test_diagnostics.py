@@ -17,7 +17,7 @@ from l1ppr.diagnostics import (
 )
 from l1ppr.graph import NodeSet, build_from_edges
 from l1ppr.objective import ProblemParams, SettingError, SparseVector
-from l1ppr.solver import SolverConfig, solve
+from l1ppr.solver import SolverConfig, rate_envelope, solve
 from l1ppr.synth import SynthParams, generate, path_instance, star_instance
 
 import reference
@@ -222,6 +222,26 @@ def test_verify_confinement_requires_full_trace():
     sol = solve(inst.graph, p, SolverConfig(method="ista", eps=1e-10))
     with pytest.raises(ValueError, match="full trace"):
         verify_confinement(inst.graph, p, SolverConfig(), NodeSet([0]), sol.trace)
+
+
+def test_audits_of_a_summary_trace_raise_one_message():
+    """The three audits that replay iterate snapshots state the full-trace
+    rule once: each raises the same message on a summary trace."""
+    inst = star_instance(4)
+    g = inst.graph
+    p = ProblemParams(0.5, 0.1, 0, 1)
+    trace = solve(g, p, SolverConfig(method="fista", eps=1e-10)).trace
+    audits = (
+        lambda: rate_envelope(g, p, SolverConfig(), trace, f_star=-1.0),
+        lambda: verify_confinement(g, p, SolverConfig(), NodeSet([0]), trace),
+        lambda: jump_audit(g, p, trace, inst.solution_formula(0.5, 0.1)),
+    )
+    messages = []
+    for audit in audits:
+        with pytest.raises(ValueError) as exc:
+            audit()
+        messages.append(str(exc.value))
+    assert messages == ["full trace required, got a summary trace"] * 3
 
 
 def test_verify_confinement_counts():

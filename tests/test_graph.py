@@ -205,6 +205,24 @@ def test_iter_edges_round_trip():
     assert len(g.edge_array()) == g.edge_count
 
 
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=60),
+    data=st.data(),
+)
+def test_edge_array_row_ranges_join_to_the_whole(pairs, data):
+    """The edges of consecutive row ranges [lo, hi), concatenated, are
+    ``edge_array()``, whatever the cuts: empty ranges, single rows, or one
+    range of every row."""
+    if all(u == v for u, v in pairs):
+        return
+    g, _ = build_from_edges(pairs)
+    cuts = sorted(data.draw(st.lists(st.integers(0, g.n), max_size=6)))
+    bounds = [0, *cuts, g.n]
+    pieces = [g.edge_array(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert all(piece.dtype == np.int64 and piece.shape[1:] == (2,) for piece in pieces)
+    assert np.array_equal(np.concatenate(pieces), g.edge_array())
+
+
 def test_parse_snap_comments_and_errors(tmp_path):
     path = tmp_path / "edges.txt"
 
@@ -495,13 +513,14 @@ def test_build_shortcuts_give_the_graph_of_the_full_path(pairs, data):
         assert _same_arrays(remap_h, want_remap), name
 
 
-def test_build_holds_one_edge_length_scratch():
-    """Beyond its input and its output, a build holds at its peak one int64
-    per directed entry, and a few per node: on the ``cli_pipeline`` graph of
-    the benchmark, whose 215,140 directed entries far outnumber its 1,060
-    nodes, the tracemalloc peak less what the build returns stays within
-    8 B per entry plus 64 B per node. So does a build of the same edges
-    shifted by 10**12, whose sparse ids are ranked by a search."""
+def test_build_holds_no_edge_length_scratch_on_dense_ids():
+    """Beyond its input and its output, a build of gap-free ids holds at its
+    peak one byte per directed entry, and a few int64 per node: on the
+    ``cli_pipeline`` graph of the benchmark, whose 215,140 directed entries
+    far outnumber its 1,060 nodes, the tracemalloc peak less what the build
+    returns stays within 1 B per entry plus 64 B per node. A build of the
+    same edges shifted by 10**12, whose sparse ids are ranked by a search,
+    holds the int64 ranks as well: 8 B per entry plus 64 B per node."""
     import gc
     import tracemalloc
 
@@ -509,7 +528,7 @@ def test_build_holds_one_edge_length_scratch():
     edges = g.edge_array()
     entries = 2 * len(edges)
     assert (entries, g.n) == (215_140, 1_060)
-    for shift in (0, 10**12):
+    for shift, per_entry in ((0, 1), (10**12, 8)):
         shifted = edges + shift
         gc.collect()
         tracemalloc.start()
@@ -521,7 +540,7 @@ def test_build_holds_one_edge_length_scratch():
             tracemalloc.stop()
         assert h.equals(g)
         assert np.array_equal(remap, np.arange(g.n) + shift)
-        assert peak - held <= 8 * entries + 64 * g.n, (shift, peak - base, held - base)
+        assert peak - held <= per_entry * entries + 64 * g.n, (shift, peak - base, held - base)
         del h, remap, shifted
 
 

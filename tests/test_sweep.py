@@ -91,6 +91,9 @@ def test_load_edgelist_truncation(tmp_path):
     g_cut, remap = load_edgelist(str(path), max_nodes=3)
     assert g_cut.n == 3 and g_cut.edge_count == 2
     assert sorted(remap.tolist()) == [10, 20, 30]
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"max_nodes must be an integer, got {bad}"):
+            load_edgelist(str(path), max_nodes=bad)
 
 
 def test_spec_validation(tmp_path):
@@ -118,7 +121,8 @@ def test_spec_validation(tmp_path):
         with pytest.raises(ValueError, match="seed_count must be at least 1"):
             SweepSpec(**{**ok, "seeds": None, "seed_count": count})
     SweepSpec(**{**ok, "seed_count": 0})  # not read with seeds
-    for name, value in (("seed_count", 2.5), ("seed_count", True), ("base_rng_seed", 1.5)):
+    for name, value in (("seed_count", 2.5), ("seed_count", True), ("base_rng_seed", 1.5),
+                        ("max_nodes", 2.5), ("max_nodes", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SweepSpec(**{**ok, "seeds": None, "per_point_fresh_graph": True, name: value})
 
