@@ -32,8 +32,9 @@ from .diagnostics import check_no_percolation, slacks
 from .graph import NodeSet, _data_lines, _union, volume
 from .objective import REG_FACTORS, ProblemParams, SettingError
 from .solver import METHODS, SolverConfig, solve
-from .sweep import SweepSpec, _fmt, _map_original_ids, load_edgelist, log_grid, run_sweep, write_rows_csv
-from .synth import SynthParams, generate, path_instance, star_instance
+from .sweep import (SweepSpec, _csv_cell, _fmt, _map_original_ids, _write_csv, load_edgelist, log_grid,
+                    run_sweep, write_rows_csv)
+from .synth import RegionPartition, SynthParams, generate, path_instance, star_instance
 
 __all__ = ["main"]
 
@@ -54,14 +55,15 @@ def _writing(what: str):
 
 
 @contextmanager
-def _output(path: str, what: str, newline: str | None = None):
+def _output(path: str, what: str):
     """``path`` opened for writing, or the input error ``cannot write <what>:
-    ...``. A command opens its outputs before the work that fills them, so
-    an unwritable path fails before that work runs. Writes in the block go
-    through ``_writing``. If the block raises, the file is removed, so no
-    partial output is left behind looking complete."""
+    ...``. Lines end in LF on every platform. A command opens its outputs
+    before the work that fills them, so an unwritable path fails before that
+    work runs. Writes in the block go through ``_writing``. If the block
+    raises, the file is removed, so no partial output is left behind looking
+    complete."""
     with _writing(what):
-        fh = open(path, "w", encoding="utf-8", newline=newline)
+        fh = open(path, "w", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh
@@ -98,10 +100,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             block = g.edge_array(lo, hi)
             fh.write(("%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
             lo = hi
-        side.write("node,region\n")
-        for name, ns in (("core", part.core), ("boundary", part.boundary), ("exterior", part.exterior)):
-            for node in ns.ids.tolist():
-                side.write(f"{node},{name}\n")
+        _write_csv(side, "node,region", ((node, f.name) for f in fields(RegionPartition)
+                                        for node in getattr(part, f.name).ids.tolist()))
     print(f"wrote {g.n} nodes, {g.edge_count} edges to {args.out}")
     print(f"wrote partition to {partition_path}")
     return 0
@@ -123,19 +123,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"method={args.method} alpha={_fmt(args.alpha)} rho={_fmt(args.rho)} "
             f"reg_factor={args.reg_factor} seed={args.seed_node}"
         )
-        print(f"converged={'true' if tr.converged else 'false'} iterations={tr.iterations} total_work={tr.total_work}")
+        print(f"converged={_csv_cell(tr.converged)} iterations={tr.iterations} total_work={tr.total_work}")
         print(f"residual={_fmt(tr.final_residual)}")
         print(f"support_size={len(sol.support)} support_volume={volume(g, sol.support)}")
         with _writing("output"):
             if trace_fh:
-                trace_fh.write("k,vol_supp_y,vol_supp_x,work,residual,spurious_vol\n")
                 # the solve has no baseline, so the spurious column stays empty
-                for k, (vy, vx, r) in enumerate(zip(tr.vol_supp_y, tr.vol_supp_x_next, tr.residual)):
-                    trace_fh.write(f"{k},{vy},{vx},{vy + vx},{_fmt(r)},\n")
+                _write_csv(trace_fh, "k,vol_supp_y,vol_supp_x,work,residual,spurious_vol",
+                           ((k, vy, vx, vy + vx, r, None) for k, (vy, vx, r)
+                            in enumerate(zip(tr.vol_supp_y, tr.vol_supp_x_next, tr.residual))))
             if x_fh:
-                x_fh.write("node,value\n")
-                for i, xi in sol.x.items():
-                    x_fh.write(f"{remap[i]},{_fmt(xi)}\n")
+                _write_csv(x_fh, "node,value", ((remap[i], xi) for i, xi in sol.x.items()))
     return 0 if tr.converged else 3
 
 
@@ -164,7 +162,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if len(core) == 0:
         print("warning: empty core set; boundary is empty and the condition holds vacuously", file=sys.stderr)
     report = check_no_percolation(g, p, core)
-    print(f"holds={'true' if report.holds else 'false'}")
+    print(f"holds={_csv_cell(report.holds)}")
     worst = "none" if report.worst_node is None else str(int(remap[report.worst_node]))
     print(f"worst_node={worst}")
     print(f"worst_ratio={_fmt(report.worst_ratio)}")
@@ -281,7 +279,7 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _spec_from_config(_parse_config(args.spec))
-    with _output(args.out, "CSV", newline="") as fh:
+    with _output(args.out, "CSV") as fh:
         result = run_sweep(spec)
         with _writing("CSV"):
             write_rows_csv(result.rows, fh)
@@ -316,18 +314,13 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     lo, hi = inst.valid_interval(args.alpha)
     print(f"family={inst.family} m={inst.m} alpha={_fmt(args.alpha)} rho={_fmt(args.rho)}")
     print(f"validity_interval=[{_fmt(lo)}, {_fmt(hi)})")
-    print("node,x_closed_form,x_solver")
-    for node in _union(x_formula.support(), sol.x.support()).tolist():
-        print(f"{node},{_fmt(x_formula.get(node))},{_fmt(sol.x.get(node))}")
+    _write_csv(sys.stdout, "node,x_closed_form,x_solver",
+               ((node, x_formula.get(node), sol.x.get(node))
+                for node in _union(x_formula.support(), sol.x.support()).tolist()))
     print(f"max_x_deviation={_fmt(x_formula.max_abs_diff(sol.x))}")
-    print("node,gamma_closed_form,gamma_solver")
-    g_dev = 0.0
-    for node in sorted(gamma_formula):
-        a = gamma_formula[node]
-        b = report.slack_at(node)
-        g_dev = max(g_dev, abs(a - b))
-        print(f"{node},{_fmt(a)},{_fmt(b)}")
-    print(f"max_slack_deviation={_fmt(g_dev)}")
+    gammas = [(node, a, report.slack_at(node)) for node, a in sorted(gamma_formula.items())]
+    _write_csv(sys.stdout, "node,gamma_closed_form,gamma_solver", gammas)
+    print(f"max_slack_deviation={_fmt(max([0.0, *(abs(a - b) for _, a, b in gammas)]))}")
     return 0
 
 
@@ -347,26 +340,25 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--partition-out", default=None)
     gen.set_defaults(func=_cmd_gen)
 
-    slv = sub.add_parser("solve", help="solve one problem on an edge-list graph")
-    slv.add_argument("graph")
-    slv.add_argument("--alpha", type=float, required=True)
-    slv.add_argument("--rho", type=float, required=True)
+    # the graph and setting flags of solve and check
+    graph_flags = argparse.ArgumentParser(add_help=False)
+    graph_flags.add_argument("graph")
+    graph_flags.add_argument("--alpha", type=float, required=True)
+    graph_flags.add_argument("--rho", type=float, required=True)
+    graph_flags.add_argument("--max-nodes", type=int, default=None)
+
+    slv = sub.add_parser("solve", parents=[graph_flags], help="solve one problem on an edge-list graph")
     slv.add_argument("--eps", type=float, default=SolverConfig.eps)
     slv.add_argument("--method", choices=METHODS, default=SolverConfig.method)
     slv.add_argument("--seed-node", type=int, required=True)
     slv.add_argument("--reg-factor", type=int, choices=REG_FACTORS, default=ProblemParams.reg_factor)
     slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    slv.add_argument("--max-nodes", type=int, default=None)
     slv.add_argument("--trace", default=None, help="write per-iteration CSV here")
     slv.add_argument("--solution-out", default=None, help="write node,value CSV here")
     slv.set_defaults(func=_cmd_solve)
 
-    chk = sub.add_parser("check", help="no-percolation condition for a core set")
-    chk.add_argument("graph")
+    chk = sub.add_parser("check", parents=[graph_flags], help="no-percolation condition for a core set")
     chk.add_argument("--core-set", required=True)
-    chk.add_argument("--alpha", type=float, required=True)
-    chk.add_argument("--rho", type=float, required=True)
-    chk.add_argument("--max-nodes", type=int, default=None)
     chk.set_defaults(func=_cmd_check)
 
     swp = sub.add_parser("sweep", help="run a sweep from a key=value spec file")

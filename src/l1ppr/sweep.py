@@ -22,7 +22,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .graph import _MAX_ID, Graph, NodeSet, _find, parse_snap_edgelist, volume
+from .graph import _MAX_ID, Graph, NodeSet, _find, _is_int, parse_snap_edgelist, volume
 from .objective import ProblemParams, SettingError, _check_ints
 from .solver import METHODS, NumericalDivergenceError, SolverConfig, solve
 from .synth import RegionPartition, SynthParams, generate
@@ -47,8 +47,8 @@ SWEEP_AXES = ("rho", "alpha", "epsilon", "boundary_size")
 
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     """Log-spaced grid endpoints included; both must be positive and finite."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if not _is_int(count) or count < 1:
+        raise ValueError(f"count must be an integer of at least 1, got {count!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"log spacing requires finite bounds, got {lo}, {hi}")
     if lo <= 0.0 or hi <= 0.0:
@@ -85,10 +85,9 @@ def _map_original_ids(remap: np.ndarray, nodes: list[int], what: str) -> list[in
 
 def sample_seeds(g: Graph, k: int, rng_seed: int) -> NodeSet:
     """k distinct nodes, uniform without replacement, fixed by rng_seed."""
-    if k > g.n:
-        raise ValueError(f"cannot sample {k} seeds from {g.n} nodes")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if not _is_int(k) or not 0 <= k <= g.n:
+        raise ValueError(f"cannot sample {k!r} seeds from {g.n} nodes: k must be a non-negative integer "
+                         "no larger than n")
     rng = np.random.default_rng(rng_seed)
     return NodeSet(rng.choice(g.n, size=k, replace=False))
 
@@ -132,6 +131,8 @@ class SweepSpec:
             _check_ints(self, "max_nodes")
         if self.seeds is None and self.seed_count < 1:
             raise SettingError("seed_count must be at least 1", "seed_count")
+        if self.seeds is not None and not self.seeds:
+            raise SettingError("seeds must be nonempty", "seeds")
         # Every run's settings, checked by the classes the runs use: first the
         # fixed keys and seeds, with 1.0 (valid on every axis) standing in for
         # the swept value, then each grid value with its generator settings,
@@ -269,9 +270,16 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _write_csv(out: IO[str], header: str, rows: Iterable[Iterable]) -> None:
+    """The CSV of every table: the line ``header``, then one line per row,
+    each cell formatted by ``_csv_cell``."""
+    out.write(header + "\n")
+    for row in rows:
+        out.write(",".join(map(_csv_cell, row)) + "\n")
+
+
 def write_rows_csv(rows: Iterable[SweepRow], out: IO[str]) -> None:
     """Fixed-header CSV, rows sorted by (value, method, seed), floats at 12
     significant digits; byte-identical across reruns of the same spec."""
-    out.write(CSV_HEADER + "\n")
-    for r in sorted(rows, key=lambda r: (r.value, r.method, r.seed)):
-        out.write(",".join(_csv_cell(getattr(r, f.name)) for f in fields(r)) + "\n")
+    _write_csv(out, CSV_HEADER, ((getattr(r, f.name) for f in fields(r))
+                                 for r in sorted(rows, key=lambda r: (r.value, r.method, r.seed))))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .graph import _MAX_ID, Graph, NodeSet, build_from_edges
+from .graph import _MAX_ID, Graph, NodeSet, _is_int, build_from_edges
 from .objective import SettingError, SparseVector, _check_alpha, _check_ints
 
 __all__ = [
@@ -242,8 +242,8 @@ class AnalyticInstance:
 
 def star_instance(m: int) -> AnalyticInstance:
     """Star with center seed 0 and leaves 1..m."""
-    if m < 1:
-        raise ValueError("star needs at least one leaf")
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"star needs an integer count of at least one leaf, got m={m!r}")
     leaves = np.arange(1, m + 1, dtype=np.int64)
     g, _ = build_from_edges(np.stack((np.zeros_like(leaves), leaves), axis=1))
     return AnalyticInstance(graph=g, seed=0, family="star", m=m)
@@ -251,8 +251,8 @@ def star_instance(m: int) -> AnalyticInstance:
 
 def path_instance(m: int) -> AnalyticInstance:
     """Path 0-1-...-(m+1) with seed at endpoint 0 and m interior nodes."""
-    if m < 2:
-        raise ValueError("path needs at least two interior nodes")
+    if not _is_int(m) or m < 2:
+        raise ValueError(f"path needs an integer count of at least two interior nodes, got m={m!r}")
     nodes = np.arange(m + 1, dtype=np.int64)
     g, _ = build_from_edges(np.stack((nodes, nodes + 1), axis=1))
     return AnalyticInstance(graph=g, seed=0, family="path", m=m)

@@ -16,8 +16,8 @@ K to every id; a K at least the number of directed entries, such as
 10**12, sends the build down its sparse-id path, as a SNAP file's ids do.
 The edge array is made before each measured build and is not counted.
 The package is imported from ``src/`` of the checkout that holds this
-file; to compare with a commit that lacks it, copy it into that
-checkout's ``tests/``. Not collected by pytest.
+file; to compare with a commit that lacks it, copy it and ``oracle.py``
+into that checkout's ``tests/``. Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -27,45 +27,18 @@ import gc
 import statistics
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(1, str(Path(__file__).resolve().parent))
 
 from l1ppr import build_from_edges  # noqa: E402
-
-
-def clique_ring_edges(ring_nodes: int, clique: int = 20, shift: int = 0) -> np.ndarray:
-    iu, ju = np.triu_indices(clique, 1)
-    ring = np.arange(clique, clique + ring_nodes, dtype=np.int64)
-    edges = np.concatenate([
-        np.stack([iu, ju], axis=1).astype(np.int64),
-        np.stack([ring, np.roll(ring, -1)], axis=1),
-        np.array([[clique - 1, clique]], dtype=np.int64),
-    ])
-    edges += shift
-    return edges
+from oracle import clique_ring_edges, traced  # noqa: E402
 
 
 def returned_bytes(g, remap) -> int:
     arrays = (g.row_offsets, g.neighbors, g.degrees, g.sqrt_degrees, g.inv_sqrt_degrees, remap)
     return sum(a.nbytes for a in arrays)
-
-
-def traced_build(edges: np.ndarray) -> tuple[int, int]:
-    """The tracemalloc peak of one build of ``edges``, and the bytes it
-    returns."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        g, remap = build_from_edges(edges)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak, returned_bytes(g, remap)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -86,11 +59,12 @@ def main(argv: list[str] | None = None) -> None:
             times.append(time.perf_counter() - t0)
             del g, edges
         edges = clique_ring_edges(ring_nodes, shift=args.shift)
-        peak, kept = traced_build(edges)
+        peak, _, (g, remap) = traced(lambda: build_from_edges(edges))
+        kept = returned_bytes(g, remap)
         print(f"{ring_nodes:>10} {2 * edges.shape[0]:>10} {min(times):>8.4f} "
               f"{statistics.median(times):>8.4f} {peak / 1e6:>8.1f} {kept / 1e6:>11.1f} "
               f"{(peak - kept) / 1e6:>8.1f}")
-        del edges
+        del g, remap, edges
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ solution's value bytes, the residual column, the final residual and the
 snapshots' values. Two checkouts that print the same line for a method solve
 its part of the corpus bit for bit alike; equal shape hashes alone mean
 equal trajectories up to rounding. To compare with a commit that lacks this
-file, copy it into that checkout's ``tests/``. The package is imported from
-``src/`` of the checkout that holds this file.
+file, copy it and ``oracle.py`` into that checkout's ``tests/``. The
+package is imported from ``src/`` of the checkout that holds this file.
 
 The corpus: 12 random connected graphs of 5-60 nodes, 3 ``generate``
 graphs and a 20-clique on a 200-node ring; on each, 2 seed nodes × α in
@@ -35,8 +35,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(1, str(Path(__file__).resolve().parent))
 
-from l1ppr import NodeSet, ProblemParams, SolverConfig, SynthParams, build_from_edges, generate, solve  # noqa: E402
-from oracle import random_connected_graph  # noqa: E402
+from l1ppr import NodeSet, ProblemParams, SolverConfig, SynthParams, generate, solve  # noqa: E402
+from oracle import clique_ring, random_connected_graph  # noqa: E402
 
 ALPHAS = (0.05, 0.2, 0.5, 1.0)
 SYNTH = (
@@ -47,16 +47,6 @@ SYNTH = (
 )
 
 
-def _clique_ring(ring_nodes: int, clique: int = 20):
-    iu, ju = np.triu_indices(clique, 1)
-    ring = np.arange(clique, clique + ring_nodes, dtype=np.int64)
-    return build_from_edges(np.concatenate([
-        np.stack([iu, ju], axis=1),
-        np.stack([ring, np.roll(ring, -1)], axis=1),
-        [[clique - 1, clique]],
-    ]))[0]
-
-
 def graphs(rng: np.random.Generator):
     """(graph, baseline set) pairs of the corpus."""
     for _ in range(12):
@@ -65,7 +55,7 @@ def graphs(rng: np.random.Generator):
     for params in SYNTH:
         g, part = generate(params)
         yield g, part.core
-    yield _clique_ring(200), NodeSet(range(20))
+    yield clique_ring(200), NodeSet(range(20))
 
 
 def lines() -> list[str]:

@@ -4,10 +4,15 @@ Everything here trades speed for trustworthiness: the quadratic's matrix is
 materialized as a full array, the solve is plain dense ISTA iterated to a
 near machine-precision fixed point, and nothing is shared with the library's
 sparse code paths. A size cap keeps accidental big-graph usage out.
+
+The graph families and the memory measure that the tests and the tools in
+``tests/`` share live here too: ``random_connected_graph``, the clique on a
+ring (``clique_ring_edges``, ``clique_ring``) and ``traced``.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,3 +103,36 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_edges: int | 
     g, _ = build_from_edges(edges)
     assert g.n == n
     return g
+
+
+def clique_ring_edges(ring_nodes: int, clique: int = 20, shift: int = 0) -> np.ndarray:
+    """The int64 (m, 2) edges of a ``clique``-clique whose last node joins a
+    cycle of ``ring_nodes`` nodes numbered on from the clique, every id plus
+    ``shift``: the graph of the ``local_ring`` benchmark workload."""
+    iu, ju = np.triu_indices(clique, 1)
+    ring = np.arange(clique, clique + ring_nodes, dtype=np.int64)
+    edges = np.concatenate([
+        np.stack([iu, ju], axis=1).astype(np.int64),
+        np.stack([ring, np.roll(ring, -1)], axis=1),
+        np.array([[clique - 1, clique]], dtype=np.int64),
+    ])
+    edges += shift
+    return edges
+
+
+def clique_ring(ring_nodes: int, clique: int = 20) -> Graph:
+    """The graph of ``clique_ring_edges``."""
+    return build_from_edges(clique_ring_edges(ring_nodes, clique))[0]
+
+
+def traced(call):
+    """The tracemalloc peak and the held bytes of ``call()`` above those at
+    its start, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, held - base, out

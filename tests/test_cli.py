@@ -18,6 +18,8 @@ from l1ppr.solver import METHODS, SolverConfig
 from l1ppr.sweep import SweepResult, SweepSpec, load_edgelist, run_sweep, write_rows_csv
 from l1ppr.synth import SynthParams, generate
 
+from oracle import traced
+
 # the child processes import the package from the source tree, installed or not
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
@@ -94,25 +96,12 @@ def test_gen_memory_beyond_the_graph_does_not_grow_with_m(tmp_path, capsys):
     of CSR arrays, 0.88 MB of text), the tracemalloc peak of ``gen`` stays
     within that of ``generate`` alone plus 1 MB: the write holds one block
     of rows, not the edge list."""
-    import gc
-    import tracemalloc
-
-    def traced_peak(fn):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fn()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
     params = SynthParams(exterior_size=400, deg_ext=398)
     argv = ["gen", "--exterior-size", "400", "--deg-ext", "398", "--out", str(tmp_path / "g.txt")]
     assert main(argv) == 0  # first calls' one-time allocations
-    gen_peak = traced_peak(lambda: main(argv))
+    gen_peak, _, _ = traced(lambda: main(argv))
     assert (tmp_path / "g.txt").stat().st_size > 850_000
-    assert gen_peak <= traced_peak(lambda: generate(params)) + 1_000_000
+    assert gen_peak <= traced(lambda: generate(params))[0] + 1_000_000
 
 
 def test_gen_unwritable_partition_leaves_no_edge_list(tmp_path, capsys):

@@ -24,11 +24,6 @@ import reference
 from oracle import build_dense, dense_gradient, random_connected_graph
 
 
-def six_path():
-    g, _ = build_from_edges([(i, i + 1) for i in range(5)])
-    return g
-
-
 def test_star_leaf_slacks():
     inst = star_instance(4)
     p = ProblemParams(0.5, 0.1, 0, 1)
@@ -140,7 +135,7 @@ def test_two_tier_propagates_convergence_failure():
 
 
 def test_no_percolation_hand_computed_path():
-    g = six_path()
+    g = path_instance(4).graph
     s = NodeSet([2])
     # worst exterior node is the endpoint 0: one of its single neighbor lies
     # on the boundary, so the inequality reads 1 <= coef * 1 * 2 and flips
@@ -159,7 +154,7 @@ def test_no_percolation_hand_computed_path():
 
 
 def test_no_percolation_degenerate_cases():
-    g = six_path()
+    g = path_instance(4).graph
     assert check_no_percolation(g, ProblemParams(1.0, 0.1, 0, 1), NodeSet([2])) == \
         (True, None, 0.0)
     everything = NodeSet(np.arange(6))
@@ -182,7 +177,7 @@ def test_no_percolation_underflow_names_a_node():
 
 
 def test_no_percolation_monotone_in_alpha():
-    g = six_path()
+    g = path_instance(4).graph
     s = NodeSet([2])
     ratios = [
         check_no_percolation(g, ProblemParams(a, 1.0, 0, 1), s).worst_ratio

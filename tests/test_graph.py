@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from l1ppr import SynthParams, generate, graph
+from l1ppr import SynthParams, generate, graph, path_instance
 from l1ppr.graph import (
     Graph,
     NodeSet,
@@ -20,7 +20,7 @@ from l1ppr.graph import (
     volume,
 )
 
-from oracle import random_connected_graph
+from oracle import random_connected_graph, traced
 
 
 def test_nodeset_basic():
@@ -145,11 +145,6 @@ def test_package_set_operations_take_the_sort_path():
             if name == "union1d" or (name == "unique" and not returns):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
     assert not found, found
-
-
-def path_graph(n):
-    g, _ = build_from_edges([(i, i + 1) for i in range(n - 1)])
-    return g
 
 
 def test_build_symmetrizes_and_dedups():
@@ -330,7 +325,7 @@ def test_parse_snap_fast_path_edge_cases(text, want, tmp_path):
 
 
 def test_volume_and_boundary_on_path():
-    g = path_graph(6)  # 0-1-2-3-4-5
+    g = path_instance(4).graph  # 0-1-2-3-4-5
     s = NodeSet([2])
     assert volume(g, s) == 2
     assert volume(g, NodeSet([0, 5])) == 2
@@ -341,7 +336,7 @@ def test_volume_and_boundary_on_path():
 
 
 def test_boundary_of_everything_is_empty():
-    g = path_graph(4)
+    g = path_instance(2).graph
     s = NodeSet(range(4))
     assert vertex_boundary(g, s) == NodeSet()
     assert volume(g, s) == 2 * g.edge_count
@@ -521,26 +516,16 @@ def test_build_holds_no_edge_length_scratch_on_dense_ids():
     returns stays within 1 B per entry plus 64 B per node. A build of the
     same edges shifted by 10**12, whose sparse ids are ranked by a search,
     holds the int64 ranks as well: 8 B per entry plus 64 B per node."""
-    import gc
-    import tracemalloc
-
     g, _ = generate(SynthParams(exterior_size=400, deg_ext=398))
     edges = g.edge_array()
     entries = 2 * len(edges)
     assert (entries, g.n) == (215_140, 1_060)
     for shift, per_entry in ((0, 1), (10**12, 8)):
         shifted = edges + shift
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            h, remap = build_from_edges(shifted)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, held, (h, remap) = traced(lambda: build_from_edges(shifted))
         assert h.equals(g)
         assert np.array_equal(remap, np.arange(g.n) + shift)
-        assert peak - held <= per_entry * entries + 64 * g.n, (shift, peak - base, held - base)
+        assert peak - held <= per_entry * entries + 64 * g.n, (shift, peak, held)
         del h, remap, shifted
 
 

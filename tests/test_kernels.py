@@ -10,9 +10,8 @@ from l1ppr.graph import build_from_edges
 from l1ppr.objective import ProblemParams, SparseVector, prox_grad_step
 from l1ppr.solver import SolverConfig, fista_momentum, solve
 
-from oracle import random_connected_graph
+from oracle import clique_ring, random_connected_graph
 from reference import forward_map, gradient, kkt_residual, objective_value, prox
-from test_solver import clique_ring
 
 
 def _run_step(g, p, x: SparseVector):

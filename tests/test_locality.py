@@ -6,7 +6,7 @@ in a graph of 10^3 nodes and in one of 10^6. Two layouts number the cycle:
 * relabeled: ids grow with the distance from the clique, so the local
   problem has the same node ids at both sizes, and results and work must be
   equal on the two;
-* sequential (``test_solver.clique_ring``): the clique's far cycle neighbor
+* sequential (``oracle.clique_ring``): the clique's far cycle neighbor
   is node n + 19, so an allocation sized by the largest id a call touches
   grows with n. Ids differ between the sizes here, so only iterations,
   ledgers and memory are compared, and the audits that take a set get the
@@ -35,7 +35,6 @@ grows with the padding by design (the audits compare ``slacks`` by its
 
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ from l1ppr import (
     verify_confinement,
     vertex_boundary,
 )
-from test_solver import clique_ring
+from oracle import clique_ring, traced
 
 SIZES = (10**3, 10**6)
 CLIQUE = NodeSet(range(20))
@@ -106,16 +105,6 @@ def solutions(graphs):
     return {name: [solve(g, P, FULL) for g in gs] for name, gs in graphs.items()}
 
 
-def _peak(call):
-    """The traced peak of the bytes allocated during ``call()``, and its result."""
-    tracemalloc.start()
-    try:
-        out = call()
-        return tracemalloc.get_traced_memory()[1], out
-    finally:
-        tracemalloc.stop()
-
-
 def _warm_peaks(graphs, call):
     """``call(i, g)`` once to warm up, then traced, on each graph: the least
     peak of three traced calls, and the last result. A call can refill
@@ -124,8 +113,8 @@ def _warm_peaks(graphs, call):
     runs = []
     for i, g in enumerate(graphs):
         call(i, g)
-        peaks = [_peak(lambda: call(i, g)) for _ in range(3)]
-        runs.append((min(peak for peak, _ in peaks), peaks[-1][1]))
+        peaks = [traced(lambda: call(i, g)) for _ in range(3)]
+        runs.append((min(peak for peak, _, _ in peaks), peaks[-1][2]))
     return runs
 
 
@@ -148,8 +137,8 @@ def test_first_solve_allocates_the_position_scratch_once(graphs):
     cfg = SolverConfig(method="fista", eps=EPS)
     solve(g, P, cfg)  # one-time costs of the process's first solves
     fresh = dataclasses.replace(g)  # the same arrays, but no scratch yet
-    first, _ = _peak(lambda: solve(fresh, P, cfg))
-    warm, _ = _peak(lambda: solve(fresh, P, cfg))
+    first, _, _ = traced(lambda: solve(fresh, P, cfg))
+    warm, _, _ = traced(lambda: solve(fresh, P, cfg))
     assert abs(first - warm - 8 * g.n) <= FIRST_SLACK
 
 

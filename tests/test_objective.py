@@ -17,14 +17,10 @@ from l1ppr.objective import (
     objective_value,
     prox,
 )
+from l1ppr.synth import star_instance
 
 import reference
 from oracle import build_dense, dense_gradient, dense_objective, random_connected_graph
-
-
-def star(m):
-    g, _ = build_from_edges([(0, k) for k in range(1, m + 1)])
-    return g
 
 
 def test_sparse_vector_purges_exact_zeros():
@@ -160,7 +156,7 @@ def test_params_derived_quantities():
 
 
 def test_gradient_at_zero_is_seed_term_only():
-    g = star(4)
+    g = star_instance(4).graph
     p = ProblemParams(0.5, 0.1, 0, 1)
     gr = gradient(g, p, SparseVector())
     assert gr.support().tolist() == [0]
@@ -168,7 +164,7 @@ def test_gradient_at_zero_is_seed_term_only():
 
 
 def test_gradient_seed_out_of_range():
-    g = star(2)
+    g = star_instance(2).graph
     with pytest.raises(ValueError, match="out of range"):
         gradient(g, ProblemParams(0.5, 0.1, 9, 1), SparseVector())
     # so is a support node at or past n, for every function that reads rows
@@ -190,7 +186,7 @@ def test_gradient_hand_computed_on_edge():
 
 
 def test_prox_keeps_strict_and_drops_tie():
-    g = star(4)  # d_center = 4, d_leaf = 1
+    g = star_instance(4).graph  # d_center = 4, d_leaf = 1
     p = ProblemParams(0.5, 0.1, 0, 2)
     t_leaf = p.reg_level  # sqrt(1) = 1
     w = SparseVector({1: t_leaf, 2: t_leaf * 1.5, 3: -t_leaf * 1.5, 4: t_leaf * 0.5})
@@ -238,7 +234,7 @@ def test_soft_threshold_is_the_scalar_rule(alpha, rho, reg_factor, entries):
 
 
 def test_objective_zero_is_zero():
-    g = star(3)
+    g = star_instance(3).graph
     p = ProblemParams(0.3, 0.2, 0, 1)
     assert objective_value(g, p, SparseVector()) == 0.0
 
@@ -267,7 +263,7 @@ def test_gradient_and_objective_match_dense(case_seed):
 
 
 def test_forward_map_is_x_minus_grad():
-    g = star(4)
+    g = star_instance(4).graph
     p = ProblemParams(0.5, 0.1, 0, 1)
     x = SparseVector({0: 0.3, 2: -0.1})
     u = forward_map(g, p, x)
@@ -278,7 +274,7 @@ def test_forward_map_is_x_minus_grad():
 
 def test_kkt_residual_zero_at_closed_form_minimizer():
     # minimizer of the 4-leaf star at alpha=0.5, rho=0.1 is x = 0.2 e_center
-    g = star(4)
+    g = star_instance(4).graph
     p = ProblemParams(0.5, 0.1, 0, 1)
     x = SparseVector({0: 0.2})
     assert kkt_residual(g, p, x) <= 1e-15
@@ -340,7 +336,7 @@ def test_objective_functions_match_dict_reference_bitwise(case_seed, reg_factor,
 
 @pytest.mark.parametrize("reg_factor", [1, 2])
 def test_objective_functions_at_zero_and_off_seed(reg_factor):
-    g = star(5)
+    g = star_instance(5).graph
     for x in (SparseVector(), SparseVector({2: 0.4, 4: -1e-3})):
         p = ProblemParams(0.3, 0.05, 0, reg_factor)
         assert gradient(g, p, x) == reference.gradient(g, p, x)
@@ -352,7 +348,7 @@ def test_objective_functions_at_zero_and_off_seed(reg_factor):
 def test_objective_functions_leave_workspace_clean():
     import l1ppr.objective as objective
 
-    g = star(6)
+    g = star_instance(6).graph
     p = ProblemParams(0.3, 0.05, 0, 1)
     x = SparseVector({0: 0.5, 3: -0.25})
     objective_value(g, p, x)
@@ -473,7 +469,7 @@ def test_binning_switches_where_the_top_id_reaches_the_entries_read():
     position; {0, 1} reads one entry more, so its top id is the entries read
     minus one, and bins by id."""
     m = 6
-    g = star(m)
+    g = star_instance(m).graph
     big, shift = _padded_below(g)
     p = ProblemParams(0.3, 0.05, 2)
     for act, want in (([0], "position"), ([0, 1], "id")):

@@ -14,7 +14,7 @@ from l1ppr.solver import (
 )
 from l1ppr.synth import SynthParams, generate, star_instance
 
-from oracle import build_dense, dense_solve, random_connected_graph
+from oracle import build_dense, clique_ring, dense_solve, random_connected_graph
 from reference import two_gather_fista
 
 
@@ -264,16 +264,6 @@ def test_ista_iterates_monotone_from_zero():
 
 
 CLIQUE = NodeSet(range(20))
-
-
-def clique_ring(ring_nodes, clique=20):
-    iu, ju = np.triu_indices(clique, 1)
-    ring = np.arange(clique, clique + ring_nodes, dtype=np.int64)
-    return build_from_edges(np.concatenate([
-        np.stack([iu, ju], axis=1),
-        np.stack([ring, np.roll(ring, -1)], axis=1),
-        [[clique - 1, clique]],
-    ]))[0]
 
 
 def _same_solution(a, b):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import l1ppr.sweep as sweep
+from l1ppr.objective import SettingError
 from l1ppr.sweep import (
     SweepSpec,
     derive_rng_seed,
@@ -57,6 +58,9 @@ def test_log_grid():
     for lo, hi in ((1e-4, math.inf), (math.nan, 1e-1), (1e-4, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             log_grid(lo, hi, 3)
+    for count in (2.5, True):  # not left to numpy; True would read as 1
+        with pytest.raises(ValueError, match=f"count must be an integer of at least 1, got {count}"):
+            log_grid(1.0, 2.0, count)
 
 
 def test_derive_rng_seed_pinned():
@@ -81,6 +85,9 @@ def test_sample_seeds():
         sample_seeds(g, g.n + 1, 1)
     with pytest.raises(ValueError, match="non-negative"):
         sample_seeds(g, -1, 1)
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match=f"cannot sample {k} seeds"):
+            sample_seeds(g, k, 0)
 
 
 def test_load_edgelist_truncation(tmp_path):
@@ -121,6 +128,10 @@ def test_spec_validation(tmp_path):
         with pytest.raises(ValueError, match="seed_count must be at least 1"):
             SweepSpec(**{**ok, "seeds": None, "seed_count": count})
     SweepSpec(**{**ok, "seed_count": 0})  # not read with seeds
+    # no seed is no run, as seed_count < 1 is, not a sweep of no rows
+    with pytest.raises(SettingError, match="seeds must be nonempty") as info:
+        SweepSpec(**{**ok, "seeds": ()})
+    assert info.value.fields == ("seeds",)
     for name, value in (("seed_count", 2.5), ("seed_count", True), ("base_rng_seed", 1.5),
                         ("max_nodes", 2.5), ("max_nodes", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,11 @@ def test_analytic_instance_shapes():
         star_instance(0)
     with pytest.raises(ValueError, match="two interior"):
         path_instance(1)
+    # a count that is no integer builds a graph the closed forms do not
+    # describe: m = 2.5 would build a 3-leaf star
+    for make, m in itertools.product((star_instance, path_instance), (2.5, True)):
+        with pytest.raises(ValueError, match=f"integer count .*got m={m}"):
+            make(m)
 
 
 def test_validity_interval_enforced():
