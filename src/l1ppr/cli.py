@@ -75,6 +75,22 @@ def _output(path: str, what: str):
         raise
 
 
+def _distinct_files(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Raise the input error ``<flag> and <flag> name the same file`` when
+    an output path, given as ``flag -> path``, names the same file as another
+    output or as an input, after links are resolved. A command calls it
+    before it opens any output, so a clash creates, truncates and removes
+    nothing. A path that is not given, and one that exists but is not a
+    regular file, such as /dev/null, is left out."""
+    named = [(flag, os.path.realpath(path), flag in outputs)
+             for flag, path in {**outputs, **inputs}.items()
+             if path is not None and (os.path.isfile(path) or not os.path.exists(path))]
+    for i, (flag, real, writes) in enumerate(named):
+        for other, other_real, other_writes in named[:i]:
+            if real == other_real and (writes or other_writes):
+                raise ValueError(f"{other} and {flag} name the same file: {real}")
+
+
 # directed entries of the CSR rows per formatted block of an edge-list
 # write, so the text and its Python ints stay the same size whatever m is; a
 # longer row is a block of its own
@@ -85,8 +101,9 @@ _WRITE_ENTRIES = 1 << 13
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = SynthParams(**{key: getattr(args, key) for key in _SYNTH_KEYS})
-    g, part = generate(params)
     partition_path = args.partition_out or args.out + ".partition.csv"
+    _distinct_files({"--out": args.out, "--partition-out": partition_path}, {})
+    g, part = generate(params)
     with _output(args.out, "output") as fh, _output(partition_path, "output") as side, _writing("output"):
         fh.write(f"# synthetic block graph: nodes={g.n} edges={g.edge_count}\n")
         fh.write(
@@ -110,6 +127,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _distinct_files({"--trace": args.trace, "--solution-out": args.solution_out}, {"graph": args.graph})
     g, remap = load_edgelist(args.graph, args.max_nodes)
     (seed,) = _map_original_ids(remap, [args.seed_node], "seed node")
     p = ProblemParams(alpha=args.alpha, rho=args.rho, seed=seed, reg_factor=args.reg_factor)
@@ -279,6 +297,7 @@ def _spec_from_config(raw: dict[str, tuple[int, str]]) -> SweepSpec:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _spec_from_config(_parse_config(args.spec))
+    _distinct_files({"--out": args.out}, {"spec": args.spec, "edgelist_path": spec.edgelist_path})
     with _output(args.out, "CSV") as fh:
         result = run_sweep(spec)
         with _writing("CSV"):

@@ -27,28 +27,22 @@ implementations these functions replaced live on in ``tests/reference.py``,
 and the tests check the two bit for bit.
 
 Points enter and leave as their (sorted nodes, values) arrays; nothing is
-held in an n-length float buffer. The core keeps two things per graph
-(weakly, so they go with the graph), known to ``_gather`` alone: the plan of
-the last support it read, the candidates and the edge-aligned bins and
-weights that depend on the seed and the support only; and, once a build has
-needed it, its int64 position scratch, the only n-length array, whose
-contents are ignored on entry, so it is never reset.
+held in an array of length n. The core keeps one thing per graph (weakly,
+so it goes with the graph), known to ``_gather`` alone: the plan of the
+last support it read, the candidates and the edge-aligned bins and weights
+that depend on the seed and the support only.
 
 A build bins each row entry in one of two ways. When the largest candidate
-id is below the number of row entries the build reads, which holds for most
-builds on a graph whose supports read more entries than it has nodes, the
-bin is the node id itself: marking the candidates over that id span costs
-no more than the read, and the per-bin sums are then read at the
-candidates. Otherwise, as on a support whose neighbors reach ids far above
-its volume, the bin is the node's position among the candidates, found by a
-scatter through the position scratch, and the cost stays that of the read.
-Every bin gets the same terms in the same order either way, so the two give
-the same bits. The zero point reads no row; its one candidate is the seed,
-and it takes no scratch. A call at the seed and support of the previous
-one, which is most steps of a solve once its support settles, reuses the
-plan: it reads no adjacency row and leaves the scratch alone, and does the
-same products and the same per-bin sums in edge order as a call that
-builds the plan.
+id is below the number of row entries the build reads, the bin is the node
+id itself, and the per-bin sums are then read at the candidates. Otherwise
+the bin is the node's position among the candidates, found by one sorted
+search of the support, the rows read and the seed. Either way costs no more
+than the read, and every bin gets the same terms in the same order, so the
+two give the same bits. The zero point reads no row; its one candidate is
+the seed. A call at the seed and support of the previous one, which is most
+steps of a solve once its support settles, reuses the plan: it reads no
+adjacency row, and does the same products and the same per-bin sums in edge
+order as a call that builds the plan.
 
 A support a step returns may be the plan's read-only copy of its input
 support: it is, exactly when the step leaves the support unchanged. A call
@@ -65,7 +59,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _as_ids, _check_nodes, _find, _is_int, _rows, _union
+from .graph import Graph, _as_ids, _check_nodes, _distinct, _find, _is_int, _rows, _union
 
 __all__ = [
     "SparseVector",
@@ -252,13 +246,11 @@ class _Plan(NamedTuple):
 
     A build bins in one of two ways, and every bin gets the same terms in the
     same order either way. When the largest candidate id is below the number
-    of row entries the build reads, the bins are the node ids themselves:
-    binning over that id span costs no more than the read, and the sums are
-    then read at the candidates. Otherwise a bin is the node's position
-    among the candidates, found through the graph's position scratch, so a
-    support whose neighbors reach ids far above its volume costs no more
-    than that volume. The zero point's one candidate is the seed, its one
-    bin."""
+    of row entries the build reads, the bins are the node ids themselves, and
+    the sums are then read at the candidates. Otherwise a bin is the node's
+    position among the candidates, found by one sorted search, so a support
+    whose neighbors reach ids far above its volume costs no more than that
+    volume."""
 
     key: tuple  # (seed, len(act), act.tobytes())
     act: np.ndarray
@@ -274,18 +266,13 @@ class _Plan(NamedTuple):
     at_seed: int
 
 
-# Per-graph state of the gather core: a dict holding the plan of the last
-# support under "plan" and, once a build has binned by position, the int64
-# position scratch under "scratch". A call reads the plan once into a local,
-# and a plan is never changed, only replaced, so overlapping calls on one
-# graph each see a whole one. A build that bins by position takes the scratch
-# out of the dict while in use, so a build that overlaps another allocates
-# its own; a build that raises drops it, and the next one allocates a fresh
-# one.
-_STATE: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
+# The plan of the last support each graph's gather core read. A call reads
+# it once into a local, and a plan is never changed, only replaced, so
+# overlapping calls on one graph each see a whole one.
+_PLANS: weakref.WeakKeyDictionary[Graph, _Plan] = weakref.WeakKeyDictionary()
 
 
-def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -> _Plan:
+def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple) -> _Plan:
     # only a build checks the ids: a call that finds a plan has the seed and
     # support of one this graph built, and so checked
     _check_nodes(g.n, (seed,), "seed node")
@@ -298,11 +285,7 @@ def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -
     top = max(seed, int(act[-1])) if act.size else seed
     if top < nbrs.size:
         top = max(top, int(g.neighbors[g.row_offsets[act + 1] - 1].max()))
-    if not act.size:
-        # the zero point reads no row: its one candidate is the seed
-        cand, bins, nbins = np.array([seed], dtype=np.int64), nbrs, 1
-        act_pos, at_seed = np.zeros(0, dtype=np.int64), 0
-    elif top < nbrs.size:
+    if top < nbrs.size:
         # bin by node id: mark the candidates over the id span
         mark = np.bincount(nbrs, minlength=top + 1).astype(bool)
         mark[act] = True
@@ -312,20 +295,13 @@ def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple, state: dict) -
         act_pos = np.searchsorted(cand, act)
         at_seed = int(np.count_nonzero(mark[:seed]))  # the candidates below it
     else:
-        pos = state.pop("scratch", None)
-        if pos is None:
-            pos = np.empty(g.n, dtype=np.int64)
+        # bin by position among the candidates, found by one sorted search
+        # of act, the rows read and the seed
         idx = np.concatenate((act, nbrs, np.array([seed], dtype=np.int64)))
-        # Dedup through the position scratch: exactly one position per
-        # distinct node survives the scatter, whichever write lands last.
-        at = np.arange(idx.size, dtype=np.int64)
-        pos[idx] = at
-        cand = np.sort(idx[pos[idx] == at])
-        pos[cand] = np.arange(cand.size, dtype=np.int64)
-        bins, nbins = pos[nbrs], cand.size
-        act_pos = pos[act]
-        at_seed = int(pos[seed])
-        state["scratch"] = pos
+        cand = _distinct(idx)
+        at = np.searchsorted(cand, idx)
+        act_pos, bins, at_seed = at[:act.size], at[act.size:-1], int(at[-1])
+        nbins = cand.size
     in_act = np.zeros(cand.size, dtype=bool)
     in_act[act_pos] = True
     arrays = (act.astype(np.int64), isd[act], lens, bins, isd[nbrs])
@@ -346,16 +322,13 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
     own array, as a step returns on an unchanged support, finds the plan
     without building a key.
     """
-    state = _STATE.get(g)
-    if state is None:
-        state = _STATE.setdefault(g, {})
-    plan = state.get("plan")
+    plan = _PLANS.get(g)
     if plan is None or act is not plan.act or plan.key[0] != p.seed:
         key = (p.seed, act.size, act.tobytes())  # the size tells int widths apart
         if plan is None or plan.key != key:
             plan = None
-            state.pop("plan", None)  # so that two plans never coexist
-            plan = state["plan"] = _build_plan(g, p.seed, act, key, state)
+            _PLANS.pop(g, None)  # so that two plans never coexist
+            plan = _PLANS[g] = _build_plan(g, p.seed, act, key)
     weights = (vals * plan.isd_act).repeat(plan.lens)
     weights *= plan.isd_nbrs
     # bincount adds in edge order: sources ascending, CSR order within a row

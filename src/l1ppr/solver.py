@@ -31,14 +31,12 @@ ledger is the method's, not the kernel's.
 Iterates stay in their (sorted nodes, values) array form throughout, so a
 solve's wall clock follows the volume of its iterates, not n. Each step
 also returns the frame of its input point: the plan's candidate array and
-the point and its forward map at it. The only n-length array is the gather
-core's position scratch, kept per graph in :mod:`l1ppr.objective` with the
-plan of the last support a step read; a step allocates it only when it
-reads rows and its plan's candidates reach ids past the row entries it
-reads, and binning by node id needs no n-length array. Once a solve's
-support stops changing, which the iterates of a proximal-gradient method do
-after finitely many steps, its steps reuse that plan and read no adjacency
-row.
+the point and its forward map at it. A solve holds no array of length n:
+all the gather core keeps per graph, in :mod:`l1ppr.objective`, is the
+plan of the last support a step read, sized by that support's volume.
+Once a solve's support stops changing, which the iterates of a
+proximal-gradient method do after finitely many steps, its steps reuse that
+plan and read no adjacency row.
 
 FISTA extrapolates y_k and u(y_k) together, in one call, from the frames of
 x_k and x_{k-1}. While the support stands, both frames are on the plan's

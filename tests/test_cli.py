@@ -308,6 +308,60 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def _rejects_same_file(argv, capsys, flags):
+    """``main(argv)`` exits 2 with one line naming the two ``flags`` and
+    prints nothing on stdout."""
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {flags[0]} and {flags[1]} name the same file: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["same_path", "symlink"])
+def test_solve_rejects_one_file_for_trace_and_solution(tmp_path, capsys, linked):
+    graph = Path(write_star(tmp_path))
+    before = graph.read_bytes()
+    same = tmp_path / "same.csv"
+    other = same
+    if linked:
+        same.write_text("kept\n")
+        other = tmp_path / "link.csv"
+        other.symlink_to(same)
+    _rejects_same_file(["solve", str(graph), "--alpha", "0.5", "--rho", "0.1", "--seed-node", "100",
+                        "--trace", str(same), "--solution-out", str(other)],
+                       capsys, ("--trace", "--solution-out"))
+    assert graph.read_bytes() == before
+    assert same.read_text() == "kept\n" if linked else not same.exists()
+    # a device is not a file the outputs could share
+    assert main(["solve", str(graph), "--alpha", "0.5", "--rho", "0.1", "--seed-node", "100",
+                 "--trace", os.devnull, "--solution-out", os.devnull]) == 0
+
+
+def test_solve_rejects_a_trace_over_its_graph(tmp_path, capsys):
+    graph = Path(write_star(tmp_path))
+    before = graph.read_bytes()
+    _rejects_same_file(["solve", str(graph), "--alpha", "0.5", "--rho", "0.1", "--seed-node", "100",
+                        "--trace", str(graph)], capsys, ("--trace", "graph"))
+    assert graph.read_bytes() == before
+
+
+def test_gen_rejects_one_file_for_edges_and_partition(tmp_path, capsys):
+    same = tmp_path / "s.txt"
+    same.write_text("kept\n")
+    _rejects_same_file(["gen", *GEN_FLAGS, "--out", str(same), "--partition-out", str(same)],
+                       capsys, ("--out", "--partition-out"))
+    assert same.read_text() == "kept\n"
+
+
+def test_sweep_rejects_an_output_over_its_graph(tmp_path, capsys):
+    graph = Path(write_star(tmp_path))
+    before = graph.read_bytes()
+    spec_path = tmp_path / "spec.cfg"
+    spec_path.write_text(f"axis = rho\ngrid = 0.1\nalpha = 0.5\nseeds = 100\nedgelist_path = {graph}\n")
+    _rejects_same_file(["sweep", str(spec_path), "--out", str(graph)], capsys, ("--out", "edgelist_path"))
+    assert graph.read_bytes() == before
+
+
 def write_reversed_path(tmp_path):
     """Path 5-4-3-2-1-0, listed from the 5 end, so the first ids in file
     order are the largest."""

@@ -16,9 +16,8 @@ from reference import forward_map, gradient, kkt_residual, objective_value, prox
 
 def _run_step(g, p, x: SparseVector):
     act, vals = x.arrays()
-    # the position scratch is written before it is read, so garbage must not
-    # matter; with no plan on the graph, the step builds one
-    objective._STATE[g] = {"scratch": np.random.default_rng(g.n).integers(-2**62, 2**62, g.n)}
+    # with no plan on the graph, the step builds one
+    objective._PLANS.pop(g, None)
     out_act, out_vals, residual, cand, z, u = prox_grad_step(g, p, vals, act)
     assert np.all(np.diff(out_act) > 0)
     assert np.all(out_vals != 0.0)
@@ -191,7 +190,7 @@ def test_step_on_an_unchanged_support_returns_the_plan_array():
             break
         act, vals = out_act, out_vals
     assert out_act is act and not act.flags.writeable
-    assert np.array_equal(act, objective._STATE[g]["plan"].act)
+    assert np.array_equal(act, objective._PLANS[g].act)
 
 
 def test_writable_support_is_not_taken_as_the_plan():
@@ -206,7 +205,7 @@ def test_writable_support_is_not_taken_as_the_plan():
     z = SparseVector.from_arrays(act, vals)
     assert SparseVector.from_arrays(*got[:2]) == prox(g, p, forward_map(g, p, z))
     assert got[2] == kkt_residual(g, p, z)
-    assert objective._STATE[g]["plan"].act is not act
+    assert objective._PLANS[g].act is not act
 
 
 def test_plan_hit_equals_cold_step_and_reference(monkeypatch):
@@ -226,7 +225,7 @@ def test_plan_hit_equals_cold_step_and_reference(monkeypatch):
         assert objective.forward_map(g, p, y) == forward_map(g, p, y)
         assert objective.objective_value(g, p, y) == objective_value(g, p, y)
         assert len(rows) == read
-        del objective._STATE[g]
+        del objective._PLANS[g]
         cold = prox_grad_step(g, p, y.arrays()[1], act)
         assert [a.tobytes() for a in (*hit[:2], *hit[3:])] == [a.tobytes() for a in (*cold[:2], *cold[3:])]
         assert hit[2] == cold[2]
@@ -253,7 +252,7 @@ def test_plan_misses_on_another_seed_support_or_graph(monkeypatch):
         prox_grad_step(g, p, vals, act)
         read = len(rows)
         if act2 is None:
-            act2 = objective._STATE[g]["plan"].act
+            act2 = objective._PLANS[g].act
             assert prox_grad_step(g, p, vals, act2)[2] == kkt_residual(g, p, SparseVector.from_arrays(act, vals))
             assert len(rows) == read, name
         assert prox_grad_step(g, p, vals, act)[2] == kkt_residual(g, p, SparseVector.from_arrays(act, vals))

@@ -356,19 +356,21 @@ def test_objective_functions_leave_workspace_clean():
         gradient(g, ProblemParams(0.3, 0.05, 99, 1), x)
     forward_map(g, p, x)
     # all the graph keeps is one plan; the rows of {0, 3} read 7 entries,
-    # more than the top id 6, so its build bins by id and takes no scratch
-    state = objective._STATE[g]
-    assert sorted(state) == ["plan"]
+    # more than the top id 6, so its build bins by id
+    plan = objective._PLANS[g]
+    assert type(plan) is objective._Plan
+    assert plan.nbins == g.n and plan.bins.tolist() == [1, 2, 3, 4, 5, 6, 0]
     # the zero point reads no row: its plan has the seed as its one
-    # candidate, and its build takes no scratch either
+    # candidate and its one bin
     gradient(g, p, SparseVector())
-    assert sorted(state) == ["plan"]
-    assert state["plan"].cand.tolist() == [0] and state["plan"].nbins == 1
+    plan = objective._PLANS[g]
+    assert plan.cand.tolist() == [0] and plan.nbins == 1 and plan.bins.size == 0
     # the row of {6} reads 1 entry, not more than the top id 6, so its build
-    # bins by position and allocates the graph's one int64 position scratch
+    # bins by position among the candidates 0 and 6
     gradient(g, p, SparseVector({6: 0.5}))
-    assert sorted(state) == ["plan", "scratch"]
-    assert state["scratch"].dtype == np.int64 and state["scratch"].shape == (g.n,)
+    plan = objective._PLANS[g]
+    assert plan.cand.tolist() == [0, 6] and plan.nbins == 2 and plan.bins.tolist() == [0]
+    assert plan.act_pos.tolist() == [1] and plan.at_seed == 0
 
 
 def _padded_below(g):
@@ -390,7 +392,7 @@ def _binned(g, p):
     import l1ppr.objective as objective
     from l1ppr.graph import _rows
 
-    plan = objective._STATE[g]["plan"]
+    plan = objective._PLANS[g]
     nbrs, _ = _rows(g, plan.act)
     top = max(p.seed, int(plan.act.max(initial=0)), int(nbrs.max(initial=0)))
     if top < nbrs.size:

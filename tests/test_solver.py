@@ -295,48 +295,41 @@ def test_workspace_clean_after_divergence(method, monkeypatch):
     monkeypatch.undo()
     cfg = SolverConfig(method=method, eps=1e-8, trace_level="full")
     _same_solution(solve(g, p, cfg), solve(clique_ring(1000), p, cfg))
-    _assert_keeps_one_plan_and_scratch(g)
+    _assert_keeps_one_plan(g)
 
 
-def _assert_keeps_one_plan_and_scratch(g):
-    """All a graph keeps after a solve is the plan of its last support and
-    one int64 position scratch of length n, which may hold anything. Only a
-    build that bins by position allocates the scratch; on ``clique_ring``
-    the step from a clique seed alone reads its 19 entries, which reach id
-    19, and so bins by position."""
+def _assert_keeps_one_plan(g):
+    """All a graph keeps after a solve is the plan of its last support, no
+    part of which is as long as the graph has nodes."""
     import l1ppr.objective as objective
 
-    state = objective._STATE[g]
-    assert sorted(state) == ["plan", "scratch"]
-    assert state["scratch"].dtype == np.int64 and state["scratch"].shape == (g.n,)
+    plan = objective._PLANS[g]
+    assert type(plan) is objective._Plan
+    assert all(a.size < g.n for a in plan if isinstance(a, np.ndarray))
 
 
-def test_retained_state_is_one_position_scratch():
-    """What a solve leaves on its graph is at most one int64 array of length
-    n, the position scratch, and the plan of its last support, whose size
-    does not grow with n; the iterates themselves are never copied into
-    n-length buffers."""
+def test_retained_state_is_one_plan():
+    """What a solve leaves on its graph is the plan of its last support,
+    whose size does not grow with n; the iterates themselves are never
+    copied into n-length buffers."""
     import gc
     import tracemalloc
-
-    import l1ppr.objective as objective
 
     p, cfg = ProblemParams(0.2, 1e-4, 3), SolverConfig(eps=1e-8)
     solve(clique_ring(100), p, cfg)  # numpy imports some modules on first use
 
-    def retained_beyond_scratch(n):
+    def retained(n):
         g = clique_ring(n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             solve(g, p, cfg)
             gc.collect()
-            scratch = objective._STATE[g].get("scratch")
-            return tracemalloc.get_traced_memory()[0] - base - (0 if scratch is None else scratch.nbytes)
+            return tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
 
-    small, big = retained_beyond_scratch(10**3), retained_beyond_scratch(10**5)
+    small, big = retained(10**3), retained(10**5)
     assert abs(big - small) < 4096, (small, big)
 
 
@@ -422,7 +415,7 @@ def test_fista_matches_two_gather_reference():
 
 def test_concurrent_solves_on_one_graph():
     """Solves overlapping on one graph from several threads give the serial
-    results, and the graph keeps one position scratch after them."""
+    results, and the graph keeps one plan after them."""
     import sys
     import threading
 
@@ -449,8 +442,7 @@ def test_concurrent_solves_on_one_graph():
     assert not any(t.is_alive() for t in threads)
     for a, b in zip(got, want):
         _same_solution(a, b)
-    # overlapping steps allocate scratches of their own; the graph keeps one
-    _assert_keeps_one_plan_and_scratch(g)
+    _assert_keeps_one_plan(g)
 
 
 def test_concurrent_solves_and_objective_calls_on_one_graph():
