@@ -29,7 +29,7 @@ from dataclasses import fields
 import numpy as np
 
 from .diagnostics import check_no_percolation, slacks
-from .graph import NodeSet, _data_lines, _union, volume
+from .graph import NodeSet, _data_lines, _decimal_id, _union, volume
 from .objective import REG_FACTORS, ProblemParams, SettingError
 from .solver import METHODS, SolverConfig, solve
 from .sweep import (SweepSpec, _csv_cell, _fmt, _map_original_ids, _write_csv, load_edgelist, log_grid,
@@ -78,16 +78,27 @@ def _output(path: str, what: str):
 def _distinct_files(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
     """Raise the input error ``<flag> and <flag> name the same file`` when
     an output path, given as ``flag -> path``, names the same file as another
-    output or as an input, after links are resolved. A command calls it
-    before it opens any output, so a clash creates, truncates and removes
-    nothing. A path that is not given, and one that exists but is not a
-    regular file, such as /dev/null, is left out."""
-    named = [(flag, os.path.realpath(path), flag in outputs)
-             for flag, path in {**outputs, **inputs}.items()
-             if path is not None and (os.path.isfile(path) or not os.path.exists(path))]
-    for i, (flag, real, writes) in enumerate(named):
-        for other, other_real, other_writes in named[:i]:
-            if real == other_real and (writes or other_writes):
+    output or as an input: the same device and inode for paths that exist,
+    so a symbolic or hard link is caught, and the same resolved path for
+    those that do not. A command calls it before it opens any output, so a
+    clash creates, truncates and removes nothing. A path that is not given,
+    and one that exists but is not a regular file, such as /dev/null, is
+    left out."""
+    named = []
+    for flag, path in {**outputs, **inputs}.items():
+        if path is None:
+            continue
+        if not os.path.exists(path):
+            same = os.path.realpath(path)
+        elif os.path.isfile(path):
+            st = os.stat(path)
+            same = (st.st_dev, st.st_ino)
+        else:
+            continue
+        named.append((flag, same, os.path.realpath(path), flag in outputs))
+    for i, (flag, same, real, writes) in enumerate(named):
+        for other, other_same, _, other_writes in named[:i]:
+            if same == other_same and (writes or other_writes):
                 raise ValueError(f"{other} and {flag} name the same file: {real}")
 
 
@@ -167,7 +178,7 @@ def _read_core_set(path: str) -> list[int]:
             if comma and region.strip() != "core":
                 continue  # the CSV's header, or a node of another region
             try:
-                nodes.append(int(node_s))
+                nodes.append(_decimal_id(node_s))
             except ValueError as exc:
                 raise ValueError(f"core-set file line {lineno}: not a node id: {line!r}") from exc
     return nodes
@@ -223,7 +234,7 @@ _SPEC_KEYS = {
     "base_rng_seed": ("base_rng_seed", int),
     "max_iter": ("max_iter", int),
     "per_point_fresh_graph": ("per_point_fresh_graph", _parse_bool),
-    "seeds": ("seeds", lambda text: tuple(int(v) for v in text.split(","))),
+    "seeds": ("seeds", lambda text: tuple(_decimal_id(v) for v in text.split(","))),
     "edgelist_path": ("edgelist_path", str),
 }
 

@@ -17,9 +17,10 @@ Ids are integers, so either way gives the same array.
 The input rules on node ids and text are stated here once, for the whole
 package: ``_as_ids`` takes an array of ids (an integer dtype, every id
 non-negative), ``_is_int`` a single id or count (an integer, not a bool),
-``_check_nodes`` holds sorted ids to a graph's [0, n), and ``_data_lines``
-picks the lines of a text input that hold data (neither blank nor a '#'
-comment).
+``_decimal_id`` an id written in a text input (an optional sign and ASCII
+digits), ``_check_nodes`` holds sorted ids to a graph's [0, n), and
+``_data_lines`` picks the lines of a text input that hold data (neither
+blank nor a '#' comment).
 """
 
 from __future__ import annotations
@@ -120,6 +121,20 @@ def _is_int(x) -> bool:
     """Whether the scalar ``x`` is an integer, a bool not counted: the rule
     ``_as_ids`` applies to the dtype of an array."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _decimal_id(text: str) -> int:
+    """The integer that ``text`` writes as an optional sign and ASCII
+    digits, blanks around them allowed: the ids ``np.loadtxt`` reads. Raises
+    ValueError on anything else, including what ``int()`` alone would take,
+    such as ``1_0`` or an Arabic-Indic digit. The sign is read, so a
+    negative id is left to the range checks."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def _check_nodes(n: int, ids, what: str = "node") -> None:
@@ -359,7 +374,7 @@ def _scan_edges(lines: Iterable[str]) -> np.ndarray:
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected two node ids, got {stripped!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _decimal_id(tokens[0]), _decimal_id(tokens[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer node id in {stripped!r}") from None
         if not (0 <= u <= _MAX_ID and 0 <= v <= _MAX_ID):

@@ -12,37 +12,40 @@ soft threshold; nothing else changes). Q has its spectrum inside
 
 ``gradient``, ``forward_map``, ``objective_value``, ``kkt_residual`` and the
 prox-gradient step ``prox_grad_step`` share one gather core, ``_gather``: it
-reads the adjacency rows of supp(x) only and returns the candidates supp(x) +
-N(supp(x)) + {v} with (Qx) at each of them, so every one of these costs
-O(vol(supp(x))). Its accumulation order is fixed (sources in ascending node
-order, CSR row order within a source). ``prox``, the step and FISTA's
-step from the forward maps in ``l1ppr.solver`` share one weighted soft
-threshold, ``_soft_threshold``, and ``kkt_residual`` is the residual the
-step returns. The threshold returns the shrunk frame, the shrunk value at
-every entry it is given and a signed zero at each it drops, and its callers
-take the values that survive from it by its mask. The step takes x at its
-candidates from that frame, so it fills no zero array, and forms its
-residual in place in it. The dict-based
-implementations these functions replaced live on in ``tests/reference.py``,
-and the tests check the two bit for bit.
+reads the adjacency rows of supp(x) only and returns a frame of node ids that
+holds the candidates supp(x) + N(supp(x)) + {v}, with (Qx) at each id of it,
+so every one of these costs O(vol(supp(x))). Its accumulation order is fixed
+(sources in ascending node order, CSR row order within a source). ``prox``,
+the step and FISTA's step from the forward maps in ``l1ppr.solver`` share
+one weighted soft threshold, ``_soft_threshold``, and ``kkt_residual`` is
+the residual the step returns. The threshold returns the shrunk frame, the
+shrunk value at every entry it is given and a signed zero at each it drops,
+and its callers take the values that survive from it by its mask. The step
+takes x on its frame from that one, so it fills no zero array, and forms
+its residual in place in it. The dict-based implementations these functions
+replaced live on in ``tests/reference.py``, and the tests check the two bit
+for bit.
 
 Points enter and leave as their (sorted nodes, values) arrays; nothing is
 held in an array of length n. The core keeps one thing per graph (weakly,
 so it goes with the graph), known to ``_gather`` alone: the plan of the
-last support it read, the candidates and the edge-aligned bins and weights
+last support it read, the frame and the edge-aligned bins and weights
 that depend on the seed and the support only.
 
-A build bins each row entry in one of two ways. When the largest candidate
-id is below the number of row entries the build reads, the bin is the node
-id itself, and the per-bin sums are then read at the candidates. Otherwise
-the bin is the node's position among the candidates, found by one sorted
-search of the support, the rows read and the seed. Either way costs no more
-than the read, and every bin gets the same terms in the same order, so the
-two give the same bits. The zero point reads no row; its one candidate is
-the seed. A call at the seed and support of the previous one, which is most
-steps of a solve once its support settles, reuses the plan: it reads no
-adjacency row, and does the same products and the same per-bin sums in edge
-order as a call that builds the plan.
+A build frames the candidates in one of two ways. When the largest candidate
+id, top, is below the number of row entries the build reads, the frame is
+the whole id span [0, top] and a row entry's bin is its node id. An id of
+the span that is no candidate gets no term, so the point, (Qz) and the
+forward map are +0.0 there, and the threshold drops it, as every node has
+degree at least one. Otherwise the frame is the candidates alone, and a
+bin is the node's position among them, found by one sorted search of the
+support, the rows read and the seed. Either frame is no longer than the
+read, and every bin gets the same terms in the same order, so the two give
+the same bits. The zero point reads no row; its frame is the seed alone.
+A call at the seed and support of the previous one, which is most steps of
+a solve once its support settles, reuses the plan: it reads no adjacency
+row, and does the same products and the same per-bin sums in edge order as
+a call that builds the plan.
 
 A support a step returns may be the plan's read-only copy of its input
 support: it is, exactly when the step leaves the support unchanged. A call
@@ -240,15 +243,16 @@ class _Plan(NamedTuple):
     """What the gather core derives from the graph, the seed and the support
     ``act`` alone: its own copy of ``act``, D^{-1/2} at ``act`` and its row
     lengths, then per entry of those rows, in edge order, the bin of its node
-    and D^{-1/2} at it, the number of bins, then the candidates, sqrt(d) at
-    them, which of them are in ``act``, and the positions of ``act`` and of
-    the seed among them. Its arrays are read-only.
+    and D^{-1/2} at it, then the frame, sqrt(d) at each id of it, which of
+    them are in ``act``, and the positions of ``act`` and of the seed in it.
+    Its arrays are read-only.
 
-    A build bins in one of two ways, and every bin gets the same terms in the
-    same order either way. When the largest candidate id is below the number
-    of row entries the build reads, the bins are the node ids themselves, and
-    the sums are then read at the candidates. Otherwise a bin is the node's
-    position among the candidates, found by one sorted search, so a support
+    A build frames the candidates in one of two ways, and every bin gets the
+    same terms in the same order either way. When the largest candidate id,
+    top, is below the number of row entries the build reads, the frame is
+    the id span [0, top], no longer than those rows, and a bin is the node
+    id itself. Otherwise the frame is the candidates, and a bin is the
+    node's position among them, found by one sorted search, so a support
     whose neighbors reach ids far above its volume costs no more than that
     volume."""
 
@@ -258,7 +262,6 @@ class _Plan(NamedTuple):
     lens: np.ndarray
     bins: np.ndarray
     isd_nbrs: np.ndarray
-    nbins: int
     cand: np.ndarray
     sqrt_cand: np.ndarray
     in_act: np.ndarray
@@ -285,15 +288,12 @@ def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple) -> _Plan:
     top = max(seed, int(act[-1])) if act.size else seed
     if top < nbrs.size:
         top = max(top, int(g.neighbors[g.row_offsets[act + 1] - 1].max()))
+    own = act.astype(np.int64)  # a copy: the caller's array stays writable
     if top < nbrs.size:
-        # bin by node id: mark the candidates over the id span
-        mark = np.bincount(nbrs, minlength=top + 1).astype(bool)
-        mark[act] = True
-        mark[seed] = True
-        cand = np.flatnonzero(mark)
-        bins, nbins = nbrs, top + 1
-        act_pos = np.searchsorted(cand, act)
-        at_seed = int(np.count_nonzero(mark[:seed]))  # the candidates below it
+        # bin by node id over the frame of the whole id span [0, top], no
+        # longer than the rows read; an id that is no candidate gets no term
+        cand, bins, act_pos, at_seed = np.arange(top + 1), nbrs, own, seed
+        sqrt_cand = g.sqrt_degrees[:top + 1]
     else:
         # bin by position among the candidates, found by one sorted search
         # of act, the rows read and the seed
@@ -301,26 +301,25 @@ def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple) -> _Plan:
         cand = _distinct(idx)
         at = np.searchsorted(cand, idx)
         act_pos, bins, at_seed = at[:act.size], at[act.size:-1], int(at[-1])
-        nbins = cand.size
+        sqrt_cand = g.sqrt_degrees[cand]
     in_act = np.zeros(cand.size, dtype=bool)
     in_act[act_pos] = True
-    arrays = (act.astype(np.int64), isd[act], lens, bins, isd[nbrs])
-    cand_arrays = (cand, g.sqrt_degrees[cand], in_act, act_pos)
-    for a in arrays + cand_arrays:
+    arrays = (own, isd[act], lens, bins, isd[nbrs], cand, sqrt_cand, in_act, act_pos)
+    for a in arrays:
         a.setflags(write=False)
-    return _Plan(key, *arrays, nbins, *cand_arrays, at_seed)
+    return _Plan(key, *arrays, at_seed)
 
 
 def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
-    """Gather core: the plan of the support ``act``, the point at its
-    candidates and (Qz) at them.
+    """Gather core: the plan of the support ``act``, the point on its frame
+    and (Qz) there.
 
     The point z is ``vals`` at the sorted, distinct nodes ``act`` and zero
-    elsewhere. The candidates are ``act``, its neighbors and the seed, in
-    ascending order; only the rows of ``act`` are read, and only when the
-    graph's plan is for another seed or support. ``act`` that is the plan's
-    own array, as a step returns on an unchanged support, finds the plan
-    without building a key.
+    elsewhere. The frame holds the candidates, ``act``, its neighbors and
+    the seed, in ascending order; only the rows of ``act`` are read, and only
+    when the graph's plan is for another seed or support. ``act`` that is
+    the plan's own array, as a step returns on an unchanged support, finds
+    the plan without building a key.
     """
     plan = _PLANS.get(g)
     if plan is None or act is not plan.act or plan.key[0] != p.seed:
@@ -332,9 +331,7 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
     weights = (vals * plan.isd_act).repeat(plan.lens)
     weights *= plan.isd_nbrs
     # bincount adds in edge order: sources ascending, CSR order within a row
-    sums = np.bincount(plan.bins, weights=weights, minlength=plan.nbins)
-    if plan.nbins > plan.cand.size:  # binned by node id
-        sums = sums[plan.cand]
+    sums = np.bincount(plan.bins, weights=weights, minlength=plan.cand.size)
     zc = np.zeros(plan.cand.size)
     zc[plan.act_pos] = vals
     qz = p.hp * zc
@@ -343,8 +340,8 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
 
 
 def _gradient_at(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
-    """The plan of the point z (``vals`` at ``act``), z at its candidates
-    and grad f(z) = Qz - alpha D^{-1/2} e_v at them."""
+    """The plan of the point z (``vals`` at ``act``), z on its frame and
+    grad f(z) = Qz - alpha D^{-1/2} e_v there."""
     plan, zc, grad = _gather(g, p, act, vals)
     grad[plan.at_seed] -= p.alpha * g.inv_sqrt_degrees[p.seed]
     return plan, zc, grad
@@ -379,15 +376,16 @@ def prox_grad_step(
 
     Returns the sorted support of x, the values on it, the fixed-point
     residual ||z - x||_inf, which is ``kkt_residual`` at z, and the frame of
-    z the step worked in: the gather plan's read-only candidate array, z at
-    each candidate (``z_vals`` at ``z_act``, +0.0 at the other candidates)
-    and the forward map u(z) = z - grad f(z) that the step thresholded,
-    ``forward_map`` at z bit for bit with its zeros kept. The candidates
-    cover supp(z) and supp(x). When supp(x) equals supp(z), the support
+    z the step worked in: the gather plan's read-only array of ids, z at
+    each (``z_vals`` at ``z_act``, +0.0 at every other id) and the forward
+    map u(z) = z - grad f(z) that the step thresholded, ``forward_map`` at z
+    bit for bit with its zeros kept. The frame, the candidates
+    supp(z) + N(supp(z)) + {v} or the id span [0, top] that holds them,
+    covers supp(z) and supp(x). When supp(x) equals supp(z), the support
     returned is the plan's read-only copy of ``z_act``, and a step from it
     finds the plan by identity.
 
-    x at the candidates is the soft threshold's frame itself, with a signed
+    x on the frame is the soft threshold's frame itself, with a signed
     zero at each dropped entry, so the step fills no zero array and
     scatters nothing; once the values on supp(x) are taken from it, the
     residual is formed in place in it.
@@ -398,7 +396,7 @@ def prox_grad_step(
     vals = x[keep]
     # comparing the masks' bytes costs less than np.array_equal on short ones
     act = plan.act if keep.tobytes() == plan.in_act.tobytes() else plan.cand[keep]
-    # the candidates cover supp(z) and supp(x); both are 0 elsewhere, and
+    # the frame covers supp(z) and supp(x); both are 0 elsewhere, and
     # |z - x| takes no sign from x's signed zeros
     np.subtract(zc, x, out=x)
     return act, vals, float(np.abs(x, out=x).max()), plan.cand, zc, u

@@ -30,8 +30,10 @@ ledger is the method's, not the kernel's.
 
 Iterates stay in their (sorted nodes, values) array form throughout, so a
 solve's wall clock follows the volume of its iterates, not n. Each step
-also returns the frame of its input point: the plan's candidate array and
-the point and its forward map at it. A solve holds no array of length n:
+also returns the frame of its input point: the plan's array of ids, which
+holds the candidates (it is either those alone or the id span up to the
+largest of them, no longer than the rows the step read), and the point and
+its forward map at each of them. A solve holds no array of length n:
 all the gather core keeps per graph, in :mod:`l1ppr.objective`, is the
 plan of the last support a step read, sized by that support's volume.
 Once a solve's support stops changing, which the iterates of a
@@ -40,13 +42,12 @@ plan and read no adjacency row.
 
 FISTA extrapolates y_k and u(y_k) together, in one call, from the frames of
 x_k and x_{k-1}. While the support stands, both frames are on the plan's
-one candidate array and their values are aligned as they are. When the
-candidate arrays differ, it merges them into their union and places a
-frame's two value arrays on it only when its candidates do not already
-cover it; most support changes only add nodes, and then the newer frame
-covers the union. vol(supp y_k) is the degree sum over the nonzero entries
+one array of ids and their values are aligned as they are. When the id
+arrays differ, it merges them into their union and places a frame's two
+value arrays on it only when its ids do not already cover it; most
+support changes only add nodes, and then the newer frame covers the union. vol(supp y_k) is the degree sum over the nonzero entries
 of y_k in the frame; the volume of a support, and sqrt(d) at the
-candidates, are computed once per array, not once per iteration. A step
+frame's ids, are computed once per array, not once per iteration. A step
 that leaves its input's support unchanged returns the plan's own support
 array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
 supp(T(x_k)), so the next step finds the plan by identity.

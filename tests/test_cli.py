@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -345,6 +346,18 @@ def test_solve_rejects_a_trace_over_its_graph(tmp_path, capsys):
     assert graph.read_bytes() == before
 
 
+def test_solve_rejects_a_trace_hard_linked_to_its_graph(tmp_path, capsys):
+    """A hard link resolves to a path of its own, but it is the graph's file:
+    a trace there exits 2 and leaves the graph as it was."""
+    graph = Path(write_star(tmp_path))
+    before = graph.read_bytes()
+    hard = tmp_path / "hard.txt"
+    os.link(graph, hard)
+    _rejects_same_file(["solve", str(graph), "--alpha", "0.5", "--rho", "0.1", "--seed-node", "100",
+                        "--trace", str(hard)], capsys, ("--trace", "graph"))
+    assert graph.read_bytes() == before
+
+
 def test_gen_rejects_one_file_for_edges_and_partition(tmp_path, capsys):
     same = tmp_path / "s.txt"
     same.write_text("kept\n")
@@ -548,6 +561,30 @@ def test_check_bad_core_partition_row(tmp_path, capsys):
     assert capsys.readouterr().err == "error: core-set file line 3: not a node id: 'x,core'\n"
 
 
+# ids that int() alone reads, as 10 and 3: an id is an optional sign and
+# ASCII digits
+_NOT_DECIMAL = ["1_0", "\u0663"]
+
+
+@pytest.mark.parametrize("bad", _NOT_DECIMAL)
+def test_check_rejects_a_core_id_that_is_not_decimal(tmp_path, capsys, bad):
+    graph = write_six_path(tmp_path)
+    core = tmp_path / "regions.csv"
+    core.write_text(f"node,region\n2,core\n{bad},core\n", encoding="utf-8")
+    rc = main(["check", graph, "--core-set", str(core), "--alpha", "0.5", "--rho", "1.0"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: core-set file line 3: not a node id: {bad + ',core'!r}\n")
+
+
+@pytest.mark.parametrize("bad", _NOT_DECIMAL)
+def test_sweep_rejects_a_seed_that_is_not_decimal(tmp_path, capsys, monkeypatch, bad):
+    _stub_run_sweep(monkeypatch)
+    spec_path = tmp_path / "spec.cfg"
+    spec_path.write_text(f"axis = rho\ngrid = 0.1\nalpha = 0.5\nseeds = 0, {bad}\n", encoding="utf-8")
+    rc = main(["sweep", str(spec_path), "--out", str(tmp_path / "o.csv")])
+    assert (rc, capsys.readouterr().err) == (
+        2, f"error: spec line 4: bad seeds value {'0, ' + bad!r}: not a decimal integer: {' ' + bad!r}\n")
+
+
 SPEC_TEXT = """\
 # comment line
 axis = rho
@@ -696,8 +733,16 @@ def _float_list(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def _decimal(text):
+    """The id ``text`` writes as an optional sign and ASCII digits, blanks
+    around them allowed."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _int_list(text):
-    return tuple(int(v) for v in text.split(","))
+    return tuple(_decimal(v) for v in text.split(","))
 
 
 def _bool(text):
@@ -798,7 +843,7 @@ def test_sweep_spec_fuzz_never_raises(lines, eol, tmp_path, capsys, monkeypatch)
 
 def _not_node_id(text):
     text = text.strip()
-    return text != "" and not text.startswith("#") and text != "node,region" and _rejects(int, text)
+    return text != "" and not text.startswith("#") and text != "node,region" and _rejects(_decimal, text)
 
 
 @st.composite
@@ -816,7 +861,7 @@ def _core_set_with_bad_line(draw):
     bad = draw(st.one_of(
         _LINE.filter(lambda t: "," not in t and _not_node_id(t)),
         st.builds(lambda node, pad: f"{node},{pad}core{pad}",
-                  _LINE.filter(lambda t: "," not in t and _rejects(int, t)
+                  _LINE.filter(lambda t: "," not in t and _rejects(_decimal, t)
                                and not t.lstrip().startswith("#")), _PAD),
     ))
     lines = draw(st.lists(good, max_size=6))

@@ -237,17 +237,19 @@ def test_parse_snap_comments_and_errors(tmp_path):
 
 
 _INT64_MAX = 2**63 - 1
-# (token, the id int() reads from it): tokens where np.loadtxt and int() may
-# disagree sit next to plain ones
+# (token, the id it writes): a sign, leading zeros and the largest id sit
+# next to plain ones
 _ID_TOKENS = st.integers(0, 12).map(lambda i: (str(i), i)) | st.sampled_from([
-    (str(_INT64_MAX), _INT64_MAX), ("+5", 5), ("07", 7), ("-0", 0), ("1_000", 1000), ("\u0663", 3),
+    (str(_INT64_MAX), _INT64_MAX), ("+5", 5), ("07", 7), ("-0", 0),
 ])
 _EDGE_LINE = st.tuples(_ID_TOKENS, _ID_TOKENS, st.sampled_from([" ", "\t", "  ", "\x0b", "\x0c"])).map(
     lambda t: (f"{t[0][0]}{t[2]}{t[1][0]}", (t[0][1], t[1][1]))
 )
 _SKIP_LINE = st.sampled_from(["", "   ", "# comment", "  # 1 2", "# 3 4 # note"]).map(lambda s: (s, None))
 _BAD_LINE = st.one_of(
-    st.sampled_from(["x 1", "1 2.5", "1.0 2", "0x1 2", "5", "1 2 3", "1 2 # note", f"{2**63} 1"]),
+    # int() alone would take 1_000 and an Arabic-Indic three
+    st.sampled_from(["x 1", "1 2.5", "1.0 2", "0x1 2", "5", "1 2 3", "1 2 # note", f"{2**63} 1",
+                     "1_000 2", "2 \u0663"]),
     st.tuples(_ID_TOKENS, st.integers(max_value=-1)).map(lambda t: f"{t[0][0]} {t[1]}"),
     st.tuples(st.integers(min_value=_INT64_MAX + 1), _ID_TOKENS).map(lambda t: f"{t[0]} {t[1][0]}"),
 )
@@ -314,6 +316,9 @@ def test_parse_snap_fuzz_against_reference(lines, bad, where, max_nodes, eol, la
     ("0 1\n1.0 2\n", "line 2: non-integer node id in '1.0 2'"),
     ("0 1\n+2 07\n", [(0, 1), (2, 7)]),
     ("0 1\n1 -2\n", "line 2: node id outside [0, 9223372036854775807] in '1 -2'"),
+    # ids are an optional sign and ASCII digits: int() alone would take both
+    ("0 1\n1_0 2\n", "line 2: non-integer node id in '1_0 2'"),
+    ("0 1\n\u0663 2\n", "line 2: non-integer node id in '\u0663 2'"),
 ])
 def test_parse_snap_fast_path_edge_cases(text, want, tmp_path):
     got = _parse(text, None, tmp_path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l1ppr.graph import build_from_edges
@@ -356,20 +356,20 @@ def test_objective_functions_leave_workspace_clean():
         gradient(g, ProblemParams(0.3, 0.05, 99, 1), x)
     forward_map(g, p, x)
     # all the graph keeps is one plan; the rows of {0, 3} read 7 entries,
-    # more than the top id 6, so its build bins by id
+    # more than the top id 6, so its build bins by id over the frame 0..6
     plan = objective._PLANS[g]
     assert type(plan) is objective._Plan
-    assert plan.nbins == g.n and plan.bins.tolist() == [1, 2, 3, 4, 5, 6, 0]
+    assert plan.cand.tolist() == list(range(g.n)) and plan.bins.tolist() == [1, 2, 3, 4, 5, 6, 0]
     # the zero point reads no row: its plan has the seed as its one
     # candidate and its one bin
     gradient(g, p, SparseVector())
     plan = objective._PLANS[g]
-    assert plan.cand.tolist() == [0] and plan.nbins == 1 and plan.bins.size == 0
+    assert plan.cand.tolist() == [0] and plan.bins.size == 0
     # the row of {6} reads 1 entry, not more than the top id 6, so its build
     # bins by position among the candidates 0 and 6
     gradient(g, p, SparseVector({6: 0.5}))
     plan = objective._PLANS[g]
-    assert plan.cand.tolist() == [0, 6] and plan.nbins == 2 and plan.bins.tolist() == [0]
+    assert plan.cand.tolist() == [0, 6] and plan.bins.tolist() == [0]
     assert plan.act_pos.tolist() == [1] and plan.at_seed == 0
 
 
@@ -396,9 +396,9 @@ def _binned(g, p):
     nbrs, _ = _rows(g, plan.act)
     top = max(p.seed, int(plan.act.max(initial=0)), int(nbrs.max(initial=0)))
     if top < nbrs.size:
-        assert plan.nbins == top + 1 and np.array_equal(plan.bins, nbrs)
+        assert np.array_equal(plan.cand, np.arange(top + 1)) and np.array_equal(plan.bins, nbrs)
         return "id"
-    assert plan.nbins == plan.cand.size and np.array_equal(plan.bins, np.searchsorted(plan.cand, nbrs))
+    assert np.array_equal(plan.bins, np.searchsorted(plan.cand, nbrs))
     return "position"
 
 
@@ -415,11 +415,20 @@ def _same_bits_both_ways(g, big, shift, p, act, vals):
     small_path = _binned(g, p)
     padded = prox_grad_step(big, pb, vals, act + shift)
     paths = small_path, _binned(big, pb)
-    for i in (0, 3):  # the support and the candidates
-        assert np.array_equal(small[i] + shift, padded[i])
-    for i in (1, 4, 5):  # the values, z and u at the candidates
-        assert small[i].tobytes() == padded[i].tobytes()
+    assert np.array_equal(small[0] + shift, padded[0])  # the support
+    assert small[1].tobytes() == padded[1].tobytes()  # the values on it
     assert small[2].hex() == padded[2].hex()
+    # the padded side's frame is on the candidates alone; an id-binned
+    # frame spans [0, top] and holds +0.0 in z and u at every other id
+    cand = padded[3] - shift
+    at = np.searchsorted(small[3], cand)
+    assert np.array_equal(small[3][at], cand)
+    assert paths[0] == "id" or small[3].size == cand.size
+    off = np.ones(small[3].size, dtype=bool)
+    off[at] = False
+    for i in (4, 5):  # z and u
+        assert small[i][at].tobytes() == padded[i].tobytes()
+        assert small[i][off].tobytes() == bytes(8 * int(off.sum()))
     assert objective_value(g, p, x).hex() == objective_value(big, pb, xb).hex()
     for f in (gradient, forward_map):
         a, b = f(g, p, x).arrays(), f(big, pb, xb).arrays()
@@ -463,6 +472,32 @@ def test_binning_by_id_and_by_position_give_the_same_bits():
     assert paths == ("id", "position")
     assert {small for small, _ in seen} == {"id", "position"}
     assert {padded for _, padded in seen} == {"position"}
+
+
+@settings(max_examples=60)
+@given(case_seed=st.integers(0, 2**32 - 1))
+def test_id_binned_plans_frame_the_id_span(case_seed):
+    """Every id-binned plan frames the whole id span [0, top], which is no
+    longer than the row entries its build read, holds sqrt(d) at each id of
+    it, and leaves the caller's support array writable."""
+    import l1ppr.objective as objective
+    from l1ppr.graph import _rows
+    from l1ppr.objective import prox_grad_step
+
+    rng = np.random.default_rng(case_seed)
+    n = int(rng.integers(2, 60))
+    g = random_connected_graph(rng, n)
+    p = ProblemParams(float(rng.uniform(0.05, 1.0)), float(rng.uniform(1e-4, 0.1)), int(rng.integers(0, n)))
+    act = np.sort(rng.choice(n, int(rng.integers(0, n + 1)), replace=False))
+    vals = rng.standard_normal(act.size)
+    for _ in range(4):  # the drawn support, then the steps' own
+        out_act, vals = prox_grad_step(g, p, vals, act)[:2]
+        assert act.flags.writeable
+        if _binned(g, p) == "id":
+            plan = objective._PLANS[g]
+            assert plan.cand.size <= _rows(g, act)[0].size
+            assert plan.sqrt_cand.tobytes() == g.sqrt_degrees[plan.cand].tobytes()
+        act = out_act.copy()  # a caller's array, not the plan's read-only one
 
 
 def test_binning_switches_where_the_top_id_reaches_the_entries_read():
