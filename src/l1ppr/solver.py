@@ -43,11 +43,17 @@ plan and read no adjacency row.
 FISTA extrapolates y_k and u(y_k) together, in one call, from the frames of
 x_k and x_{k-1}. While the support stands, both frames are on the plan's
 one array of ids and their values are aligned as they are. When the id
-arrays differ, it merges them into their union and places a frame's two
-value arrays on it only when its ids do not already cover it; most
-support changes only add nodes, and then the newer frame covers the union. vol(supp y_k) is the degree sum over the nonzero entries
-of y_k in the frame; the volume of a support, and sqrt(d) at the
-frame's ids, are computed once per array, not once per iteration. A step
+arrays differ, their union is found and a frame's two value arrays are
+placed on it only when its ids do not already cover it; most support
+changes only add nodes, and then the newer frame covers the union. A
+sorted array of n distinct ids whose last is n - 1 is the id span
+[0, n - 1], the frame of an id-binned plan: when one frame is a span and
+the other's ids end inside it, the span is the union as it is, and an id
+is its own position on it. Only two frames that neither holds are merged,
+and placed by a sorted search. vol(supp y_k) is the degree sum over the
+nonzero entries of y_k in the frame. The volume of a support, and d and
+sqrt(d) at the frame's ids (slices of the graph's arrays at a span), are
+computed once per array, not once per iteration. A step
 that leaves its input's support unchanged returns the plan's own support
 array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
 supp(T(x_k)), so the next step finds the plan by identity.
@@ -188,7 +194,8 @@ def solve(
 
     x_act, x_vals = np.empty(0, dtype=np.int64), np.empty(0)
     volume = _per_array(lambda act: int(degrees[act].sum()))
-    sqrt_deg = _per_array(lambda cand: g.sqrt_degrees[cand])
+    deg_at = _per_array(partial(_at_frame, degrees))
+    sqrt_deg = _per_array(partial(_at_frame, g.sqrt_degrees))
     if spurious_baseline is not None:
         spurious = _per_array(lambda act: int(degrees[act[~spurious_baseline.contains(act)]].sum()))
     t_act, t_vals, r, cand, z, u = prox_grad_step(g, p, x_vals, x_act)
@@ -211,7 +218,7 @@ def solve(
             if not (np.isfinite(y).all() and np.isfinite(u_y).all()):  # the threshold would drop a nan
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
             nz = y != 0.0
-            vol_y = int(degrees[y_cand[nz]].sum())
+            vol_y = int(deg_at(y_cand)[nz].sum())
             if full:
                 y_act, y_vals = y_cand[nz], y[nz]
             keep, xn = _soft_threshold(p, sqrt_deg(y_cand), u_y)
@@ -260,11 +267,18 @@ def _extrapolate(beta: float, cand: np.ndarray, z: np.ndarray, u: np.ndarray,
     of z and ``(prev_cand, prev_z, prev_u)`` of z': its candidates, y at
     them and u(y) = u + beta (u - u') at them, u being affine. The
     candidates are ``cand`` when the two candidate arrays are equal and
-    their union otherwise. The union is a merge of the two sorted arrays,
-    and a frame whose candidates cover it, which have its size, is used as
-    it is: only the other frame is placed on it."""
+    their union otherwise. A frame whose candidates cover the union, which
+    have its size, is used as it is: only the other frame is placed on it.
+    A frame that is an id span [0, top], with the other frame's last id at
+    most top, is the union; only two frames of which neither is such a span
+    are merged."""
     if cand is not prev_cand and cand.tobytes() != prev_cand.tobytes():
-        union = _union(cand, prev_cand)
+        if _is_span(cand) and prev_cand[-1] <= cand[-1]:
+            union = cand
+        elif _is_span(prev_cand) and cand[-1] <= prev_cand[-1]:
+            union = prev_cand
+        else:
+            union = _union(cand, prev_cand)
         if cand.size != union.size:
             z, u = _place(union, cand, z, u)
         if prev_cand.size != union.size:
@@ -273,12 +287,25 @@ def _extrapolate(beta: float, cand: np.ndarray, z: np.ndarray, u: np.ndarray,
     return cand, z + beta * (z - prev_z), u + beta * (u - prev_u)
 
 
+def _is_span(ids: np.ndarray) -> bool:
+    """Whether the sorted, distinct, non-empty ids are the span [0, top]:
+    n such ids are all below n exactly when the last is n - 1."""
+    return ids[-1] == ids.size - 1
+
+
+def _at_frame(values: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The per-node ``values`` at the frame's ids ``cand``: a slice of them
+    at an id span, a gather otherwise."""
+    return values[:cand.size] if _is_span(cand) else values[cand]
+
+
 def _place(union: np.ndarray, cand: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The value arrays ``z`` and ``u`` at ``cand`` (a subset of the sorted
     array ``union``) as the two rows of values at ``union``, +0.0
-    elsewhere."""
+    elsewhere. On an id span an id is its own position; elsewhere a sorted
+    search finds it."""
     out = np.zeros((2, union.size))
-    out[:, np.searchsorted(union, cand)] = z, u
+    out[:, cand if _is_span(union) else np.searchsorted(union, cand)] = z, u
     return out
 
 

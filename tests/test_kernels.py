@@ -143,11 +143,19 @@ def test_fista_places_values_only_when_the_support_changes(monkeypatch):
     ([4, 7], [1, 4, 7, 9], 1),  # nested: the older frame covers it
     ([0, 2], [1, 3, 5], 2),  # disjoint
     ([0, 2, 5], [2, 3], 2),  # overlapping
+    ([0, 1, 2, 3, 4], [0, 1, 2], 1),  # an id span and a shorter one
+    ([0, 1, 2], [0, 1, 2, 3, 4], 1),  # the same, the older frame the longer
+    ([0, 1, 2, 3, 4, 5], [1, 4, 5], 1),  # a span holding a frame that ends at its top
+    ([2, 3], [0, 1, 2, 3, 4, 5], 1),  # a span holding a frame that ends inside it
+    ([0, 1, 2, 3], [2, 5, 9], 2),  # a frame reaching past the span: merged
+    ([0, 1, 2], [1, 3], 2),  # merged into a union that is an id span
 ])
 def test_extrapolate_places_only_a_side_short_of_the_union(act, prev_act, places, monkeypatch):
     """_extrapolate equals placing both frames' z and u on np.union1d, byte
     for byte, and calls _place only for a frame that lacks some node of the
-    union. The frames' candidate arrays are ``act`` and ``prev_act``."""
+    union. The frames' candidate arrays are ``act`` and ``prev_act``. It
+    merges them with _union only when they differ and neither is an id span
+    [0, top] holding the other, which is the union itself."""
     import l1ppr.solver as solver
 
     rng = np.random.default_rng(len(act) * 10 + len(prev_act))
@@ -170,12 +178,23 @@ def test_extrapolate_places_only_a_side_short_of_the_union(act, prev_act, places
         placed.append(cand)
         return place(union, cand, z, u)
 
+    merged = []
+    merge = solver._union
+
+    def recorded_union(a, b):
+        merged.append(None)
+        return merge(a, b)
+
     monkeypatch.setattr(solver, "_place", recorded_place)
+    monkeypatch.setattr(solver, "_union", recorded_union)
     got_cand, got_y, got_u = solver._extrapolate(beta, cand, *frame, prev_cand, *prev_frame)
     assert got_cand.tobytes() == union.tobytes()
     assert got_y.tobytes() == want[0].tobytes()
     assert got_u.tobytes() == want[1].tobytes()
     assert len(placed) == places
+    span_holds = any(np.array_equal(a, np.arange(a.size)) and np.isin(b, a).all()
+                     for a, b in ((cand, prev_cand), (prev_cand, cand)))
+    assert len(merged) == (0 if act == prev_act or span_holds else 1)
 
 
 def test_step_on_an_unchanged_support_returns_the_plan_array():

@@ -378,6 +378,33 @@ def test_fista_extrapolates_once_per_iteration(method, per_iteration, monkeypatc
     assert len(calls) == per_iteration * sol.trace.iterations
 
 
+def test_fista_frame_changes_on_id_spans_merge_nothing(monkeypatch):
+    """On a ``generate`` graph most plans frame an id span [0, top], and
+    FISTA takes the span that holds the other frame as their union: its
+    solve merges ids with _union in fewer than half of the iterations its
+    frames change in."""
+    import l1ppr.solver as solver
+
+    changes, merges = [], []
+    extrapolate, merge = solver._extrapolate, solver._union
+
+    def recorded_extrapolate(beta, cand, z, u, prev_cand, prev_z, prev_u):
+        changes.append(cand.tobytes() != prev_cand.tobytes())
+        return extrapolate(beta, cand, z, u, prev_cand, prev_z, prev_u)
+
+    def recorded_union(a, b):
+        merges.append(None)
+        return merge(a, b)
+
+    monkeypatch.setattr(solver, "_extrapolate", recorded_extrapolate)
+    monkeypatch.setattr(solver, "_union", recorded_union)
+    g, part = generate(SynthParams(exterior_size=400, deg_ext=398))
+    seed = int(part.boundary.ids[0])
+    sol = solve(g, ProblemParams(0.1, 3e-5, seed), SolverConfig(eps=1e-8))
+    assert sol.trace.converged
+    assert len(merges) < sum(changes) / 2, (len(merges), sum(changes))
+
+
 # rounding allowance of a FISTA solve against the two-gather loop, as a
 # multiple of the scale of the quantities compared
 FISTA_ULPS = 8 * 2.0**-52
