@@ -89,7 +89,7 @@ def slacks(g: Graph, p: ProblemParams, x_star: SparseVector) -> SlackReport:
     tol], with tol = ``_MINIMIZER_TOL``; the one-sided upper bound reflects
     that minimizers here are nonnegative.
     """
-    plan, xc, grad = _gradient_at(g, p, *x_star.arrays())
+    plan, xc, grad, _ = _gradient_at(g, p, *x_star.arrays())
     cand, lvl = plan.cand, p.reg_level
     lam = lvl * plan.sqrt_cand
     on = xc != 0.0

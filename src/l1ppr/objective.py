@@ -22,9 +22,13 @@ the residual the step returns. The threshold returns the shrunk frame, the
 shrunk value at every entry it is given and a signed zero at each it drops,
 and its callers take the values that survive from it by its mask. The step
 takes x on its frame from that one, so it fills no zero array, and forms
-its residual in place in it. The dict-based implementations these functions
-replaced live on in ``tests/reference.py``, and the tests check the two bit
-for bit.
+its residual in place in it. ``objective_value`` sums F over the frame the
+core returns, in ``_objective_on_frame``; the step returns what that sum
+reads, the point and its gradient on the frame and (Qz) at the seed, the
+one entry where Qz and the gradient differ, so F at a step's input point
+costs no second gather (the solver's full traces keep it per iteration).
+The dict-based implementations these functions replaced live on in
+``tests/reference.py``, and the tests check the two bit for bit.
 
 Points enter and leave as their (sorted nodes, values) arrays; nothing is
 held in an array of length n. The core keeps one thing per graph (weakly,
@@ -340,11 +344,14 @@ def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tu
 
 
 def _gradient_at(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
-    """The plan of the point z (``vals`` at ``act``), z on its frame and
-    grad f(z) = Qz - alpha D^{-1/2} e_v there."""
+    """The plan of the point z (``vals`` at ``act``), z on its frame,
+    grad f(z) = Qz - alpha D^{-1/2} e_v there, and (Qz) at the seed, the
+    one entry where the two differ."""
     plan, zc, grad = _gather(g, p, act, vals)
-    grad[plan.at_seed] -= p.alpha * g.inv_sqrt_degrees[p.seed]
-    return plan, zc, grad
+    # the same read, subtraction and write as ``grad[at] -= ...``, keeping the read
+    q_seed = grad[plan.at_seed]
+    grad[plan.at_seed] = q_seed - p.alpha * g.inv_sqrt_degrees[p.seed]
+    return plan, zc, grad, q_seed
 
 
 def _soft_threshold(p: ProblemParams, sqrt_deg: np.ndarray, u: np.ndarray) -> tuple:
@@ -369,7 +376,7 @@ def prox_grad_step(
     p: ProblemParams,
     z_vals: np.ndarray,
     z_act: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """One fused prox-gradient step from the point z that is ``z_vals`` at
     the sorted, distinct nodes ``z_act``: x = prox(z - grad f(z)), the unit
     step 1/L, equal to ``prox(forward_map(z))`` bit for bit.
@@ -379,7 +386,10 @@ def prox_grad_step(
     z the step worked in: the gather plan's read-only array of ids, z at
     each (``z_vals`` at ``z_act``, +0.0 at every other id) and the forward
     map u(z) = z - grad f(z) that the step thresholded, ``forward_map`` at z
-    bit for bit with its zeros kept. The frame, the candidates
+    bit for bit with its zeros kept, then the gradient grad f(z) there,
+    from which the step formed u, and (Qz) at the seed: grad f(z) is Qz
+    at every other id, so writing that value back at the seed's id gives
+    the Qz that ``objective_value`` reads. The frame, the candidates
     supp(z) + N(supp(z)) + {v} or the id span [0, top] that holds them,
     covers supp(z) and supp(x). When supp(x) equals supp(z), the support
     returned is the plan's read-only copy of ``z_act``, and a step from it
@@ -390,7 +400,7 @@ def prox_grad_step(
     scatters nothing; once the values on supp(x) are taken from it, the
     residual is formed in place in it.
     """
-    plan, zc, grad = _gradient_at(g, p, z_act, z_vals)
+    plan, zc, grad, q_seed = _gradient_at(g, p, z_act, z_vals)
     u = zc - grad
     keep, x = _soft_threshold(p, plan.sqrt_cand, u)
     vals = x[keep]
@@ -399,12 +409,12 @@ def prox_grad_step(
     # the frame covers supp(z) and supp(x); both are 0 elsewhere, and
     # |z - x| takes no sign from x's signed zeros
     np.subtract(zc, x, out=x)
-    return act, vals, float(np.abs(x, out=x).max()), plan.cand, zc, u
+    return act, vals, float(np.abs(x, out=x).max()), plan.cand, zc, u, grad, q_seed
 
 
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     """grad f at x; support is contained in supp(x), its neighbors, and {v}."""
-    plan, _, grad = _gradient_at(g, p, *x.arrays())
+    plan, _, grad, _ = _gradient_at(g, p, *x.arrays())
     return SparseVector.from_arrays(plan.cand, grad)
 
 
@@ -422,7 +432,7 @@ def prox(g: Graph, p: ProblemParams, w: SparseVector) -> SparseVector:
 
 def forward_map(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
     """u(x) = x - grad f(x), the gradient step at the unit step 1/L."""
-    plan, xc, grad = _gradient_at(g, p, *x.arrays())
+    plan, xc, grad, _ = _gradient_at(g, p, *x.arrays())
     return SparseVector.from_arrays(plan.cand, xc - grad)
 
 
@@ -432,6 +442,20 @@ def _sum_in_order(terms: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+def _objective_on_frame(g: Graph, p: ProblemParams, xc: np.ndarray, qx: np.ndarray,
+                        sqrt_cand: np.ndarray, at_seed: int) -> float:
+    """F(x) from x on a frame that covers supp(x), (Qx) and sqrt(d) at each
+    id of it, and the seed's position in it; reads no adjacency row. The
+    quadratic and l1 terms are each summed over supp(x) in ascending node
+    order."""
+    at = np.flatnonzero(xc)  # supp(x): its values are never zero
+    xs = xc[at]
+    quad = _sum_in_order(xs * (0.5 * qx[at]))
+    l1 = _sum_in_order(sqrt_cand[at] * np.abs(xs))
+    seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
+    return quad - seed_term * float(xc[at_seed]) + p.reg_level * l1
+
+
 def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
     """Composite value F(x); F(0) is exactly 0.
 
@@ -439,12 +463,7 @@ def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
     order.
     """
     plan, xc, qx = _gather(g, p, *x.arrays())
-    at = np.flatnonzero(xc)  # supp(x): its values are never zero
-    xs = xc[at]
-    quad = _sum_in_order(xs * (0.5 * qx[at]))
-    l1 = _sum_in_order(plan.sqrt_cand[at] * np.abs(xs))
-    seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
-    return quad - seed_term * float(xc[plan.at_seed]) + p.reg_level * l1
+    return _objective_on_frame(g, p, xc, qx, plan.sqrt_cand, plan.at_seed)
 
 
 def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector) -> float:

@@ -57,6 +57,13 @@ computed once per array, not once per iteration. A step
 that leaves its input's support unchanged returns the plan's own support
 array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
 supp(T(x_k)), so the next step finds the plan by identity.
+
+A full trace keeps F(x_{k+1}) per iteration, from the step from x_{k+1}
+that the loop takes anyway: the step returns x_{k+1} and grad f(x_{k+1}) on
+its frame and (Qx) at the seed, which is all ``objective_value`` reads of
+its own gather, so the value is the same bits with no second gather and no
+plan build. ``rate_envelope`` reads that column. A summary solve computes
+none of it.
 """
 
 from __future__ import annotations
@@ -75,8 +82,9 @@ from .objective import (
     SparseVector,
     _check_alpha,
     _check_ints,
+    _objective_on_frame,
     _soft_threshold,
-    objective_value,
+    objective_value,  # noqa: F401  (perfbench/tracing.py wraps solver.objective_value)
     prox_grad_step,
 )
 
@@ -132,8 +140,10 @@ class SolveTrace:
 
     Each column holds one entry per iteration; ``spurious_vol`` is ``None``
     when the solve had no baseline. At the full level ``snapshots`` holds
-    ``(y_nodes, y_vals, x_nodes, x_vals)`` per iteration. The counters are
-    read off the columns.
+    ``(y_nodes, y_vals, x_nodes, x_vals)`` per iteration and ``objective``
+    F(x_{k+1}) at each, ``objective_value`` of that snapshot's x bit for
+    bit; at the summary level both stay empty. The counters are read off
+    the columns.
     """
 
     final_residual: float = float("inf")
@@ -142,6 +152,7 @@ class SolveTrace:
     vol_supp_y: array = field(default_factory=partial(array, "q"))
     vol_supp_x_next: array = field(default_factory=partial(array, "q"))
     residual: array = field(default_factory=partial(array, "d"))
+    objective: array = field(default_factory=partial(array, "d"))
     spurious_vol: array | None = None
     snapshots: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
 
@@ -198,7 +209,7 @@ def solve(
     sqrt_deg = _per_array(partial(_at_frame, g.sqrt_degrees))
     if spurious_baseline is not None:
         spurious = _per_array(lambda act: int(degrees[act[~spurious_baseline.contains(act)]].sum()))
-    t_act, t_vals, r, cand, z, u = prox_grad_step(g, p, x_vals, x_act)
+    t_act, t_vals, r, cand, z, u, grad, q_seed = prox_grad_step(g, p, x_vals, x_act)
     prev_cand, prev_z, prev_u = cand, z, u  # x_{-1} = x_0
     for k in range(cfg.max_iter):
         if r <= cfg.eps:
@@ -230,7 +241,7 @@ def solve(
                 xn_act = t_act
 
         prev_cand, prev_z, prev_u = cand, z, u
-        t_act, t_vals, r, cand, z, u = prox_grad_step(g, p, xn_vals, xn_act)
+        t_act, t_vals, r, cand, z, u, grad, q_seed = prox_grad_step(g, p, xn_vals, xn_act)
 
         trace.vol_supp_y.append(vol_y)
         trace.vol_supp_x_next.append(volume(xn_act))
@@ -239,12 +250,23 @@ def solve(
             trace.spurious_vol.append(spurious(xn_act))
         if full:
             trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
+            trace.objective.append(_objective_at_step(g, p, cand, z, grad, q_seed, sqrt_deg))
 
         x_act, x_vals = xn_act, xn_vals
 
     trace.converged = r <= cfg.eps
     trace.final_residual = r
     return Solution(SparseVector.from_arrays(x_act, x_vals), trace, NodeSet._adopt(x_act))
+
+
+def _objective_at_step(g: Graph, p: ProblemParams, cand: np.ndarray, z: np.ndarray,
+                       grad: np.ndarray, q_seed: float, sqrt_deg) -> float:
+    """F(z) from the frame of the step from z: z and grad f(z) at the ids
+    ``cand``, and (Qz) at the seed, which is written back into ``grad`` to
+    give Qz there. ``sqrt_deg`` gives sqrt(d) at a frame."""
+    at_seed = p.seed if _is_span(cand) else int(np.searchsorted(cand, p.seed))
+    grad[at_seed] = q_seed
+    return _objective_on_frame(g, p, z, grad, sqrt_deg(cand), at_seed)
 
 
 def _per_array(fn):
@@ -333,14 +355,18 @@ def rate_envelope(
     """Measured optimality gaps against the envelope 2*Delta0*(1-sqrt(alpha))^k.
 
     ``f_star`` must come from a high-precision reference solve; Delta0 is
-    F(0) - f_star = -f_star. Requires a full trace (iterate snapshots).
+    F(0) - f_star = -f_star. Requires a full trace, whose ``objective``
+    column holds F(x_k) for k >= 1, one entry per snapshot: the envelope
+    reads it, in O(iterations), and evaluates nothing on the graph.
     """
-    del cfg
+    del g, cfg
     _require_full(trace)
+    if len(trace.objective) != len(trace.snapshots):
+        raise ValueError(f"trace.objective has {len(trace.objective)} entries "
+                         f"for {len(trace.snapshots)} snapshots")
     delta0 = 0.0 - f_star
     decay = 1.0 - math.sqrt(p.alpha)
     points = [EnvelopePoint(0, delta0, 2.0 * delta0)]
-    for k, (_, _, x_nodes, x_vals) in enumerate(trace.snapshots, start=1):
-        gap = objective_value(g, p, SparseVector.from_arrays(x_nodes, x_vals)) - f_star
-        points.append(EnvelopePoint(k, gap, 2.0 * delta0 * decay**k))
+    for k, f in enumerate(trace.objective, start=1):
+        points.append(EnvelopePoint(k, f - f_star, 2.0 * delta0 * decay**k))
     return points

@@ -6,20 +6,24 @@ source). ``l1ppr.objective`` and the step kernel compute the same
 quantities through one vectorised gather core and one vectorised soft
 threshold; the tests check the two against each other bit for bit.
 ``jump_audit`` is the per-node loop that ``l1ppr.diagnostics.jump_audit``
-replaced, and ``two_gather_fista`` the FISTA loop that ``l1ppr.solver.solve``
-ran before it took the step from y_k from the residual steps' forward maps.
+replaced, ``rate_envelope`` the envelope that evaluated F at each snapshot
+before full traces kept F(x_{k+1}), and ``two_gather_fista`` the FISTA loop
+that ``l1ppr.solver.solve`` ran before it took the step from y_k from the
+residual steps' forward maps.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
 
+from l1ppr import objective
 from l1ppr.diagnostics import JumpViolation, slacks
 from l1ppr.graph import Graph, NodeSet
 from l1ppr.objective import ProblemParams, SparseVector, prox_grad_step
-from l1ppr.solver import SolveTrace, fista_momentum
+from l1ppr.solver import EnvelopePoint, SolveTrace, fista_momentum
 
 
 def _check_seed(g: Graph, p: ProblemParams) -> None:
@@ -138,6 +142,18 @@ def jump_audit(g: Graph, p: ProblemParams, trace: SolveTrace, x_star: SparseVect
             if not lhs > rhs:
                 violations.append(JumpViolation(k, i, lhs, rhs))
     return violations
+
+
+def rate_envelope(g: Graph, p: ProblemParams, trace: SolveTrace, f_star: float) -> list[EnvelopePoint]:
+    """The envelope points of ``l1ppr.solver.rate_envelope``, with F(x_k)
+    evaluated by ``objective_value`` (one gather each) at every snapshot."""
+    delta0 = 0.0 - f_star
+    decay = 1.0 - math.sqrt(p.alpha)
+    points = [EnvelopePoint(0, delta0, 2.0 * delta0)]
+    for k, (_, _, x_nodes, x_vals) in enumerate(trace.snapshots, start=1):
+        gap = objective.objective_value(g, p, SparseVector.from_arrays(x_nodes, x_vals)) - f_star
+        points.append(EnvelopePoint(k, gap, 2.0 * delta0 * decay**k))
+    return points
 
 
 def two_gather_fista(g: Graph, p: ProblemParams, eps: float, max_iter: int,

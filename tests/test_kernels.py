@@ -18,11 +18,12 @@ def _run_step(g, p, x: SparseVector):
     act, vals = x.arrays()
     # with no plan on the graph, the step builds one
     objective._PLANS.pop(g, None)
-    out_act, out_vals, residual, cand, z, u = prox_grad_step(g, p, vals, act)
+    out_act, out_vals, residual, cand, z, u, grad, q_seed = prox_grad_step(g, p, vals, act)
     assert np.all(np.diff(out_act) > 0)
     assert np.all(out_vals != 0.0)
-    assert np.all(np.diff(cand) > 0) and cand.shape == z.shape == u.shape
-    return out_act, out_vals, residual, cand, z, SparseVector.from_arrays(cand, u)
+    assert np.all(np.diff(cand) > 0) and cand.shape == z.shape == u.shape == grad.shape
+    return (out_act, out_vals, residual, cand, z, SparseVector.from_arrays(cand, u),
+            SparseVector.from_arrays(cand, grad), q_seed)
 
 
 def random_problem(case_seed):
@@ -43,11 +44,15 @@ def random_problem(case_seed):
 def test_step_matches_reference_ops_bitwise(case_seed):
     """The fused kernel must equal prox(forward_map(x)) from the dict-based
     reference bit for bit, not merely to rounding, and the frame it returns
-    must hold x at its candidates, +0.0 off supp(x), and the reference's
-    forward_map(x)."""
+    must hold x at its candidates, +0.0 off supp(x), the reference's
+    forward_map(x) and gradient(x), and Qx at the seed, from which that
+    gradient's value there is the seed term alpha / sqrt(d_v) less."""
     g, p, x = random_problem(case_seed)
     u = forward_map(g, p, x)
-    act, vals, residual, cand, z, got_u = _run_step(g, p, x)
+    act, vals, residual, cand, z, got_u, got_grad, q_seed = _run_step(g, p, x)
+    assert got_grad == gradient(g, p, x)
+    seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
+    assert q_seed - seed_term == got_grad.get(p.seed)
     got = SparseVector(dict(zip(act.tolist(), vals.tolist())))
     assert got == prox(g, p, u)  # SparseVector equality is exact
     assert residual == kkt_residual(g, p, x)
@@ -59,7 +64,7 @@ def test_step_matches_reference_ops_bitwise(case_seed):
 def test_step_from_zero_activates_seed_region():
     g, _ = build_from_edges([(0, 1), (1, 2)])
     p = ProblemParams(0.9, 0.01, 0, 1)
-    act, vals, residual, _, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
+    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))[:3]
     # u = alpha / sqrt(d_0) at the seed, zero elsewhere
     assert act.tolist() == [0]
     tau0 = p.reg_level * g.sqrt_degrees[0]
@@ -72,7 +77,7 @@ def test_exact_tie_dropped_by_kernel():
     g, _ = build_from_edges([(0, 1)])
     # u_0 = alpha*1; tau_0 = reg*1 -> tie when rho = 1/reg_factor... pick c=1, rho=1
     p = ProblemParams(1.0, 1.0, 0, 1)
-    act, vals, residual, _, _, _ = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))
+    act, vals, residual = prox_grad_step(g, p, np.zeros(0), np.array([], dtype=np.int64))[:3]
     assert act.size == 0 and vals.size == 0
     assert residual == 0.0
 

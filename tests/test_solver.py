@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from l1ppr import objective
 from l1ppr.graph import NodeSet, build_from_edges, volume
-from l1ppr.objective import ProblemParams, SparseVector, kkt_residual, objective_value, prox_grad_step
+from l1ppr.objective import REG_FACTORS, ProblemParams, SparseVector, kkt_residual, objective_value, prox_grad_step
 from l1ppr.solver import (
+    METHODS,
     NumericalDivergenceError,
     SolverConfig,
     fista_momentum,
@@ -15,6 +20,7 @@ from l1ppr.solver import (
 from l1ppr.synth import SynthParams, generate, star_instance
 
 from oracle import build_dense, clique_ring, dense_solve, random_connected_graph
+import reference
 from reference import two_gather_fista
 
 
@@ -128,13 +134,29 @@ def test_work_ledger_replays_from_snapshots():
     assert isinstance(tr.total_work, int)
 
 
-def test_summary_trace_has_no_snapshots():
+def test_summary_trace_has_no_snapshots(monkeypatch):
+    """A summary solve keeps no snapshots and no objective column, and
+    evaluates no F; a full one keeps one of each per iteration."""
+    import l1ppr.solver as solver
+
+    calls = []
+    on_frame = solver._objective_on_frame
+
+    def counted(*args):
+        calls.append(None)
+        return on_frame(*args)
+
+    monkeypatch.setattr(solver, "_objective_on_frame", counted)
     g = star(3)
     p = ProblemParams(0.5, 0.01, 0, 1)
-    sol = solve(g, p, SolverConfig(method="fista", eps=1e-8))
-    assert sol.trace.iterations and not sol.trace.snapshots
-    full = solve(g, p, SolverConfig(method="fista", eps=1e-8, trace_level="full"))
-    assert full.trace.iterations and len(full.trace.snapshots) == full.trace.iterations
+    for method in METHODS:
+        sol = solve(g, p, SolverConfig(method=method, eps=1e-8))
+        assert sol.trace.iterations and not sol.trace.snapshots and not sol.trace.objective
+        assert not calls
+        full = solve(g, p, SolverConfig(method=method, eps=1e-8, trace_level="full"))
+        assert full.trace.iterations and len(full.trace.snapshots) == full.trace.iterations
+        assert len(full.trace.objective) == len(calls) == full.trace.iterations
+        calls.clear()
 
 
 def _faulty_step(fault):
@@ -156,14 +178,14 @@ def _faulty_step(fault):
     calls = []
 
     def step(g, p, z_vals, z_act):
-        act, vals, r, cand, z, u = prox_grad_step(g, p, z_vals, z_act)
+        act, vals, r, cand, z, u, grad, q_seed = prox_grad_step(g, p, z_vals, z_act)
         calls.append(None)
         if len(calls) < 3:
-            return act, vals, r, cand, z, u
+            return act, vals, r, cand, z, u, grad, q_seed
         bad = np.inf if fault == "inf" else (1.5e308 if len(calls) % 2 else -1.5e308)
         if fault == "point":
-            return act, vals, r, cand, np.full(z.size, bad), u
-        return act, np.full(vals.size, bad), r, cand, z, np.full(u.size, bad)
+            return act, vals, r, cand, np.full(z.size, bad), u, grad, q_seed
+        return act, np.full(vals.size, bad), r, cand, z, np.full(u.size, bad), grad, q_seed
 
     return step
 
@@ -227,11 +249,72 @@ def test_spurious_accumulation_matches_full_trace():
 
 
 def test_rate_envelope_requires_full_trace():
+    """A summary trace is refused first; a full one whose objective column
+    is shorter than its snapshots is refused by name, not filled in."""
     g = star(4)
     p = ProblemParams(0.5, 0.1, 0, 1)
     sol = solve(g, p, SolverConfig(method="fista", eps=1e-10))
     with pytest.raises(ValueError, match="full trace"):
         rate_envelope(g, p, SolverConfig(), sol.trace, f_star=-1.0)
+    full = solve(g, p, SolverConfig(method="fista", eps=1e-10, trace_level="full")).trace
+    short = replace(full, objective=full.objective[:-1])
+    with pytest.raises(ValueError, match="^full trace required, got a summary trace$"):
+        rate_envelope(g, p, SolverConfig(), replace(short, level="summary"), f_star=-1.0)
+    with pytest.raises(ValueError, match=r"^trace\.objective has \d+ entries for \d+ snapshots$"):
+        rate_envelope(g, p, SolverConfig(), short, f_star=-1.0)
+
+
+def _assert_objective_column_and_envelope(g, p, method, eps=1e-10, max_iter=5000):
+    """The full trace's objective column is objective_value at each
+    snapshot, and rate_envelope the reference's points, byte for byte;
+    rate_envelope calls no gather, where the reference calls one per
+    snapshot."""
+    cfg = SolverConfig(method=method, eps=eps, max_iter=max_iter, trace_level="full")
+    sol = solve(g, p, cfg)
+    trace = sol.trace
+    assert len(trace.objective) == len(trace.snapshots) == trace.iterations
+    for f, (_, _, x_nodes, x_vals) in zip(trace.objective, trace.snapshots, strict=True):
+        assert f.hex() == objective_value(g, p, SparseVector.from_arrays(x_nodes, x_vals)).hex()
+    f_star = objective_value(g, p, sol.x) - 1e-3  # the points are compared, not held to their bounds
+    gathers = []
+    gather = objective._gather
+
+    def counted(*args):
+        gathers.append(None)
+        return gather(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objective, "_gather", counted)
+        got = rate_envelope(g, p, cfg, trace, f_star)
+        assert not gathers
+        want = reference.rate_envelope(g, p, trace, f_star)
+        assert len(gathers) == trace.iterations
+    assert [(pt.k, pt.gap.hex(), pt.bound.hex()) for pt in got] == \
+        [(pt.k, pt.gap.hex(), pt.bound.hex()) for pt in want]
+    return trace.iterations
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), alpha=st.floats(0.05, 1.0))
+def test_objective_column_matches_objective_value(seed, n, alpha):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    rho = float(10.0 ** rng.uniform(-4, -1))
+    node = int(rng.integers(0, n))
+    for method in METHODS:
+        for reg_factor in REG_FACTORS:
+            _assert_objective_column_and_envelope(g, ProblemParams(alpha, rho, node, reg_factor), method)
+
+
+def test_objective_column_matches_objective_value_on_audit_problems():
+    """The audits of the benchmark's ``cli_pipeline`` workload: the graph of
+    ``gen --exterior-size 400 --deg-ext 398``, alpha 0.05 and rho 2e-6,
+    from a core and a boundary seed."""
+    g, part = generate(SynthParams(exterior_size=400, deg_ext=398))
+    checked = 0
+    for seed in (int(part.core.ids[0]), int(part.boundary.ids[0])):
+        for method in METHODS:
+            checked += _assert_objective_column_and_envelope(g, ProblemParams(0.05, 2e-6, seed), method, eps=1e-8)
+    assert checked > 100
 
 
 def test_rate_envelope_holds_on_star():
