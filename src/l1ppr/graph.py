@@ -328,6 +328,7 @@ def parse_snap_edgelist(
     edges = _loadtxt_edges(text, path)
     if edges is None:
         edges = _scan_edges(io.StringIO(text))
+    del text  # the cut and the build read the edges alone
     if max_nodes is not None:
         ids, first = np.unique(edges.ravel(), return_index=True)
         kept = ids[np.argsort(first)[: max(max_nodes, 0)]]

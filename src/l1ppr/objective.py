@@ -23,10 +23,13 @@ shrunk value at every entry it is given and a signed zero at each it drops,
 and its callers take the values that survive from it by its mask. The step
 takes x on its frame from that one, so it fills no zero array, and forms
 its residual in place in it. ``objective_value`` sums F over the frame the
-core returns, in ``_objective_on_frame``; the step returns what that sum
-reads, the point and its gradient on the frame and (Qz) at the seed, the
-one entry where Qz and the gradient differ, so F at a step's input point
-costs no second gather (the solver's full traces keep it per iteration).
+core returns, in ``_objective_on_frame``, from exactly what
+``_gradient_at`` returns: the plan, the point and its gradient on the
+frame, and (Qz) at the seed, the one entry where Qz and the gradient
+differ. The step returns those four too, so F at a step's input point
+costs no second gather (the solver's full traces keep it per iteration),
+and the plan it returns gives the solver sqrt(d) on the frame and the
+support's degree volume, which the plan's build counted.
 The dict-based implementations these functions replaced live on in
 ``tests/reference.py``, and the tests check the two bit for bit.
 
@@ -197,14 +200,26 @@ def _check_ints(settings, *names: str) -> None:
             raise SettingError(f"{name} must be an integer, got {getattr(settings, name)!r}", name)
 
 
+def _check_real(name: str, value) -> None:
+    """Raise SettingError naming the field ``name`` unless ``value`` is a
+    real number: an integer as ``_check_ints`` takes one, so never a bool,
+    or a float of Python or numpy."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        raise SettingError(f"{name} must be a real number, got {value!r}", name)
+
+
 def _check_alpha(alpha: float) -> None:
-    """Raise SettingError unless the teleportation ``alpha`` lies in (0, 1]."""
+    """Raise SettingError unless the teleportation ``alpha`` is a real number
+    in (0, 1]."""
+    _check_real("alpha", alpha)
     if not (0.0 < alpha <= 1.0):
         raise SettingError(f"alpha must lie in (0, 1], got {alpha}", "alpha")
 
 
 def _check_rho(rho: float) -> None:
-    """Raise SettingError unless the penalty ``rho`` is positive (nan is not)."""
+    """Raise SettingError unless the penalty ``rho`` is a positive real number
+    (nan is not)."""
+    _check_real("rho", rho)
     if not rho > 0.0:
         raise SettingError(f"rho must be positive, got {rho}", "rho")
 
@@ -248,8 +263,9 @@ class _Plan(NamedTuple):
     ``act`` alone: its own copy of ``act``, D^{-1/2} at ``act`` and its row
     lengths, then per entry of those rows, in edge order, the bin of its node
     and D^{-1/2} at it, then the frame, sqrt(d) at each id of it, which of
-    them are in ``act``, and the positions of ``act`` and of the seed in it.
-    Its arrays are read-only.
+    them are in ``act``, the positions of ``act`` and of the seed in it, and
+    ``vol``, the degree volume of ``act``: the row entries the build read,
+    the sum of ``lens``. Its arrays are read-only.
 
     A build frames the candidates in one of two ways, and every bin gets the
     same terms in the same order either way. When the largest candidate id,
@@ -271,6 +287,7 @@ class _Plan(NamedTuple):
     in_act: np.ndarray
     act_pos: np.ndarray
     at_seed: int
+    vol: int
 
 
 # The plan of the last support each graph's gather core read. A call reads
@@ -311,7 +328,7 @@ def _build_plan(g: Graph, seed: int, act: np.ndarray, key: tuple) -> _Plan:
     arrays = (own, isd[act], lens, bins, isd[nbrs], cand, sqrt_cand, in_act, act_pos)
     for a in arrays:
         a.setflags(write=False)
-    return _Plan(key, *arrays, at_seed)
+    return _Plan(key, *arrays, at_seed, nbrs.size)
 
 
 def _gather(g: Graph, p: ProblemParams, act: np.ndarray, vals: np.ndarray) -> tuple:
@@ -376,20 +393,21 @@ def prox_grad_step(
     p: ProblemParams,
     z_vals: np.ndarray,
     z_act: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, _Plan, np.ndarray, np.ndarray, np.ndarray, float]:
     """One fused prox-gradient step from the point z that is ``z_vals`` at
     the sorted, distinct nodes ``z_act``: x = prox(z - grad f(z)), the unit
     step 1/L, equal to ``prox(forward_map(z))`` bit for bit.
 
     Returns the sorted support of x, the values on it, the fixed-point
-    residual ||z - x||_inf, which is ``kkt_residual`` at z, and the frame of
-    z the step worked in: the gather plan's read-only array of ids, z at
-    each (``z_vals`` at ``z_act``, +0.0 at every other id) and the forward
-    map u(z) = z - grad f(z) that the step thresholded, ``forward_map`` at z
-    bit for bit with its zeros kept, then the gradient grad f(z) there,
-    from which the step formed u, and (Qz) at the seed: grad f(z) is Qz
-    at every other id, so writing that value back at the seed's id gives
-    the Qz that ``objective_value`` reads. The frame, the candidates
+    residual ||z - x||_inf, which is ``kkt_residual`` at z, the gather plan
+    of supp(z), and then what the step worked with on the plan's frame
+    ``plan.cand``: z at each id of it (``z_vals`` at ``z_act``, +0.0 at every
+    other id), the forward map u(z) = z - grad f(z) that the step
+    thresholded, ``forward_map`` at z bit for bit with its zeros kept, the
+    gradient grad f(z) there, from which the step formed u, and (Qz) at the
+    seed. The plan also holds sqrt(d) on the frame, the seed's position in
+    it and vol(supp(z)). The plan, z, the gradient and (Qz) at the seed are
+    what ``_objective_on_frame`` reads for F(z). The frame, the candidates
     supp(z) + N(supp(z)) + {v} or the id span [0, top] that holds them,
     covers supp(z) and supp(x). When supp(x) equals supp(z), the support
     returned is the plan's read-only copy of ``z_act``, and a step from it
@@ -409,7 +427,7 @@ def prox_grad_step(
     # the frame covers supp(z) and supp(x); both are 0 elsewhere, and
     # |z - x| takes no sign from x's signed zeros
     np.subtract(zc, x, out=x)
-    return act, vals, float(np.abs(x, out=x).max()), plan.cand, zc, u, grad, q_seed
+    return act, vals, float(np.abs(x, out=x).max()), plan, zc, u, grad, q_seed
 
 
 def gradient(g: Graph, p: ProblemParams, x: SparseVector) -> SparseVector:
@@ -442,18 +460,20 @@ def _sum_in_order(terms: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
-def _objective_on_frame(g: Graph, p: ProblemParams, xc: np.ndarray, qx: np.ndarray,
-                        sqrt_cand: np.ndarray, at_seed: int) -> float:
-    """F(x) from x on a frame that covers supp(x), (Qx) and sqrt(d) at each
-    id of it, and the seed's position in it; reads no adjacency row. The
+def _objective_on_frame(g: Graph, p: ProblemParams, plan: _Plan, xc: np.ndarray,
+                        grad: np.ndarray, q_seed: float) -> float:
+    """F(x) from what ``_gradient_at`` returns at x: its plan, x and
+    grad f(x) on the plan's frame, and (Qx) at the seed, which is written
+    back into ``grad`` there to make it Qx; reads no adjacency row. The
     quadratic and l1 terms are each summed over supp(x) in ascending node
     order."""
+    grad[plan.at_seed] = q_seed
     at = np.flatnonzero(xc)  # supp(x): its values are never zero
     xs = xc[at]
-    quad = _sum_in_order(xs * (0.5 * qx[at]))
-    l1 = _sum_in_order(sqrt_cand[at] * np.abs(xs))
+    quad = _sum_in_order(xs * (0.5 * grad[at]))
+    l1 = _sum_in_order(plan.sqrt_cand[at] * np.abs(xs))
     seed_term = p.alpha * float(g.inv_sqrt_degrees[p.seed])
-    return quad - seed_term * float(xc[at_seed]) + p.reg_level * l1
+    return quad - seed_term * float(xc[plan.at_seed]) + p.reg_level * l1
 
 
 def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
@@ -462,8 +482,7 @@ def objective_value(g: Graph, p: ProblemParams, x: SparseVector) -> float:
     The quadratic and l1 terms are each summed over supp(x) in ascending node
     order.
     """
-    plan, xc, qx = _gather(g, p, *x.arrays())
-    return _objective_on_frame(g, p, xc, qx, plan.sqrt_cand, plan.at_seed)
+    return _objective_on_frame(g, p, *_gradient_at(g, p, *x.arrays()))
 
 
 def kkt_residual(g: Graph, p: ProblemParams, x: SparseVector) -> float:

@@ -30,13 +30,17 @@ ledger is the method's, not the kernel's.
 
 Iterates stay in their (sorted nodes, values) array form throughout, so a
 solve's wall clock follows the volume of its iterates, not n. Each step
-also returns the frame of its input point: the plan's array of ids, which
-holds the candidates (it is either those alone or the id span up to the
-largest of them, no longer than the rows the step read), and the point and
-its forward map at each of them. A solve holds no array of length n:
-all the gather core keeps per graph, in :mod:`l1ppr.objective`, is the
-plan of the last support a step read, sized by that support's volume.
-Once a solve's support stops changing, which the iterates of a
+also returns the gather plan of its input point's support, and the point
+and its forward map on the plan's frame, the array of ids ``plan.cand``,
+which holds the candidates (it is either those alone or the id span up to
+the largest of them, no longer than the rows the step read). The solver
+reads the ledger from the plans: vol(supp x_{k+1}) is the ``vol`` of the
+step from x_{k+1}, and ISTA's vol(supp y_k) that of the step from x_k. Of
+a plan it keeps the frame's ids and sqrt(d) there, never the plan itself,
+so no plan outlives the step that replaces it. A solve holds no array of
+length n: all the gather core keeps per graph, in :mod:`l1ppr.objective`,
+is the plan of the last support a step read, sized by that support's
+volume. Once a solve's support stops changing, which the iterates of a
 proximal-gradient method do after finitely many steps, its steps reuse that
 plan and read no adjacency row.
 
@@ -50,20 +54,19 @@ sorted array of n distinct ids whose last is n - 1 is the id span
 [0, n - 1], the frame of an id-binned plan: when one frame is a span and
 the other's ids end inside it, the span is the union as it is, and an id
 is its own position on it. Only two frames that neither holds are merged,
-and placed by a sorted search. vol(supp y_k) is the degree sum over the
-nonzero entries of y_k in the frame. The volume of a support, and d and
-sqrt(d) at the frame's ids (slices of the graph's arrays at a span), are
-computed once per array, not once per iteration. A step
-that leaves its input's support unchanged returns the plan's own support
-array, and FISTA takes it for x_{k+1} when supp(x_{k+1}) equals
-supp(T(x_k)), so the next step finds the plan by identity.
+and placed by a sorted search. FISTA's vol(supp y_k) is the degree sum
+over the nonzero entries of y_k in the frame, and sqrt(d) on y's frame is
+the ``sqrt_cand`` of the step whose frame it is, or a gather on a merged
+union. A step that leaves its input's support unchanged returns the plan's
+own support array, and FISTA takes it for x_{k+1} when supp(x_{k+1})
+equals supp(T(x_k)), so the next step finds the plan by identity.
 
 A full trace keeps F(x_{k+1}) per iteration, from the step from x_{k+1}
-that the loop takes anyway: the step returns x_{k+1} and grad f(x_{k+1}) on
-its frame and (Qx) at the seed, which is all ``objective_value`` reads of
-its own gather, so the value is the same bits with no second gather and no
-plan build. ``rate_envelope`` reads that column. A summary solve computes
-none of it.
+that the loop takes anyway: the step returns its plan, x_{k+1} and
+grad f(x_{k+1}) on its frame and (Qx) at the seed, which is all
+``objective_value`` reads of its own gather, so the value is the same bits
+with no second gather and no plan build. ``rate_envelope`` reads that
+column. A summary solve computes none of it.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ from .objective import (
     SparseVector,
     _check_alpha,
     _check_ints,
+    _check_real,
     _objective_on_frame,
     _soft_threshold,
     objective_value,  # noqa: F401  (perfbench/tracing.py wraps solver.objective_value)
@@ -125,6 +129,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise SettingError(f"method must be one of {METHODS}, got {self.method!r}", "method")
+        _check_real("eps", self.eps)
         if not self.eps > 0.0:
             raise SettingError(f"eps must be positive, got {self.eps}", "eps")
         _check_ints(self, "max_iter")
@@ -139,7 +144,9 @@ class SolveTrace:
     """Per-iteration ledger of one solve.
 
     Each column holds one entry per iteration; ``spurious_vol`` is ``None``
-    when the solve had no baseline. At the full level ``snapshots`` holds
+    when the solve had no baseline. ``vol_supp_x_next`` is the ``vol`` of
+    the plan of each step from x_{k+1}, the edge entries that step
+    processed. At the full level ``snapshots`` holds
     ``(y_nodes, y_vals, x_nodes, x_vals)`` per iteration and ``objective``
     F(x_{k+1}) at each, ``objective_value`` of that snapshot's x bit for
     bit; at the summary level both stay empty. The counters are read off
@@ -204,21 +211,18 @@ def solve(
                        spurious_vol=None if spurious_baseline is None else array("q"))
 
     x_act, x_vals = np.empty(0, dtype=np.int64), np.empty(0)
-    volume = _per_array(lambda act: int(degrees[act].sum()))
-    deg_at = _per_array(partial(_at_frame, degrees))
-    sqrt_deg = _per_array(partial(_at_frame, g.sqrt_degrees))
-    if spurious_baseline is not None:
-        spurious = _per_array(lambda act: int(degrees[act[~spurious_baseline.contains(act)]].sum()))
-    t_act, t_vals, r, cand, z, u, grad, q_seed = prox_grad_step(g, p, x_vals, x_act)
-    prev_cand, prev_z, prev_u = cand, z, u  # x_{-1} = x_0
+    t_act, t_vals, r, plan, z, u, _, _ = prox_grad_step(g, p, x_vals, x_act)
+    cand, sqrt_cand, vol = plan.cand, plan.sqrt_cand, plan.vol
+    del plan  # a solve holds no plan across a step, so a build's is the only one alive
+    prev_cand, prev_sqrt, prev_z, prev_u = cand, sqrt_cand, z, u  # x_{-1} = x_0
     for k in range(cfg.max_iter):
         if r <= cfg.eps:
             break
         if reuse:
             # Without momentum y_k == x_k, so x_{k+1} = T(x_k) is the
-            # step the last residual check computed.
-            y_act, y_vals = x_act, x_vals
-            vol_y = volume(y_act)
+            # step the last residual check computed, and vol(supp y_k) is
+            # that step's plan's
+            y_act, y_vals, vol_y = x_act, x_vals, vol
             xn_act, xn_vals = t_act, t_vals
             if not np.isfinite(xn_vals).all():
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
@@ -229,10 +233,13 @@ def solve(
             if not (np.isfinite(y).all() and np.isfinite(u_y).all()):  # the threshold would drop a nan
                 raise NumericalDivergenceError(f"numerical divergence at iteration {k}")
             nz = y != 0.0
-            vol_y = int(deg_at(y_cand)[nz].sum())
+            vol_y = int(degrees[y_cand[nz]].sum())
             if full:
                 y_act, y_vals = y_cand[nz], y[nz]
-            keep, xn = _soft_threshold(p, sqrt_deg(y_cand), u_y)
+            # sqrt(d) on y's frame: a step's own, unless two frames were merged
+            sqrt_y = (sqrt_cand if y_cand is cand else prev_sqrt if y_cand is prev_cand
+                      else g.sqrt_degrees[y_cand])
+            keep, xn = _soft_threshold(p, sqrt_y, u_y)
             xn_act, xn_vals = y_cand[keep], xn[keep]
             if xn_act.tobytes() == t_act.tobytes():
                 # T(x_k) has this support too: take its array, which is the
@@ -240,47 +247,25 @@ def solve(
                 # by identity
                 xn_act = t_act
 
-        prev_cand, prev_z, prev_u = cand, z, u
-        t_act, t_vals, r, cand, z, u, grad, q_seed = prox_grad_step(g, p, xn_vals, xn_act)
-
-        trace.vol_supp_y.append(vol_y)
-        trace.vol_supp_x_next.append(volume(xn_act))
-        trace.residual.append(r)
-        if spurious_baseline is not None:
-            trace.spurious_vol.append(spurious(xn_act))
+        prev_cand, prev_sqrt, prev_z, prev_u = cand, sqrt_cand, z, u
+        t_act, t_vals, r, plan, z, u, grad, q_seed = prox_grad_step(g, p, xn_vals, xn_act)
+        cand, sqrt_cand, vol = plan.cand, plan.sqrt_cand, plan.vol
         if full:
             trace.snapshots.append((y_act, y_vals, xn_act, xn_vals))
-            trace.objective.append(_objective_at_step(g, p, cand, z, grad, q_seed, sqrt_deg))
+            trace.objective.append(_objective_on_frame(g, p, plan, z, grad, q_seed))
+        del plan
+
+        trace.vol_supp_y.append(vol_y)
+        trace.vol_supp_x_next.append(vol)
+        trace.residual.append(r)
+        if spurious_baseline is not None:
+            trace.spurious_vol.append(int(degrees[xn_act[~spurious_baseline.contains(xn_act)]].sum()))
 
         x_act, x_vals = xn_act, xn_vals
 
     trace.converged = r <= cfg.eps
     trace.final_residual = r
     return Solution(SparseVector.from_arrays(x_act, x_vals), trace, NodeSet._adopt(x_act))
-
-
-def _objective_at_step(g: Graph, p: ProblemParams, cand: np.ndarray, z: np.ndarray,
-                       grad: np.ndarray, q_seed: float, sqrt_deg) -> float:
-    """F(z) from the frame of the step from z: z and grad f(z) at the ids
-    ``cand``, and (Qz) at the seed, which is written back into ``grad`` to
-    give Qz there. ``sqrt_deg`` gives sqrt(d) at a frame."""
-    at_seed = p.seed if _is_span(cand) else int(np.searchsorted(cand, p.seed))
-    grad[at_seed] = q_seed
-    return _objective_on_frame(g, p, z, grad, sqrt_deg(cand), at_seed)
-
-
-def _per_array(fn):
-    """``fn`` of one array, computed again only when called with another
-    array object than the last call's; the solver never writes into the
-    support arrays it passes."""
-    last = [None, None]
-
-    def call(a):
-        if a is not last[0]:
-            last[:] = a, fn(a)
-        return last[1]
-
-    return call
 
 
 def _extrapolate(beta: float, cand: np.ndarray, z: np.ndarray, u: np.ndarray,
@@ -313,12 +298,6 @@ def _is_span(ids: np.ndarray) -> bool:
     """Whether the sorted, distinct, non-empty ids are the span [0, top]:
     n such ids are all below n exactly when the last is n - 1."""
     return ids[-1] == ids.size - 1
-
-
-def _at_frame(values: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """The per-node ``values`` at the frame's ids ``cand``: a slice of them
-    at an id span, a gather otherwise."""
-    return values[:cand.size] if _is_span(cand) else values[cand]
 
 
 def _place(union: np.ndarray, cand: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:

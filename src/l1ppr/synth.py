@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _MAX_ID, Graph, NodeSet, _is_int, build_from_edges
-from .objective import SettingError, SparseVector, _check_alpha, _check_ints
+from .objective import SettingError, SparseVector, _check_alpha, _check_ints, _check_real
 
 __all__ = [
     "SynthParams",
@@ -73,6 +73,7 @@ class SynthParams:
                 f"deg_ext={self.deg_ext} must be smaller than exterior_size={self.exterior_size}",
                 "deg_ext", "exterior_size",
             )
+        _check_real("core_density", self.core_density)
         if not (0.0 < self.core_density <= 1.0):
             raise SettingError("core_density must lie in (0, 1]", "core_density")
         if self.core_density * self._core_pairs() < self.core_size - 1:

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,33 @@ def test_build_holds_no_edge_length_scratch_on_dense_ids():
         assert np.array_equal(remap, np.arange(g.n) + shift)
         assert peak - held <= per_entry * entries + 64 * g.n, (shift, peak, held)
         del h, remap, shifted
+
+
+@pytest.mark.parametrize("scan, share", [(False, 10), (True, 4)], ids=["loadtxt", "scan"])
+def test_parse_holds_no_file_text_into_the_build(scan, share, tmp_path, monkeypatch):
+    """The parse reads the file text only to find the edges: at the start of
+    the build, the traced memory beyond the edge array is below a tenth of
+    the file, on the ``cli_pipeline`` graph of the benchmark (0.88 MB of
+    text), when ``np.loadtxt`` parsed it. After the line scan it is below a
+    quarter: CPython keeps up to 2,000 freed pairs of the scan's list on
+    its tuple free list, about 112 kB whatever the file's size."""
+    from l1ppr.cli import main
+
+    path = tmp_path / "g.txt"
+    assert main(["gen", "--exterior-size", "400", "--deg-ext", "398", "--out", str(path)]) == 0
+    if scan:
+        monkeypatch.setattr(graph, "_loadtxt_edges", lambda text, path: None)
+    build, held = graph.build_from_edges, []
+
+    def build_traced(edges):
+        held.append(tracemalloc.get_traced_memory()[0] - edges.nbytes)
+        return build(edges)
+
+    monkeypatch.setattr(graph, "build_from_edges", build_traced)
+    parse_snap_edgelist(path)  # first calls' one-time allocations
+    _, _, (g, _) = traced(lambda: parse_snap_edgelist(path))
+    assert g.n == 1_060 and len(held) == 2
+    assert held[1] < path.stat().st_size / share, held
 
 
 def test_build_from_edges_rejects_key_overflow(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from l1ppr.graph import build_from_edges
 from l1ppr.objective import (
     REG_FACTORS,
     ProblemParams,
+    SettingError,
     SparseVector,
     _soft_threshold,
     forward_map,
@@ -147,6 +149,13 @@ def test_params_validation():
         kwargs.update(bad)
         with pytest.raises(ValueError):
             ProblemParams(**kwargs)
+    ProblemParams(np.float32(0.5), np.int64(1), 0)  # numpy reals are real numbers
+    # a string or a bool is no real number, and the error names its field
+    for name, bad in (("alpha", "0.5"), ("rho", "1e-3"), ("alpha", True), ("rho", True)):
+        want = f"^{name} must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(SettingError, match=want) as info:
+            ProblemParams(**{"alpha": 0.5, "rho": 0.1, "seed": 0, name: bad})
+        assert info.value.fields == (name,)
 
 
 def test_params_derived_quantities():
@@ -418,13 +427,17 @@ def _same_bits_both_ways(g, big, shift, p, act, vals):
     assert np.array_equal(small[0] + shift, padded[0])  # the support
     assert small[1].tobytes() == padded[1].tobytes()  # the values on it
     assert small[2].hex() == padded[2].hex()
+    # each plan counts its support's degree volume, on either frame
+    for plan, graph in ((small[3], g), (padded[3], big)):
+        assert plan.vol == int(graph.degrees[plan.act].sum())
+    assert small[3].vol == padded[3].vol
     # the padded side's frame is on the candidates alone; an id-binned
     # frame spans [0, top] and holds +0.0 in z and u at every other id
-    cand = padded[3] - shift
-    at = np.searchsorted(small[3], cand)
-    assert np.array_equal(small[3][at], cand)
-    assert paths[0] == "id" or small[3].size == cand.size
-    off = np.ones(small[3].size, dtype=bool)
+    small_cand, cand = small[3].cand, padded[3].cand - shift
+    at = np.searchsorted(small_cand, cand)
+    assert np.array_equal(small_cand[at], cand)
+    assert paths[0] == "id" or small_cand.size == cand.size
+    off = np.ones(small_cand.size, dtype=bool)
     off[at] = False
     for i in (4, 5):  # z and u
         assert small[i][at].tobytes() == padded[i].tobytes()

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from l1ppr import objective
 from l1ppr.graph import NodeSet, build_from_edges, volume
-from l1ppr.objective import REG_FACTORS, ProblemParams, SparseVector, kkt_residual, objective_value, prox_grad_step
+from l1ppr.objective import (
+    REG_FACTORS,
+    ProblemParams,
+    SettingError,
+    SparseVector,
+    kkt_residual,
+    objective_value,
+    prox_grad_step,
+)
 from l1ppr.solver import (
     METHODS,
     NumericalDivergenceError,
@@ -35,6 +43,11 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    assert SolverConfig(eps=np.float32(1e-6)).eps > 0.0
+    for bad in ("1e-6", True):  # a string or a bool is no real number
+        with pytest.raises(SettingError, match=f"^eps must be a real number, got {bad!r}$") as info:
+            SolverConfig(eps=bad)
+        assert info.value.fields == ("eps",)
 
 
 def test_fista_momentum_values():
@@ -178,14 +191,14 @@ def _faulty_step(fault):
     calls = []
 
     def step(g, p, z_vals, z_act):
-        act, vals, r, cand, z, u, grad, q_seed = prox_grad_step(g, p, z_vals, z_act)
+        act, vals, r, plan, z, u, grad, q_seed = prox_grad_step(g, p, z_vals, z_act)
         calls.append(None)
         if len(calls) < 3:
-            return act, vals, r, cand, z, u, grad, q_seed
+            return act, vals, r, plan, z, u, grad, q_seed
         bad = np.inf if fault == "inf" else (1.5e308 if len(calls) % 2 else -1.5e308)
         if fault == "point":
-            return act, vals, r, cand, np.full(z.size, bad), u, grad, q_seed
-        return act, np.full(vals.size, bad), r, cand, z, np.full(u.size, bad), grad, q_seed
+            return act, vals, r, plan, np.full(z.size, bad), u, grad, q_seed
+        return act, np.full(vals.size, bad), r, plan, z, np.full(u.size, bad), grad, q_seed
 
     return step
 
@@ -414,6 +427,28 @@ def test_retained_state_is_one_plan():
 
     small, big = retained(10**3), retained(10**5)
     assert abs(big - small) < 4096, (small, big)
+
+
+@pytest.mark.parametrize("level", ["summary", "full"])
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_holds_no_plan_across_a_step(method, level, monkeypatch):
+    """Of each step's plan a solve keeps arrays only, never the plan: when a
+    step builds the next plan, nothing else holds the one it replaces, so a
+    build's plan is the only one alive."""
+    import sys
+
+    build, last, extra = objective._build_plan, [None], []
+
+    def tracked(*args):
+        if last[0] is not None:
+            extra.append(sys.getrefcount(last[0]) - 2)  # less ``last`` and the argument
+        last[0] = build(*args)
+        return last[0]
+
+    monkeypatch.setattr(objective, "_build_plan", tracked)
+    cfg = SolverConfig(method=method, eps=1e-8, trace_level=level)
+    assert solve(clique_ring(100), ProblemParams(0.2, 1e-4, 3), cfg).trace.converged
+    assert len(extra) >= 3 and extra == [0] * len(extra), extra
 
 
 @pytest.mark.parametrize("method", ["ista", "fista"])

@@ -70,6 +70,9 @@ def test_params_validation():
         (dict(boundary_size=10.5), "boundary_size must be an integer"),
         (dict(core_density=0.5, rng_seed=1.5), "rng_seed must be an integer"),
         (dict(c_bnd=True), "c_bnd must be an integer, got True"),
+        # a string or a bool density is no real number
+        (dict(core_density="0.5"), "core_density must be a real number, got '0.5'"),
+        (dict(core_density=True), "core_density must be a real number, got True"),
     ]
     for overrides, match in cases:
         with pytest.raises(ValueError, match=match):
